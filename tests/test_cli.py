@@ -190,6 +190,38 @@ class TestVerify:
         assert rc == 2
 
 
+# (golden-file stem, instance text, extra verify arguments)
+GOLDEN_VERIFY = [
+    ("verify_e1_speed_3_2", E1_TEXT, ["--speed", "3/2", "--k", "1,2"]),
+    # total work 41 is over the oracle's limit, and eps = 1 skips the power checks
+    ("verify_over_limit_speed_2", "m 1\njob 0 0 41\n", ["--speed", "2", "--k", "1"]),
+]
+
+
+class TestVerifyGolden:
+    """Table, JSON and CSV of verify, byte for byte, with a relative
+    instance path so that the reports do not depend on the directory."""
+
+    @pytest.mark.parametrize("stem, text, extra", GOLDEN_VERIFY)
+    def test_stdout(self, stem, text, extra, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "instance.txt").write_text(text)
+        assert main(["verify", "--instance", "instance.txt"] + extra) == 0
+        assert capsys.readouterr().out == (DATA / (stem + ".stdout")).read_text()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("stem, text, extra", GOLDEN_VERIFY)
+    def test_report(self, stem, text, extra, fmt, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "instance.txt").write_text(text)
+        out = "report." + fmt
+        args = ["verify", "--instance", "instance.txt"] + extra + ["--format", fmt, "--out", out]
+        assert main(args) == 0
+        table = (DATA / (stem + ".stdout")).read_text()
+        assert capsys.readouterr().out == table + "report written to %s\n" % out
+        assert (tmp_path / out).read_bytes() == (DATA / (stem + "." + fmt)).read_bytes()
+
+
 class TestSweep:
     def test_small_sweep(self, tmp_path, capsys):
         man = manifest_file(tmp_path, SMALL_MANIFEST)
