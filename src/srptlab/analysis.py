@@ -244,6 +244,11 @@ def _mk_report(condition: str, records) -> PotentialReport:
     )
 
 
+def merge_reports(condition: str, reports) -> PotentialReport:
+    """One report under `condition` holding the records of `reports` in order."""
+    return _mk_report(condition, [rec for rep in reports for rec in rep.records])
+
+
 @dataclass(frozen=True)
 class ConditionReports:
     """Arrival, completion and running condition reports for one potential,
@@ -344,6 +349,17 @@ def _check_grid(ctx: PairContext):
 # --------------------------------------------------------------------------
 # potential conditions, average-flow and k-th power modes
 
+def total_flow_factor(eps: Rational) -> Rational:
+    """Competitive factor for total flow at speed 1+eps: 4/eps."""
+    return 4 / eps
+
+
+def power_flow_factor(eps: Rational, k: int) -> Rational:
+    """Competitive factor for the k-th power of flow at speed 1+eps
+    (0 < eps <= 1/2): (2/(eps(1-eps)))^k + ((1+eps)/eps^2)^k."""
+    return (2 / (eps * (1 - eps))) ** k + ((1 + eps) / eps ** 2) ** k
+
+
 def flow_potential(ctx: PairContext, t, pre_event: bool = False) -> Rational:
     """Queue-wide potential for the total-flow analysis, evaluated post-event
     at event times unless pre_event is set."""
@@ -378,33 +394,33 @@ def _require_eps_power(ctx, k):
         raise AnalysisError("epsilon out of theorem range (need 0 < eps <= 1/2)")
 
 
+def _inner(m, st, i) -> Rational:
+    """Job i's backlog gap: fast volume ahead of it, plus m times its own
+    remaining volume, minus the reference's small-job volume ahead of it."""
+    return st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
+
+
+def _clamped_power(scale, g, k) -> Rational:
+    return scale * g ** k if g > 0 else ZERO
+
+
 def _phi_avg(ctx, t, alive_alg, alive_ref) -> Rational:
     st = ctx.state(t, alive_alg, alive_ref)
     m = ctx.machines
-    tot = ZERO
-    for i in alive_alg:
-        tot += st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
-    return tot / (m * ctx.epsilon)
+    return sum((_inner(m, st, i) for i in alive_alg), ZERO) / (m * ctx.epsilon)
 
 
 def _clamped_age(ctx, st, t, i) -> Rational:
     """Age of job i plus its normalized backlog gap, the quantity whose clamp
     at zero drives the power potential. Linear in t between events."""
     m = ctx.machines
-    inner = st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
-    return (t - ctx.idx_alg.release[i]) + inner / (m * ctx.epsilon)
+    return (t - ctx.idx_alg.release[i]) + _inner(m, st, i) / (m * ctx.epsilon)
 
 
 def _phi_power(ctx, t, alive_alg, alive_ref, k) -> Rational:
-    st = ctx.state(t, alive_alg, alive_ref)
-    scale = (1 - ctx.epsilon) ** (-k)
-    tot = ZERO
-    for i in alive_alg:
-        g = _clamped_age(ctx, st, t, i)
-        if g > 0:
-            tot += scale * g ** k
-        tot -= (t - ctx.idx_alg.release[i]) ** k
-    return tot
+    release = ctx.idx_alg.release
+    ages = sum(((t - release[i]) ** k for i in alive_alg), ZERO)
+    return _power_value(ctx, t, alive_alg, alive_ref, k) - ages
 
 
 def _power_value(ctx, t, alive_alg, alive_ref, k) -> Rational:
@@ -412,12 +428,9 @@ def _power_value(ctx, t, alive_alg, alive_ref, k) -> Rational:
     # (t - release)^k sums cancel, leaving only the clamped terms
     st = ctx.state(t, alive_alg, alive_ref)
     scale = (1 - ctx.epsilon) ** (-k)
-    tot = ZERO
-    for i in alive_alg:
-        g = _clamped_age(ctx, st, t, i)
-        if g > 0:
-            tot += scale * g ** k
-    return tot
+    return sum(
+        (_clamped_power(scale, _clamped_age(ctx, st, t, i), k) for i in alive_alg), ZERO
+    )
 
 
 def check_flow_conditions(ctx: PairContext) -> ConditionReports:
@@ -476,7 +489,7 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
                 if power:
                     age = t - release[c]
                     g = age - owed / (m * eps)
-                    jump = age ** k - (scale * g ** k if g > 0 else ZERO)
+                    jump = age ** k - _clamped_power(scale, g, k)
                     if owed <= m * eps * eps * age:
                         rec = _rec_le(
                             t, "completion job %d (drained case)" % c, jump, ZERO
@@ -496,39 +509,34 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
                 completion_jump_total += jump
             alive_alg = alive_alg - frozenset(finished_alg)
         for a in sorted(arrivals_at.get(t, ())):
-            before = None
-            if not power and alive_alg:
-                before = ctx.state(t, alive_alg, alive_ref)
+            before = ctx.state(t, alive_alg, alive_ref) if alive_alg else None
             prev_alive = alive_alg
             alive_alg = alive_alg | {a}
             alive_ref = alive_ref | {a}
             st = ctx.state(t, alive_alg, alive_ref)
-            inner = st.ahead_alg[a] + m * st.rem_alg[a] - st.ahead_ref_small[a]
             if power:
-                g = inner / (m * eps)  # age term is exactly 0 at release
-                jump = scale * g ** k if g > 0 else ZERO
+                # the age term is exactly 0 at release
+                jump = _clamped_power(scale, _inner(m, st, a) / (m * eps), k)
                 bound = (2 / (eps * (1 - eps))) ** k * size[a] ** k
             else:
-                jump = inner / (m * eps)
+                jump = _inner(m, st, a) / (m * eps)
                 bound = 2 * size[a] / eps
-                if before is not None:
-                    for i in sorted(prev_alive):
-                        b_term = (
-                            before.ahead_alg[i]
-                            + m * before.rem_alg[i]
-                            - before.ahead_ref_small[i]
-                        )
-                        a_term = (
-                            st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
-                        )
-                        if a_term != b_term:
-                            arrival_records.append(
-                                _rec_eq(
-                                    t,
-                                    "arrival job %d shifts term of job %d" % (a, i),
-                                    a_term - b_term,
-                                )
-                            )
+            # the analysis assumes an arrival leaves every other job's term
+            # alone; a shift is a failure, and its potential change still
+            # enters the accounting so that the identity below holds
+            for i in sorted(prev_alive):
+                shift = _inner(m, st, i) - _inner(m, before, i)
+                if shift == 0:
+                    continue
+                arrival_records.append(
+                    _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
+                )
+                if power:
+                    jump_total += _clamped_power(
+                        scale, _clamped_age(ctx, st, t, i), k
+                    ) - _clamped_power(scale, _clamped_age(ctx, before, t, i), k)
+                else:
+                    jump_total += shift / (m * eps)
             arrival_records.append(_rec_le(t, "arrival job %d" % a, jump, bound))
             jump_total += jump
         if pos + 1 == len(bounds):
@@ -599,9 +607,9 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
                 (1 + eps) / eps * ref_objective,
             )
         )
-        factor = 4 / eps
+        factor = total_flow_factor(eps)
     else:
-        factor = (2 / (eps * (1 - eps))) ** k + ((1 + eps) / eps ** 2) ** k
+        factor = power_flow_factor(eps, k)
     bound_report = _mk_report(
         "objective-bound",
         [

@@ -22,17 +22,13 @@ from .analysis import (
     check_flow_conditions,
     check_power_flow_conditions,
     make_context,
+    merge_reports,
     objectives,
+    power_flow_factor,
     report_to_json,
+    total_flow_factor,
 )
-from .core import (
-    ExecutionTrace,
-    InstanceError,
-    Segment,
-    SpeedConfig,
-    UNIT_SPEED,
-    validate_trace,
-)
+from .core import InstanceError, SpeedConfig, UNIT_SPEED, validate_trace
 from .engine import fifo_priority, simulate_policy, simulate_srpt
 from .formats import (
     ParseError,
@@ -203,54 +199,41 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 # verify
 
-def _corrupted(trace: ExecutionTrace) -> ExecutionTrace:
-    # blank out the first busy machine slot so conservation fails
-    segments = list(trace.segments)
-    for idx, seg in enumerate(segments):
-        slots = list(seg.assignment)
-        for pos, jid in enumerate(slots):
-            if jid is not None:
-                slots[pos] = None
-                segments[idx] = Segment(seg.start, seg.end, tuple(slots))
-                return ExecutionTrace(
-                    instance=trace.instance,
-                    speed=trace.speed,
-                    segments=tuple(segments),
-                    completions=trace.completions,
-                    events=trace.events,
-                )
-    return trace
-
-
-def _merge_json(check, params, docs):
-    witnesses = []
-    worst = None
-    verdict = "pass"
-    n_events = 0
-    for doc in docs:
-        n_events += doc["n_events"]
-        witnesses.extend(doc["witnesses"])
-        if doc["verdict"] != "pass":
-            verdict = "fail"
-        ws = doc["worst_slack"]
-        if ws is not None:
-            wr = rat(ws)
-            worst = wr if worst is None or wr < worst else worst
-    return {
-        "check": check,
-        "params": {key: str(val) for key, val in params.items()},
-        "n_events": n_events,
-        "worst_slack": None if worst is None else str(worst),
-        "verdict": verdict,
-        "witnesses": witnesses,
-    }
+VERIFY_CHECKS = ("backlog-bound", "flow-potential", "power-flow-potential", "completion-charge")
 
 
 def _skipped_json(check, params, reason):
-    doc = _merge_json(check, params, [])
+    doc = report_to_json(merge_reports(check, ()), params)
     doc["verdict"] = "skipped"
     doc["witnesses"] = [{"label": reason, "time": None, "delta": "0", "bound": None}]
     return doc
+
+
+def _reference_contexts(name, instance, trace, oracle_ks):
+    """Contexts pairing `trace` with reference `name`, keyed by objective
+    power: one context serves every power, except that the oracle's schedule
+    depends on the power. Returns (contexts, None) or (None, skip reason)."""
+    if name == "oracle":
+        try:
+            refs = {k: brute_force_opt(instance, k=k).trace for k in oracle_ks}
+        except OracleError as exc:
+            return None, "oracle skipped: %s" % exc
+        return {k: make_context(trace, ref) for k, ref in refs.items()}, None
+    if name == "unit-srpt":
+        ref = simulate_srpt(instance, UNIT_SPEED)
+    else:
+        ref = simulate_policy(instance, UNIT_SPEED, priority=fifo_priority)
+    return dict.fromkeys(oracle_ks, make_context(trace, ref)), None
+
+
+def _check_reports(check, ctx, k):
+    if check == "backlog-bound":
+        return (check_backlog_bound(ctx),)
+    if check == "flow-potential":
+        return check_flow_conditions(ctx).reports
+    if check == "power-flow-potential":
+        return check_power_flow_conditions(ctx, k=k).reports
+    return (check_completion_charge(ctx, k=k),)
 
 
 def cmd_verify(args) -> int:
@@ -278,12 +261,7 @@ def cmd_verify(args) -> int:
         )
 
     trace = simulate_srpt(instance, speed)
-    if args.inject_corruption:
-        trace = _corrupted(trace)
-
     ok, violations = validate_trace(trace)
-    table = []  # (check, reference, k-label, verdict, worst-slack)
-    exports = []
     base_params = {"instance": args.instance, "speed": speed.speed, "eps": eps}
 
     feas = {
@@ -296,8 +274,9 @@ def cmd_verify(args) -> int:
             {"label": v, "time": None, "delta": "0", "bound": None} for v in violations
         ],
     }
-    exports.append(("trace-feasibility", "-", "-", feas))
-    table.append(("trace-feasibility", "-", "-", feas["verdict"], "-"))
+    exports = [feas]
+    # (check, reference, k, verdict, worst-slack)
+    table = [("trace-feasibility", "-", "-", feas["verdict"], "-")]
 
     if not ok:
         _emit_verify(args, table, exports, skip_notice)
@@ -305,83 +284,34 @@ def cmd_verify(args) -> int:
             print("witness: %s" % v)
         return EXIT_VERIFY
 
-    # reference traces; the oracle one depends on the objective power
+    # the oracle's schedule depends on the objective power
     oracle_ks = sorted({1, *power_ks})
-    ref_traces = {}  # (name, k) -> trace | None ; None means skipped
-    oracle_note = None
     for name in refs:
-        if name == "unit-srpt":
-            ref_traces[name] = simulate_srpt(instance, UNIT_SPEED)
-        elif name == "fifo":
-            ref_traces[name] = simulate_policy(instance, UNIT_SPEED, priority=fifo_priority)
-        else:
-            for k in oracle_ks:
-                try:
-                    ref_traces[("oracle", k)] = brute_force_opt(instance, k=k).trace
-                except OracleError as exc:
-                    ref_traces[("oracle", k)] = None
-                    oracle_note = str(exc)
-
-    for name in refs:
-        def _ctx(k):
-            ref_trace = ref_traces[("oracle", k) if name == "oracle" else name]
-            if ref_trace is None:
-                return None
-            return make_context(trace, ref_trace, k=k)
-
         params = dict(base_params, reference=name)
-        ctx1 = _ctx(1)
-
-        if ctx1 is None:
-            for check in ("backlog-bound", "flow-potential"):
-                doc = _skipped_json(check, dict(params, k=1), "oracle skipped: %s" % oracle_note)
-                exports.append((check, name, "1", doc))
-                table.append((check, name, "-" if check == "backlog-bound" else "1", "skipped", "-"))
-        else:
-            doc = report_to_json(check_backlog_bound(ctx1), dict(params, k=1))
-            exports.append(("backlog-bound", name, "1", doc))
-            table.append(("backlog-bound", name, "-", doc["verdict"], doc["worst_slack"] or "-"))
-            flow = check_flow_conditions(ctx1)
-            docs = [report_to_json(rep, dict(params, k=1)) for rep in flow.reports]
-            merged = _merge_json("flow-potential", dict(params, k=1), docs)
-            exports.append(("flow-potential", name, "1", merged))
-            table.append(("flow-potential", name, "1", merged["verdict"], merged["worst_slack"] or "-"))
-
-        for check in ("power-flow-potential", "completion-charge"):
-            klabel = ",".join(str(k) for k in power_ks) if power_ks else "-"
-            if not power_ks:
-                doc = _skipped_json(check, dict(params, k="-"), skip_notice)
-                exports.append((check, name, "-", doc))
-                table.append((check, name, "-", "skipped", "-"))
+        contexts, skipped = _reference_contexts(name, instance, trace, oracle_ks)
+        for check in VERIFY_CHECKS:
+            check_ks = [1] if check in ("backlog-bound", "flow-potential") else power_ks
+            klabel = ",".join(str(k) for k in check_ks) or "-"
+            table_k = "-" if check == "backlog-bound" else klabel
+            reason = skipped if check_ks else skip_notice
+            if reason is not None:
+                exports.append(_skipped_json(check, dict(params, k=klabel), reason))
+                table.append((check, name, table_k, "skipped", "-"))
                 continue
             per_k = []
-            skipped_reason = None
-            for k in power_ks:
-                ctx = _ctx(k)
-                if ctx is None:
-                    skipped_reason = "oracle skipped: %s" % oracle_note
-                    break
-                if check == "power-flow-potential":
-                    reports = check_power_flow_conditions(ctx, k=k).reports
-                else:
-                    reports = (check_completion_charge(ctx, k=k),)
-                docs = [report_to_json(rep, dict(params, k=k)) for rep in reports]
-                merged_k = _merge_json(check, dict(params, k=k), docs)
-                exports.append((check, name, str(k), merged_k))
-                per_k.append(merged_k)
-            if skipped_reason is not None:
-                doc = _skipped_json(check, dict(params, k=klabel), skipped_reason)
-                exports.append((check, name, klabel, doc))
-                table.append((check, name, klabel, "skipped", "-"))
-                continue
-            merged = _merge_json(check, dict(params, k=klabel), per_k)
-            table.append((check, name, klabel, merged["verdict"], merged["worst_slack"] or "-"))
+            for k in check_ks:
+                report = merge_reports(check, _check_reports(check, contexts[k], k))
+                exports.append(report_to_json(report, dict(params, k=k)))
+                per_k.append(report)
+            report = merge_reports(check, per_k)
+            worst = "-" if report.worst_slack is None else str(report.worst_slack)
+            table.append((check, name, table_k, "pass" if report.verdict else "fail", worst))
 
     any_fail = any(row[3] == "fail" for row in table)
     _emit_verify(args, table, exports, skip_notice)
     if any_fail:
         shown = 0
-        for _, _, _, doc in exports:
+        for doc in exports:
             if doc["verdict"] != "fail":
                 continue
             for wit in doc["witnesses"]:
@@ -400,7 +330,7 @@ def cmd_verify(args) -> int:
 
 def _emit_verify(args, table, exports, skip_notice):
     rows = [("check", "reference", "k", "verdict", "worst-slack")]
-    rows.extend((c, r, k, v, w if w is not None else "-") for c, r, k, v, w in table)
+    rows.extend(table)
     widths = [max(len(row[col]) for row in rows) for col in range(5)]
     for row in rows:
         print("  ".join(val.ljust(wid) for val, wid in zip(row, widths)).rstrip())
@@ -411,15 +341,16 @@ def _emit_verify(args, table, exports, skip_notice):
     if args.format == "csv":
         buf = []
         buf.append("instance,check,eps,k,reference,n_events,worst_slack,verdict")
-        for check, ref, klabel, doc in exports:
+        for doc in exports:
+            params = doc["params"]
             buf.append(
                 ",".join(
                     [
                         args.instance,
-                        check,
-                        doc["params"].get("eps", ""),
-                        klabel,
-                        ref,
+                        doc["check"],
+                        params.get("eps", ""),
+                        params.get("k", "-"),
+                        params.get("reference", "-"),
                         str(doc["n_events"]),
                         doc["worst_slack"] if doc["worst_slack"] is not None else "",
                         doc["verdict"],
@@ -431,7 +362,7 @@ def _emit_verify(args, table, exports, skip_notice):
         doc = {
             "instance": args.instance,
             "speed": str(rat(args.speed)),
-            "checks": [d for (_, _, _, d) in exports],
+            "checks": exports,
             "verdict": "fail" if any(r[3] == "fail" for r in table) else "pass",
         }
         _write_text(args.out, dump_json(doc))
@@ -440,12 +371,6 @@ def _emit_verify(args, table, exports, skip_notice):
 
 # --------------------------------------------------------------------------
 # sweep
-
-def _theorem_bound(eps: Rational, k: int) -> Rational:
-    if k == 1:
-        return 4 / eps
-    return (2 / (eps * (1 - eps))) ** k + ((1 + eps) / eps ** 2) ** k
-
 
 def _load_manifest(path: str) -> dict:
     try:
@@ -557,7 +482,12 @@ def _sweep_cell(payload):
             )
             continue
         srpt_obj = sum((f ** k for f in flows), ZERO)
-        bound_rat = ONE if mode == "one-competitive" else _theorem_bound(eps, k)
+        if mode == "one-competitive":
+            bound_rat = ONE
+        elif k == 1:
+            bound_rat = total_flow_factor(eps)
+        else:
+            bound_rat = power_flow_factor(eps, k)
         within = srpt_obj <= bound_rat * opt.objective
         if opt.objective != 0:
             ratio = srpt_obj / opt.objective
@@ -706,7 +636,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--format", choices=("csv", "json"), default="json")
     p_ver.add_argument("--out", help="write the machine-readable report to this path")
-    p_ver.add_argument("--inject-corruption", action="store_true", help=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a manifest of cells and emit ratio rows")

@@ -14,8 +14,6 @@ job-id order throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     ExecutionTrace,
     Instance,
@@ -24,7 +22,7 @@ from .core import (
     events_of,
     validate_instance,
 )
-from .rationals import Rational, ZERO
+from .rationals import ZERO
 
 
 class EngineError(ValueError):
@@ -42,38 +40,6 @@ def fifo_priority(remaining, size, release, jid):
 
 def longest_remaining_priority(remaining, size, release, jid):
     return (-remaining, release, jid)
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Snapshot between events: alive jobs, the untouched arrival queue, and
-    the jobs currently holding machines (in machine order)."""
-
-    now: Rational
-    alive: tuple  # ((jid, remaining), ...) sorted by jid
-    pending: tuple  # Jobs not yet released, sorted by (release, id)
-    running: tuple  # jids on machines 0..|running|-1
-
-
-def initial_state(instance: Instance) -> SimState:
-    pending = tuple(sorted(instance.jobs, key=lambda j: (j.release, j.id)))
-    return SimState(now=ZERO, alive=(), pending=pending, running=())
-
-
-def next_event(state: SimState, speed: Rational):
-    """Earliest upcoming arrival or completion; None when the system is empty."""
-    candidates = []
-    if state.pending:
-        candidates.append(state.pending[0].release)
-    if state.running:
-        if speed <= 0:
-            raise EngineError("speed must be positive")
-        rem = dict(state.alive)
-        for jid in state.running:
-            candidates.append(state.now + rem[jid] / speed)
-    if not candidates:
-        return None
-    return min(candidates)
 
 
 def simulate_policy(instance: Instance, speed: SpeedConfig, priority=srpt_priority) -> ExecutionTrace:

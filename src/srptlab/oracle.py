@@ -59,13 +59,6 @@ class OracleResult:
     class_note: str
 
 
-@dataclass(frozen=True)
-class ReferenceSchedule:
-    name: str
-    trace: ExecutionTrace | None
-    note: str = ""
-
-
 def _integral_jobs(instance: Instance):
     out = []
     for j in instance.jobs:
@@ -302,23 +295,3 @@ def single_machine_relaxation_lb(instance: Instance) -> Rational:
     return sum(
         (trace.completions[j.id] - j.release for j in inst.jobs), ZERO
     )
-
-
-def reference_schedules(instance: Instance, k: int = 1, limits: OracleLimits = DEFAULT_LIMITS):
-    """Labelled unit-speed reference traces: oracle (when eligible), SRPT, FIFO."""
-    from .engine import fifo_priority, simulate_policy
-
-    inst = validate_instance(instance)
-    refs = []
-    try:
-        res = brute_force_opt(inst, k=k, limits=limits)
-        refs.append(ReferenceSchedule(name="oracle", trace=res.trace, note=res.class_note))
-    except OracleError as exc:
-        refs.append(ReferenceSchedule(name="oracle", trace=None, note="skipped: %s" % exc))
-    refs.append(ReferenceSchedule(name="unit-srpt", trace=simulate_srpt(inst, UNIT_SPEED)))
-    refs.append(
-        ReferenceSchedule(
-            name="fifo", trace=simulate_policy(inst, UNIT_SPEED, fifo_priority)
-        )
-    )
-    return refs

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Instance, make_instance
-from .formats import parse_instance  # noqa: F401  (re-exported for consumers)
 
 MASK64 = (1 << 64) - 1
 _STAR_MULT = 0x2545F4914F6CDD1D

@@ -19,7 +19,7 @@ constant).  Hence per-quantum re-evaluation picks the same jobs.
 
 from fractions import Fraction
 
-from srptlab import make_instance
+from srptlab import ExecutionTrace, Segment, make_instance
 from srptlab.workload import XorShift64Star
 
 
@@ -85,3 +85,23 @@ def rebuild_remaining(trace, jid, t):
         if hi > seg.start and jid in seg.assignment:
             rem -= (hi - seg.start) * trace.speed.speed
     return rem
+
+
+def corrupted(trace):
+    """The trace with its first busy machine slot left idle, so that the job
+    in that slot misses some of its work."""
+    segments = list(trace.segments)
+    for idx, seg in enumerate(segments):
+        slots = list(seg.assignment)
+        for pos, jid in enumerate(slots):
+            if jid is not None:
+                slots[pos] = None
+                segments[idx] = Segment(seg.start, seg.end, tuple(slots))
+                return ExecutionTrace(
+                    instance=trace.instance,
+                    speed=trace.speed,
+                    segments=tuple(segments),
+                    completions=trace.completions,
+                    events=trace.events,
+                )
+    return trace

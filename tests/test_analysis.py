@@ -21,6 +21,7 @@ from srptlab import (
     check_power_flow_conditions,
     fifo_priority,
     flow_potential,
+    longest_remaining_priority,
     make_context,
     make_instance,
     objectives,
@@ -333,6 +334,29 @@ class TestPowerConditions:
         fast = simulate_srpt(inst, SpeedConfig.from_epsilon("1/4"))
         ref = simulate_srpt(inst, UNIT_SPEED)
         assert check_power_flow_conditions(make_context(fast, ref), k=k).all_pass
+
+
+class TestArrivalShifts:
+    """A non-SRPT fast schedule can finish a later arrival ahead of an older
+    job and so shift that job's potential term. Both walks must report the
+    shift as a failing witness, not raise on the accounting identity."""
+
+    @pytest.fixture(scope="class")
+    def lrpt_ctx(self):
+        inst = make_instance([(0, 0, 2), (4, 1, 3), (2, 2, 3), (3, 2, 2), (1, 4, 1)], machines=1)
+        fast = simulate_policy(inst, SpeedConfig.from_speed(rat("3/2")), longest_remaining_priority)
+        return make_context(fast, simulate_srpt(inst, UNIT_SPEED))
+
+    @pytest.mark.parametrize("power", [False, True])
+    def test_lrpt_shift_is_a_witness(self, lrpt_ctx, power):
+        if power:
+            reports = check_power_flow_conditions(lrpt_ctx, k=2)
+        else:
+            reports = check_flow_conditions(lrpt_ctx)
+        assert not reports.all_pass
+        first = reports.arrival.failures[0]
+        assert first.label == "arrival job 4 shifts term of job 0"
+        assert first.time == 1
 
 
 class TestCompletionCharge:

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from srptlab import cli
 from srptlab.cli import main
+
+from helpers import corrupted
 
 DATA = Path(__file__).parent / "data"
 
@@ -131,10 +134,12 @@ class TestVerify:
         assert "skipped" in captured.out
         assert "note: epsilon > 1/2" in captured.out
 
-    def test_corruption_detected(self, e1_path, capsys):
-        rc = main(
-            ["verify", "--instance", e1_path, "--speed", "3/2", "--inject-corruption"]
+    def test_corruption_detected(self, e1_path, capsys, monkeypatch):
+        simulate = cli.simulate_srpt
+        monkeypatch.setattr(
+            cli, "simulate_srpt", lambda inst, speed: corrupted(simulate(inst, speed))
         )
+        rc = main(["verify", "--instance", e1_path, "--speed", "3/2"])
         captured = capsys.readouterr()
         assert rc == 4
         assert "fail" in captured.out
@@ -189,29 +194,49 @@ class TestVerify:
         rc = main(["verify", "--instance", str(tmp_path / "gone.txt"), "--speed", "3/2"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "refs, contexts",
+        # the oracle's schedule depends on k, so it needs one context per k
+        [(["--refs", "unit-srpt,fifo"], 2), ([], 4)],
+        ids=["unit-srpt-fifo", "default-refs"],
+    )
+    def test_one_context_per_reference(self, e1_path, refs, contexts, monkeypatch, capsys):
+        built = []
+        make_context = cli.make_context
 
-# (golden-file stem, instance text, extra verify arguments)
-GOLDEN_VERIFY = [
-    ("verify_e1_speed_3_2", E1_TEXT, ["--speed", "3/2", "--k", "1,2"]),
+        def counting(*args, **kwargs):
+            built.append(None)
+            return make_context(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "make_context", counting)
+        assert main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1,2"] + refs) == 0
+        assert len(built) == contexts
+
+
+# golden-file stem -> (instance text, extra verify arguments)
+GOLDEN_VERIFY = {
+    "verify_e1_speed_3_2": (E1_TEXT, ["--speed", "3/2", "--k", "1,2"]),
     # total work 41 is over the oracle's limit, and eps = 1 skips the power checks
-    ("verify_over_limit_speed_2", "m 1\njob 0 0 41\n", ["--speed", "2", "--k", "1"]),
-]
+    "verify_over_limit_speed_2": ("m 1\njob 0 0 41\n", ["--speed", "2", "--k", "1"]),
+}
 
 
 class TestVerifyGolden:
     """Table, JSON and CSV of verify, byte for byte, with a relative
     instance path so that the reports do not depend on the directory."""
 
-    @pytest.mark.parametrize("stem, text, extra", GOLDEN_VERIFY)
-    def test_stdout(self, stem, text, extra, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("stem", GOLDEN_VERIFY)
+    def test_stdout(self, stem, tmp_path, monkeypatch, capsys):
+        text, extra = GOLDEN_VERIFY[stem]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "instance.txt").write_text(text)
         assert main(["verify", "--instance", "instance.txt"] + extra) == 0
         assert capsys.readouterr().out == (DATA / (stem + ".stdout")).read_text()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("stem, text, extra", GOLDEN_VERIFY)
-    def test_report(self, stem, text, extra, fmt, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("stem", GOLDEN_VERIFY)
+    def test_report(self, stem, fmt, tmp_path, monkeypatch, capsys):
+        text, extra = GOLDEN_VERIFY[stem]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "instance.txt").write_text(text)
         out = "report." + fmt

@@ -7,13 +7,10 @@ import pytest
 from srptlab import (
     EngineError,
     InstanceError,
-    SimState,
     SpeedConfig,
     fifo_priority,
-    initial_state,
     longest_remaining_priority,
     make_instance,
-    next_event,
     objectives,
     simulate_policy,
     simulate_srpt,
@@ -76,40 +73,6 @@ class TestCompletions:
         gap = tr.segments[1]
         assert (gap.start, gap.end) == (1, 3)
         assert gap.assignment == (None,)
-
-
-class TestNextEvent:
-    def test_completion_at_speed(self):
-        state = SimState(now=rat(0), alive=((0, rat(3)),), pending=(), running=(0,))
-        assert next_event(state, rat("3/2")) == 2
-
-    def test_arrival_wins(self):
-        pending = (Job(id=1, release=rat(1), size=rat(1)),)
-        state = SimState(now=rat(0), alive=((0, rat(3)),), pending=pending, running=(0,))
-        assert next_event(state, rat("3/2")) == 1
-
-    def test_double_completion_tie(self):
-        state = SimState(
-            now=rat(1),
-            alive=((0, rat("1/2")), (1, rat("1/2"))),
-            pending=(),
-            running=(0, 1),
-        )
-        assert next_event(state, rat(1)) == rat("3/2")
-
-    def test_empty_system(self):
-        state = SimState(now=rat(0), alive=(), pending=(), running=())
-        assert next_event(state, rat(1)) is None
-
-    def test_bad_speed(self):
-        state = SimState(now=rat(0), alive=((0, rat(1)),), pending=(), running=(0,))
-        with pytest.raises(EngineError, match="speed must be positive"):
-            next_event(state, rat(0))
-
-    def test_initial_state(self, e1_instance):
-        state = initial_state(e1_instance)
-        assert state.now == 0 and state.alive == () and state.running == ()
-        assert [j.id for j in state.pending] == [0, 1, 2]
 
 
 class TestPolicies:

@@ -11,7 +11,6 @@ from srptlab import (
     dump_json,
     make_instance,
     objectives,
-    reference_schedules,
     simulate_srpt,
     single_machine_relaxation_lb,
     trace_to_json,
@@ -130,30 +129,3 @@ class TestSingleMachineExactness:
         opt = brute_force_opt(inst, k=1).objective
         srpt = objectives(simulate_srpt(inst, UNIT_SPEED)).total_flow
         assert opt == srpt
-
-
-class TestReferenceSchedules:
-    def test_three_feasible_traces(self, e1_instance):
-        refs = reference_schedules(e1_instance)
-        assert [r.name for r in refs] == ["oracle", "unit-srpt", "fifo"]
-        for ref in refs:
-            assert ref.trace is not None
-            ok, violations = validate_trace(ref.trace)
-            assert ok, violations
-            assert ref.trace.speed == UNIT_SPEED
-
-    def test_over_limit_soft_skip(self):
-        inst = make_instance([(0, 0, 41)], machines=1)
-        refs = reference_schedules(inst)
-        byname = {r.name: r for r in refs}
-        assert byname["oracle"].trace is None
-        assert byname["oracle"].note.startswith("skipped:")
-        assert byname["unit-srpt"].trace is not None
-        assert byname["fifo"].trace is not None
-
-    def test_single_machine_oracle_matches_srpt_total(self):
-        inst = make_instance([(0, 0, 3), (1, 1, 2), (2, 1, 1)], machines=1)
-        refs = {r.name: r for r in reference_schedules(inst)}
-        oracle_total = objectives(refs["oracle"].trace).total_flow
-        srpt_total = objectives(refs["unit-srpt"].trace).total_flow
-        assert oracle_total == srpt_total
