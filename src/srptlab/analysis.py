@@ -245,8 +245,17 @@ def _mk_report(condition: str, records) -> PotentialReport:
 
 
 def merge_reports(condition: str, reports) -> PotentialReport:
-    """One report under `condition` holding the records of `reports` in order."""
-    return _mk_report(condition, [rec for rep in reports for rec in rep.records])
+    """One report under `condition` holding the records of `reports` in order;
+    equal to _mk_report over those records, without rescanning them."""
+    reports = tuple(reports)
+    slacks = [rep.worst_slack for rep in reports if rep.worst_slack is not None]
+    return PotentialReport(
+        condition=condition,
+        records=tuple(rec for rep in reports for rec in rep.records),
+        aggregate=sum((rep.aggregate for rep in reports), ZERO),
+        worst_slack=min(slacks) if slacks else None,
+        verdict=all(rep.verdict for rep in reports),
+    )
 
 
 @dataclass(frozen=True)
