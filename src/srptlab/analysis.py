@@ -245,17 +245,8 @@ def _mk_report(condition: str, records) -> PotentialReport:
 
 
 def merge_reports(condition: str, reports) -> PotentialReport:
-    """One report under `condition` holding the records of `reports` in order;
-    equal to _mk_report over those records, without rescanning them."""
-    reports = tuple(reports)
-    slacks = [rep.worst_slack for rep in reports if rep.worst_slack is not None]
-    return PotentialReport(
-        condition=condition,
-        records=tuple(rec for rep in reports for rec in rep.records),
-        aggregate=sum((rep.aggregate for rep in reports), ZERO),
-        worst_slack=min(slacks) if slacks else None,
-        verdict=all(rep.verdict for rep in reports),
-    )
+    """One report under `condition` holding the records of `reports` in order."""
+    return _mk_report(condition, (rec for rep in reports for rec in rep.records))
 
 
 @dataclass(frozen=True)
@@ -367,6 +358,12 @@ def power_flow_factor(eps: Rational, k: int) -> Rational:
     """Competitive factor for the k-th power of flow at speed 1+eps
     (0 < eps <= 1/2): (2/(eps(1-eps)))^k + ((1+eps)/eps^2)^k."""
     return (2 / (eps * (1 - eps))) ** k + ((1 + eps) / eps ** 2) ** k
+
+
+def theorem_factor(eps: Rational, k: int) -> Rational:
+    """The theorem's competitive factor for the k-th power of flow at speed
+    1+eps: the total-flow factor at k = 1, the power factor above."""
+    return total_flow_factor(eps) if k == 1 else power_flow_factor(eps, k)
 
 
 def flow_potential(ctx: PairContext, t, pre_event: bool = False) -> Rational:
@@ -531,21 +528,21 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
                 jump = _inner(m, st, a) / (m * eps)
                 bound = 2 * size[a] / eps
             # the analysis assumes an arrival leaves every other job's term
-            # alone; a shift is a failure, and its potential change still
-            # enters the accounting so that the identity below holds
+            # alone; a shift is a failure, recorded as the change it makes to
+            # the potential so that the identity below holds
             for i in sorted(prev_alive):
-                shift = _inner(m, st, i) - _inner(m, before, i)
+                if power:
+                    shift = _clamped_power(
+                        scale, _clamped_age(ctx, st, t, i), k
+                    ) - _clamped_power(scale, _clamped_age(ctx, before, t, i), k)
+                else:
+                    shift = (_inner(m, st, i) - _inner(m, before, i)) / (m * eps)
                 if shift == 0:
                     continue
                 arrival_records.append(
                     _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
                 )
-                if power:
-                    jump_total += _clamped_power(
-                        scale, _clamped_age(ctx, st, t, i), k
-                    ) - _clamped_power(scale, _clamped_age(ctx, before, t, i), k)
-                else:
-                    jump_total += shift / (m * eps)
+                jump_total += shift
             arrival_records.append(_rec_le(t, "arrival job %d" % a, jump, bound))
             jump_total += jump
         if pos + 1 == len(bounds):

@@ -24,9 +24,8 @@ from .analysis import (
     make_context,
     merge_reports,
     objectives,
-    power_flow_factor,
     report_to_json,
-    total_flow_factor,
+    theorem_factor,
 )
 from .core import InstanceError, SpeedConfig, UNIT_SPEED, validate_trace
 from .engine import fifo_priority, simulate_policy, simulate_srpt
@@ -482,12 +481,7 @@ def _sweep_cell(payload):
             )
             continue
         srpt_obj = sum((f ** k for f in flows), ZERO)
-        if mode == "one-competitive":
-            bound_rat = ONE
-        elif k == 1:
-            bound_rat = total_flow_factor(eps)
-        else:
-            bound_rat = power_flow_factor(eps, k)
+        bound_rat = ONE if mode == "one-competitive" else theorem_factor(eps, k)
         within = srpt_obj <= bound_rat * opt.objective
         if opt.objective != 0:
             ratio = srpt_obj / opt.objective

@@ -32,7 +32,7 @@ from srptlab import (
     simulate_policy,
     simulate_srpt,
 )
-from srptlab.analysis import _mk_report, _rec_le, merge_reports
+from srptlab.analysis import _mk_report, _rec_le
 from srptlab.core import events_of
 from srptlab.rationals import rat
 
@@ -358,11 +358,14 @@ class TestArrivalShifts:
         assert first.label == "arrival job 4 shifts term of job 0"
         assert first.time == 1
 
-    def test_merge_equals_report_over_records(self, lrpt_ctx, e1_ctx):
-        for ctx in (lrpt_ctx, e1_ctx):
-            reports = check_power_flow_conditions(ctx, k=2).reports
-            records = [rec for rep in reports for rec in rep.records]
-            assert merge_reports("power", reports) == _mk_report("power", records)
+    def test_lrpt_power_jumps_and_drift_sum_to_objective(self, lrpt_ctx):
+        reports = check_power_flow_conditions(lrpt_ctx, k=2)
+        total = (
+            reports.arrival.aggregate
+            + reports.completion.aggregate
+            + reports.running.aggregate
+        )
+        assert total == objectives(lrpt_ctx.srpt_trace, ks=(2,)).kth_power_flow[2]
 
 
 class TestCompletionCharge:
