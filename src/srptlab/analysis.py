@@ -531,18 +531,20 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
             # alone; a shift is a failure, recorded as the change it makes to
             # the potential so that the identity below holds
             for i in sorted(prev_alive):
+                gap = _inner(m, st, i) - _inner(m, before, i)
+                if gap == 0:
+                    continue
                 if power:
                     shift = _clamped_power(
                         scale, _clamped_age(ctx, st, t, i), k
                     ) - _clamped_power(scale, _clamped_age(ctx, before, t, i), k)
                 else:
-                    shift = (_inner(m, st, i) - _inner(m, before, i)) / (m * eps)
-                if shift == 0:
-                    continue
-                arrival_records.append(
-                    _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
-                )
-                jump_total += shift
+                    shift = gap / (m * eps)
+                if shift != 0:
+                    arrival_records.append(
+                        _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
+                    )
+                    jump_total += shift
             arrival_records.append(_rec_le(t, "arrival job %d" % a, jump, bound))
             jump_total += jump
         if pos + 1 == len(bounds):
