@@ -225,14 +225,18 @@ def _reference_contexts(name, instance, trace, oracle_ks):
     return dict.fromkeys(oracle_ks, make_context(trace, ref)), None
 
 
-def _check_reports(check, ctx, k):
+def _check_report(check, ctx, k):
+    """The report of one check under its own name; only a potential walk's
+    four condition reports need merging for that."""
     if check == "backlog-bound":
-        return (check_backlog_bound(ctx),)
+        return check_backlog_bound(ctx)
+    if check == "completion-charge":
+        return check_completion_charge(ctx, k=k)
     if check == "flow-potential":
-        return check_flow_conditions(ctx).reports
-    if check == "power-flow-potential":
-        return check_power_flow_conditions(ctx, k=k).reports
-    return (check_completion_charge(ctx, k=k),)
+        walk = check_flow_conditions(ctx)
+    else:
+        walk = check_power_flow_conditions(ctx, k=k)
+    return merge_reports(check, walk.reports)
 
 
 def cmd_verify(args) -> int:
@@ -299,12 +303,13 @@ def cmd_verify(args) -> int:
                 continue
             per_k = []
             for k in check_ks:
-                report = merge_reports(check, _check_reports(check, contexts[k], k))
+                report = _check_report(check, contexts[k], k)
                 exports.append(report_to_json(report, dict(params, k=k)))
                 per_k.append(report)
-            report = merge_reports(check, per_k)
-            worst = "-" if report.worst_slack is None else str(report.worst_slack)
-            table.append((check, name, table_k, "pass" if report.verdict else "fail", worst))
+            slacks = [rep.worst_slack for rep in per_k if rep.worst_slack is not None]
+            worst = str(min(slacks)) if slacks else "-"
+            verdict = "pass" if all(rep.verdict for rep in per_k) else "fail"
+            table.append((check, name, table_k, verdict, worst))
 
     any_fail = any(row[3] == "fail" for row in table)
     _emit_verify(args, table, exports, skip_notice)
@@ -451,7 +456,9 @@ def _load_manifest(path: str) -> dict:
 
 
 def _sweep_cell(payload):
-    fam, seed, m, eps_str, ks, mode = payload
+    """Rows and skip notices of one (family, seed, m) over the whole eps grid:
+    the optimum does not depend on eps, so each k is searched once."""
+    fam, seed, m, eps_list, ks, mode = payload
     rows, notices = [], []
     spec = GenSpec(
         family=fam["family"],
@@ -463,53 +470,58 @@ def _sweep_cell(payload):
     )
     instance = generate(spec)
     m_used = instance.machines  # starvation-stream pins itself to one machine
-    if mode == "one-competitive":
-        speed_val = 2 - Rational(1, m_used)
-        eps = speed_val - 1
-    else:
-        eps = rat(eps_str)
-        speed_val = 1 + eps
-    trace = simulate_srpt(instance, SpeedConfig.from_speed(speed_val))
-    flows = [trace.completions[j.id] - j.release for j in instance.jobs]
+    optima, skipped = {}, {}
     for k in ks:
         try:
-            opt = brute_force_opt(instance, k=k)
+            optima[k] = brute_force_opt(instance, k=k).objective
         except OracleError as exc:
-            notices.append(
-                "cell family=%s seed=%d m=%d k=%d skipped: %s"
-                % (fam["family"], seed, m_used, k, exc)
+            skipped[k] = "cell family=%s seed=%d m=%d k=%d skipped: %s" % (
+                fam["family"], seed, m_used, k, exc
             )
-            continue
-        srpt_obj = sum((f ** k for f in flows), ZERO)
-        bound_rat = ONE if mode == "one-competitive" else theorem_factor(eps, k)
-        within = srpt_obj <= bound_rat * opt.objective
-        if opt.objective != 0:
-            ratio = srpt_obj / opt.objective
+    for eps_str in eps_list:
+        if mode == "one-competitive":
+            speed_val = 2 - Rational(1, m_used)
+            eps = speed_val - 1
         else:
-            ratio = ONE  # both objectives vanish only on the empty instance
-        rows.append(
-            {
-                "family": fam["family"],
-                "seed": str(seed),
-                "m": str(m_used),
-                "eps": str(eps),
-                "k": str(k),
-                "srpt_obj": str(srpt_obj),
-                "oracle_obj": str(opt.objective),
-                "ratio": decimal_str(ratio),
-                "bound": decimal_str(bound_rat),
-                "within_bound": "true" if within else "false",
-                "_sort": (
-                    fam["family"],
-                    seed,
-                    m_used,
-                    (int(eps.numerator), int(eps.denominator)),
-                    k,
-                ),
-                "_ratio": (int(ratio.numerator), int(ratio.denominator)),
-                "_within": within,
-            }
-        )
+            eps = rat(eps_str)
+            speed_val = 1 + eps
+        trace = simulate_srpt(instance, SpeedConfig.from_speed(speed_val))
+        flows = [trace.completions[j.id] - j.release for j in instance.jobs]
+        for k in ks:
+            if k in skipped:
+                notices.append(skipped[k])
+                continue
+            opt = optima[k]
+            srpt_obj = sum((f ** k for f in flows), ZERO)
+            bound_rat = ONE if mode == "one-competitive" else theorem_factor(eps, k)
+            within = srpt_obj <= bound_rat * opt
+            if opt != 0:
+                ratio = srpt_obj / opt
+            else:
+                ratio = ONE  # both objectives vanish only on the empty instance
+            rows.append(
+                {
+                    "family": fam["family"],
+                    "seed": str(seed),
+                    "m": str(m_used),
+                    "eps": str(eps),
+                    "k": str(k),
+                    "srpt_obj": str(srpt_obj),
+                    "oracle_obj": str(opt),
+                    "ratio": decimal_str(ratio),
+                    "bound": decimal_str(bound_rat),
+                    "within_bound": "true" if within else "false",
+                    "_sort": (
+                        fam["family"],
+                        seed,
+                        m_used,
+                        (int(eps.numerator), int(eps.denominator)),
+                        k,
+                    ),
+                    "_ratio": (int(ratio.numerator), int(ratio.denominator)),
+                    "_within": within,
+                }
+            )
     return rows, notices
 
 
@@ -544,11 +556,10 @@ def _worker_count(n_cells: int) -> int:
 def cmd_sweep(args) -> int:
     manifest = _load_manifest(args.manifest)
     payloads = [
-        (fam, seed, m, eps_str, manifest["k"], manifest["mode"])
+        (fam, seed, m, manifest["eps"], manifest["k"], manifest["mode"])
         for fam in manifest["families"]
         for seed in manifest["seeds"]
         for m in manifest["machines"]
-        for eps_str in manifest["eps"]
     ]
     workers = _worker_count(len(payloads))
     if workers > 1 and len(payloads) > 1:

@@ -17,7 +17,9 @@ so for any k >= 1 no optimum is lost by the restriction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 
 from .core import (
     ExecutionTrace,
@@ -30,11 +32,6 @@ from .core import (
 )
 from .engine import simulate_srpt
 from .rationals import Rational, ZERO
-
-CLASS_NOTE = (
-    "exhaustive over unit-slot schedules; exact optimum for m=1, "
-    "an upper bound on the preemptive optimum for m>=2"
-)
 
 
 class OracleError(ValueError):
@@ -55,8 +52,6 @@ DEFAULT_LIMITS = OracleLimits()
 class OracleResult:
     objective: Rational
     trace: ExecutionTrace
-    exact: bool
-    class_note: str
 
 
 def _integral_jobs(instance: Instance):
@@ -84,25 +79,20 @@ def _check_limits(instance: Instance, jobs, limits: OracleLimits):
 
 def _actions(classes, q):
     """Distinct q-element submultisets of `classes` = ((key, count), ...),
-    yielded in lexicographic take-vector order."""
+    as take-vectors in lexicographic order."""
     out = []
 
-    def rec(idx, left, takes):
+    def rec(idx, left, rest, takes):
         if left == 0:
-            out.append(tuple(takes) + (0,) * (len(classes) - idx))
+            out.append(takes + (0,) * (len(classes) - idx))
             return
-        if idx == len(classes):
-            return
-        # leave enough room in the remaining classes
-        rest = sum(c for _, c in classes[idx + 1 :])
-        lo = max(0, left - rest)
-        hi = min(classes[idx][1], left)
-        for take in range(lo, hi + 1):
-            takes.append(take)
-            rec(idx + 1, left - take, takes)
-            takes.pop()
+        # leave no more than the classes after idx, holding `rest` jobs, can take
+        cnt = classes[idx][1]
+        rest -= cnt
+        for take in range(max(0, left - rest), min(cnt, left) + 1):
+            rec(idx + 1, left - take, rest, takes + (take,))
 
-    rec(0, q, [])
+    rec(0, q, sum(c for _, c in classes), ())
     return out
 
 
@@ -119,132 +109,94 @@ def brute_force_opt(instance: Instance, k: int = 1, limits: OracleLimits = DEFAU
         trace = ExecutionTrace(
             instance=inst, speed=UNIT_SPEED, segments=(), completions=(), events=()
         )
-        return OracleResult(objective=ZERO, trace=trace, exact=True, class_note=CLASS_NOTE)
+        return OracleResult(objective=ZERO, trace=trace)
 
     releases = sorted({r for r, _, _ in jobs})
-    arrivals_at = {}
+    # release -> (size, release, id) of the jobs arriving then, ascending
+    jobs_at = {}
     for r, p, jid in jobs:
-        arrivals_at.setdefault(r, []).append((p, r))
-    for r in arrivals_at:
-        arrivals_at[r] = tuple(sorted(arrivals_at[r]))
-
-    def next_release(t):
-        for r in releases:
-            if r > t:
-                return r
-        return None
+        jobs_at.setdefault(r, []).append((p, r, jid))
+    arrivals_at = {}
+    for r, arrived in jobs_at.items():
+        arrived.sort()
+        arrivals_at[r] = tuple((p, r) for p, r, _ in arrived)
 
     def classes_of(ms):
-        out = []
-        for key in ms:
-            if out and out[-1][0] == key:
-                out[-1][1] += 1
-            else:
-                out.append([key, 1])
-        return [(key, cnt) for key, cnt in out]
+        return [(key, len(list(grp))) for key, grp in groupby(ms)]
 
+    def step(t, classes, takes):
+        """Run takes[i] jobs of classes[i] in the slot [t, t + 1]. Returns the
+        objective the jobs finishing at t + 1 pay and the multiset after the
+        slot, with the arrivals at t + 1."""
+        paid = 0
+        nxt = list(arrivals_at.get(t + 1, ()))
+        for (key, cnt), take in zip(classes, takes):
+            rem, rel = key
+            nxt.extend([key] * (cnt - take))
+            if rem > 1:
+                nxt.extend([(rem - 1, rel)] * take)
+            elif take:
+                paid += take * (t + 1 - rel) ** k
+        nxt.sort()
+        return paid, tuple(nxt)
+
+    # (t, ms) -> (least objective still to pay, position in _actions order
+    # of the first action that reaches it; None for an empty ms)
     memo = {}
 
     def value(t, ms):
         state = (t, ms)
         hit = memo.get(state)
         if hit is not None:
-            return hit
+            return hit[0]
         if not ms:
-            nr = next_release(t)
-            if nr is None:
-                memo[state] = 0
-                return 0
-            res = value(nr, arrivals_at[nr])
-            memo[state] = res
-            return res
+            i = bisect_right(releases, t)
+            best = 0 if i == len(releases) else value(releases[i], arrivals_at[releases[i]])
+            memo[state] = (best, None)
+            return best
         classes = classes_of(ms)
-        q = min(m, len(ms))
-        incoming = arrivals_at.get(t + 1, ())
-        best = None
-        for takes in _actions(classes, q):
-            acc = 0
-            nxt = []
-            for (key, cnt), take in zip(classes, takes):
-                rem, rel = key
-                if cnt - take:
-                    nxt.extend([key] * (cnt - take))
-                if take:
-                    if rem == 1:
-                        acc += take * (t + 1 - rel) ** k
-                    else:
-                        nxt.extend([(rem - 1, rel)] * take)
-            nxt.extend(incoming)
-            nxt.sort()
-            cand = acc + value(t + 1, tuple(nxt))
+        best = pos = None
+        for i, takes in enumerate(_actions(classes, min(m, len(ms)))):
+            paid, nxt = step(t, classes, takes)
+            cand = paid + value(t + 1, nxt)
             if best is None or cand < best:
-                best = cand
-        memo[state] = best
+                best, pos = cand, i
+        memo[state] = (best, pos)
         return best
 
-    t0 = releases[0]
-    ms0 = arrivals_at[t0]
-    opt = value(t0, ms0)
+    t = releases[0]
+    ms = arrivals_at[t]
+    opt = value(t, ms)
 
-    # replay the memo to extract one optimal schedule, deterministically:
-    # first action (in enumeration order) achieving the memoized value wins.
-    concrete = sorted((p, r, jid) for r, p, jid in jobs if r == t0)
-    pending = sorted(((r, jid, p) for r, p, jid in jobs if r > t0))
-    t = t0
-    ms = ms0
+    # follow the recorded actions; `alive` is ms with job ids, sorted the
+    # same way, so each class is a run of it and its lowest ids run first
+    alive = jobs_at[t]
     slots = []  # (t, tuple of chosen jids sorted)
     completions = [None] * inst.n
-    while ms or pending:
+    while ms or t < releases[-1]:
         if not ms:
-            t = pending[0][0]
-            arrived = [e for e in pending if e[0] == t]
-            pending = [e for e in pending if e[0] > t]
-            concrete = sorted(concrete + [(p, r, jid) for r, jid, p in arrived])
+            t = releases[bisect_right(releases, t)]
             ms = arrivals_at[t]
+            alive = jobs_at[t]
             continue
         classes = classes_of(ms)
-        q = min(m, len(ms))
-        incoming = arrivals_at.get(t + 1, ())
-        target = memo[(t, ms)]
-        chosen_takes = None
-        for takes in _actions(classes, q):
-            acc = 0
-            nxt = []
-            for (key, cnt), take in zip(classes, takes):
-                rem, rel = key
-                if cnt - take:
-                    nxt.extend([key] * (cnt - take))
-                if take:
-                    if rem == 1:
-                        acc += take * (t + 1 - rel) ** k
-                    else:
-                        nxt.extend([(rem - 1, rel)] * take)
-            nxt.extend(incoming)
-            nxt.sort()
-            if acc + memo[(t + 1, tuple(nxt))] == target:
-                chosen_takes = takes
-                new_ms = tuple(nxt)
-                break
-        if chosen_takes is None:  # pragma: no cover - replay must find the optimum
-            raise OracleError("internal: replay lost the optimal action")
-        chosen_ids = []
-        new_concrete = []
-        for (key, cnt), take in zip(classes, chosen_takes):
-            rem, rel = key
-            members = sorted(e for e in concrete if (e[0], e[1]) == (rem, rel))
-            for p, r, jid in members[:take]:
-                chosen_ids.append(jid)
+        takes = _actions(classes, min(m, len(ms)))[memo[t, ms][1]]
+        _, ms = step(t, classes, takes)
+        ran = []
+        nxt = list(jobs_at.get(t + 1, ()))
+        i = 0
+        for (_, cnt), take in zip(classes, takes):
+            for rem, rel, jid in alive[i : i + take]:
+                ran.append(jid)
                 if rem == 1:
                     completions[jid] = Rational(t + 1)
                 else:
-                    new_concrete.append((rem - 1, r, jid))
-            new_concrete.extend(members[take:])
-        slots.append((t, tuple(sorted(chosen_ids))))
-        arrived = [e for e in pending if e[0] == t + 1]
-        pending = [e for e in pending if e[0] > t + 1]
-        concrete = sorted(new_concrete + [(p, r, jid) for r, jid, p in arrived])
+                    nxt.append((rem - 1, rel, jid))
+            nxt.extend(alive[i + take : i + cnt])
+            i += cnt
+        slots.append((t, tuple(sorted(ran))))
+        alive = sorted(nxt)
         t += 1
-        ms = new_ms
 
     # fold unit slots into segments, inserting idle stretches between them
     segments = []
@@ -277,7 +229,7 @@ def brute_force_opt(instance: Instance, k: int = 1, limits: OracleLimits = DEFAU
     if recomputed != objective:  # pragma: no cover - accounting bug trap
         raise OracleError("internal: trace objective %s != search value %s"
                           % (recomputed, objective))
-    return OracleResult(objective=objective, trace=trace, exact=True, class_note=CLASS_NOTE)
+    return OracleResult(objective=objective, trace=trace)
 
 
 def single_machine_relaxation_lb(instance: Instance) -> Rational:

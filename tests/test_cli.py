@@ -368,6 +368,53 @@ class TestSweep:
         assert main(["sweep", "--manifest", str(tmp_path / "none.json")]) == 2
 
 
+# a 3-eps grid with k 1,2; uniform n = 12 is over the oracle's job limit, so
+# every one of its (eps, k) pairs leaves a skip notice on stderr
+GOLDEN_SWEEP = {
+    "families": [
+        {"family": "bursty", "n": 5, "size_range": [1, 3], "release_range": [0, 4]},
+        {"family": "heavy-tail-discrete", "n": 5, "size_range": [1, 4], "release_range": [0, 6]},
+        {"family": "uniform", "n": 12, "size_range": [1, 2], "release_range": [0, 6]},
+    ],
+    "seeds": 2,
+    "machines": [1, 2],
+    "eps": ["1/4", "1/3", "1/2"],
+    "k": [1, 2],
+}
+
+
+class TestSweepGolden:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_csv_and_stderr(self, threads, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SRPTLAB_THREADS", threads)
+        man = manifest_file(tmp_path, GOLDEN_SWEEP)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--manifest", man, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "sweep_grid.csv").read_bytes()
+        assert capsys.readouterr().err == (DATA / "sweep_grid.stderr").read_text()
+
+    def test_one_oracle_search_per_instance_and_k(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SRPTLAB_THREADS", "1")
+        calls = []
+        brute_force_opt = cli.brute_force_opt
+
+        def counting(instance, k=1, **kwargs):
+            calls.append(k)
+            return brute_force_opt(instance, k=k, **kwargs)
+
+        monkeypatch.setattr(cli, "brute_force_opt", counting)
+        doc = dict(GOLDEN_SWEEP, families=GOLDEN_SWEEP["families"][:1], machines=[1])
+        man = manifest_file(tmp_path, doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--manifest", man, "--out", str(out)]) == 0
+        # 2 seeds x 1 machine count x 2 powers, whatever the 3-eps grid
+        assert sorted(calls) == [1, 1, 2, 2]
+        golden = (DATA / "sweep_grid.csv").read_text().splitlines()
+        expected = [golden[0]] + [r for r in golden[1:] if r.split(",")[:3:2] == ["bursty", "1"]]
+        assert len(expected) == 1 + 2 * 3 * 2
+        assert out.read_text().splitlines() == expected
+
+
 class TestGen:
     def test_starvation_layout(self, capsys):
         rc = main(["gen", "--family", "starvation-stream", "--n", "4", "--seed", "0"])
