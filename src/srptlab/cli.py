@@ -485,8 +485,9 @@ def _sweep_cell(payload):
         else:
             eps = rat(eps_str)
             speed_val = 1 + eps
-        trace = simulate_srpt(instance, SpeedConfig.from_speed(speed_val))
-        flows = [trace.completions[j.id] - j.release for j in instance.jobs]
+        if optima:  # no row needs the trace when the oracle refused every k
+            trace = simulate_srpt(instance, SpeedConfig.from_speed(speed_val))
+            flows = [trace.completions[j.id] - j.release for j in instance.jobs]
         for k in ks:
             if k in skipped:
                 notices.append(skipped[k])

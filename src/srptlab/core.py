@@ -146,7 +146,8 @@ def validate_trace(trace: ExecutionTrace):
 
     Returns (ok, violations); each violation string pinpoints the segment
     and job involved. No tolerances: every check is rational equality or
-    ordering.
+    ordering. One pass over the segments accumulates every job's service,
+    so the audit is linear in the trace's size.
     """
     violations = []
     inst = trace.instance
@@ -158,7 +159,11 @@ def validate_trace(trace: ExecutionTrace):
         violations.append("completions cover %d of %d jobs" % (len(trace.completions), n))
         return False, violations
 
-    # segment structure: partition of [0, max completion], positive lengths
+    # segment structure: partition of [0, max completion], positive lengths;
+    # per job: service, end of its last segment, and its segment violations
+    service = dict.fromkeys(jobs, ZERO)
+    last_end = dict.fromkeys(jobs)
+    job_violations = {jid: [] for jid in jobs}
     prev_end = ZERO
     for idx, seg in enumerate(trace.segments):
         if seg.start != prev_end:
@@ -174,11 +179,25 @@ def validate_trace(trace: ExecutionTrace):
         for jid in busy:
             if jid not in jobs:
                 violations.append("segment %d: unknown job %s" % (idx, jid))
-        if len(set(busy)) != len(busy):
+        running = set(busy)
+        if len(running) != len(busy):
             dup = sorted({j for j in busy if busy.count(j) > 1})
             violations.append(
                 "segment %d: parallel self-processing of job %d" % (idx, dup[0])
             )
+        length = seg.end - seg.start
+        for jid in running & jobs.keys():
+            job = jobs[jid]
+            if seg.start < job.release:
+                job_violations[jid].append(
+                    "segment %d: job %d runs before its release" % (idx, jid)
+                )
+            if seg.end > trace.completions[jid]:
+                job_violations[jid].append(
+                    "segment %d: job %d runs after its completion" % (idx, jid)
+                )
+            service[jid] += length
+            last_end[jid] = seg.end
         prev_end = seg.end
 
     if n:
@@ -200,21 +219,8 @@ def validate_trace(trace: ExecutionTrace):
     speed = trace.speed.speed
     for jid, job in sorted(jobs.items()):
         comp = trace.completions[jid]
-        service = ZERO
-        last_end = None
-        for idx, seg in enumerate(trace.segments):
-            if jid in seg.assignment:
-                if seg.start < job.release:
-                    violations.append(
-                        "segment %d: job %d runs before its release" % (idx, jid)
-                    )
-                if seg.end > comp:
-                    violations.append(
-                        "segment %d: job %d runs after its completion" % (idx, jid)
-                    )
-                service += seg.end - seg.start
-                last_end = seg.end
-        work = service * speed
+        violations.extend(job_violations[jid])
+        work = service[jid] * speed
         if work < job.size:
             violations.append(
                 "work deficit for job %d: %s of %s" % (jid, work, job.size)
@@ -225,12 +231,12 @@ def validate_trace(trace: ExecutionTrace):
             )
         if comp < job.release:
             violations.append("job %d completes before release" % jid)
-        if last_end is None:
+        if last_end[jid] is None:
             violations.append("job %d never scheduled" % jid)
-        elif last_end != comp:
+        elif last_end[jid] != comp:
             violations.append(
                 "job %d: last service ends %s, completion says %s"
-                % (jid, last_end, comp)
+                % (jid, last_end[jid], comp)
             )
 
     expected_events = events_of(inst, trace.completions)

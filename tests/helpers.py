@@ -105,3 +105,81 @@ def corrupted(trace):
                     events=trace.events,
                 )
     return trace
+
+
+# the seeded corruptions of corrupt_trace, in the order the golden file lists them
+CORRUPTION_KINDS = (
+    "blank",  # a busy slot left idle
+    "foreign",  # a slot handed to some known job
+    "unknown",  # a slot handed to an id outside the instance
+    "duplicate",  # a running job copied into a second slot of its segment
+    "shift-end",  # one segment's end moved
+    "move-completion",  # one completion time moved, events left as they were
+    "drop-segment",  # one segment removed
+    "extra-slot",  # one segment given m + 1 slots
+    "events",  # one event time dropped or a foreign one added
+    "mixed",  # three of the kinds above, one after another
+)
+
+_SHIFTS = (Fraction(-1), Fraction(-1, 3), Fraction(1, 3), Fraction(1))
+
+
+def corrupt_trace(trace, kind, rng):
+    """The trace with one seeded corruption of the given kind; `rng` is an
+    XorShift64Star that picks the segment, slot, job and amount."""
+    segs = list(trace.segments)
+    comps = list(trace.completions)
+    events = list(trace.events)
+    n, m = trace.instance.n, trace.instance.machines
+
+    def set_slot(idx, pos, jid):
+        slots = list(segs[idx].assignment)
+        slots[pos] = jid
+        segs[idx] = Segment(segs[idx].start, segs[idx].end, tuple(slots))
+
+    if kind == "mixed":
+        for _ in range(3):
+            trace = corrupt_trace(trace, CORRUPTION_KINDS[rng.below(9)], rng)
+        return trace
+    busy = [(i, p) for i, s in enumerate(segs) for p, j in enumerate(s.assignment) if j is not None]
+    if not busy:  # an earlier corruption of a "mixed" case left no busy slot
+        return trace
+    idx = rng.below(len(segs))
+    if kind in ("blank", "duplicate"):
+        idx, pos = busy[rng.below(len(busy))]
+        if kind == "blank":
+            set_slot(idx, pos, None)
+        elif m == 1:  # no second slot: the segment gets two
+            seg = segs[idx]
+            segs[idx] = Segment(seg.start, seg.end, seg.assignment * 2)
+        else:
+            set_slot(idx, (pos + 1 + rng.below(m - 1)) % m, segs[idx].assignment[pos])
+    elif kind == "foreign":
+        set_slot(idx, rng.below(m), rng.below(n))
+    elif kind == "unknown":
+        set_slot(idx, rng.below(m), n + rng.below(3))
+    elif kind == "shift-end":
+        seg = segs[idx]
+        segs[idx] = Segment(seg.start, seg.end + _SHIFTS[rng.below(4)], seg.assignment)
+    elif kind == "move-completion":
+        comps[rng.below(n)] += _SHIFTS[rng.below(4)]
+    elif kind == "drop-segment":
+        del segs[idx]
+    elif kind == "extra-slot":
+        extra = rng.below(n + 1)
+        seg = segs[idx]
+        segs[idx] = Segment(seg.start, seg.end, seg.assignment + (None if extra == n else extra,))
+    elif kind == "events":
+        if rng.below(2):
+            del events[rng.below(len(events))]
+        else:
+            events.append(events[-1] + 1)
+    else:
+        raise ValueError(kind)
+    return ExecutionTrace(
+        instance=trace.instance,
+        speed=trace.speed,
+        segments=tuple(segs),
+        completions=tuple(comps),
+        events=tuple(events),
+    )

@@ -246,6 +246,26 @@ class TestVerifyGolden:
         assert capsys.readouterr().out == table + "report written to %s\n" % out
         assert (tmp_path / out).read_bytes() == (DATA / (stem + "." + fmt)).read_bytes()
 
+    @pytest.fixture()
+    def corrupted_e1(self, tmp_path, monkeypatch):
+        simulate = cli.simulate_srpt
+        monkeypatch.setattr(
+            cli, "simulate_srpt", lambda inst, speed: corrupted(simulate(inst, speed))
+        )
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "instance.txt").write_text(E1_TEXT)
+        return ["verify", "--instance", "instance.txt", "--speed", "3/2", "--k", "1,2"]
+
+    def test_corrupted_stdout(self, corrupted_e1, capsys):
+        # the witness lines are the first violations in validate_trace's order
+        assert main(corrupted_e1) == 4
+        assert capsys.readouterr().out == (DATA / "verify_e1_corrupted.stdout").read_text()
+
+    def test_corrupted_report(self, corrupted_e1, tmp_path, capsys):
+        assert main(corrupted_e1 + ["--format", "json", "--out", "report.json"]) == 4
+        golden = (DATA / "verify_e1_corrupted.json").read_bytes()
+        assert (tmp_path / "report.json").read_bytes() == golden
+
 
 class TestSweep:
     def test_small_sweep(self, tmp_path, capsys):
@@ -413,6 +433,26 @@ class TestSweepGolden:
         expected = [golden[0]] + [r for r in golden[1:] if r.split(",")[:3:2] == ["bursty", "1"]]
         assert len(expected) == 1 + 2 * 3 * 2
         assert out.read_text().splitlines() == expected
+
+    def test_no_simulation_when_every_k_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SRPTLAB_THREADS", "1")
+        calls = []
+        simulate_srpt = cli.simulate_srpt
+
+        def counting(*args):
+            calls.append(None)
+            return simulate_srpt(*args)
+
+        monkeypatch.setattr(cli, "simulate_srpt", counting)
+        # uniform n = 12 is over the oracle's job limit for every k
+        doc = dict(GOLDEN_SWEEP, families=GOLDEN_SWEEP["families"][2:])
+        man = manifest_file(tmp_path, doc)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--manifest", man, "--out", str(out)]) == 0
+        assert calls == []
+        assert out.read_text().splitlines() == [(DATA / "sweep_grid.csv").read_text().splitlines()[0]]
+        skips = [l for l in (DATA / "sweep_grid.stderr").read_text().splitlines() if "uniform" in l]
+        assert capsys.readouterr().err.splitlines()[:-1] == skips
 
 
 class TestGen:

@@ -1,5 +1,9 @@
 """Domain types, exact parsing/rendering, and trace feasibility audits."""
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,13 +18,17 @@ from srptlab import (
     build_jobs,
     dump_json,
     events_of,
+    fifo_priority,
     instance_from_json,
     instance_to_json,
+    longest_remaining_priority,
     make_instance,
     objectives,
     parse_instance,
     serialize_instance,
+    simulate_policy,
     simulate_srpt,
+    srpt_priority,
     trace_from_json,
     trace_to_json,
     validate_instance,
@@ -34,8 +42,11 @@ from srptlab.rationals import (
     kth_root_str,
     rat,
 )
+from srptlab.workload import XorShift64Star
 
-from helpers import random_integer_instance
+from helpers import CORRUPTION_KINDS, corrupt_trace, random_integer_instance
+
+DATA = Path(__file__).parent / "data"
 
 rationals = st.fractions(
     min_value=0, max_value=50, max_denominator=12
@@ -168,18 +179,19 @@ class TestValidateTrace:
         first = segs[0]
         segs[0] = Segment(first.start, first.end, (0, 0))
         bad = self._clone_with_segments(e1_fast_trace, segs)
-        ok, violations = validate_trace(bad)
-        assert not ok
-        assert any("parallel self-processing of job 0" in v for v in violations)
+        assert validate_trace(bad) == (False, [
+            "segment 0: parallel self-processing of job 0",
+            "work deficit for job 1: 0 of 1",
+            "job 1 never scheduled",
+        ])
 
     def test_work_deficit(self, e1_fast_trace):
         segs = list(e1_fast_trace.segments)
         first = segs[0]
         segs[0] = Segment(first.start, first.end, (None, first.assignment[1]))
         bad = self._clone_with_segments(e1_fast_trace, segs)
-        ok, violations = validate_trace(bad)
-        assert not ok
-        assert any(v.startswith("work deficit for job") for v in violations)
+        assert validate_trace(bad) == (
+            False, ["work deficit for job 1: 0 of 1", "job 1 never scheduled"])
 
     def test_never_scheduled(self, e1_fast_trace):
         segs = [
@@ -187,17 +199,18 @@ class TestValidateTrace:
             for s in e1_fast_trace.segments
         ]
         bad = self._clone_with_segments(e1_fast_trace, segs)
-        ok, violations = validate_trace(bad)
-        assert not ok
-        assert "job 1 never scheduled" in violations
+        assert validate_trace(bad) == (
+            False, ["work deficit for job 1: 0 of 1", "job 1 never scheduled"])
 
     def test_gap_between_segments(self, e1_fast_trace):
         segs = list(e1_fast_trace.segments)
         s1 = segs[1]
         segs[1] = Segment(s1.start + rat("1/100"), s1.end, s1.assignment)
         bad = self._clone_with_segments(e1_fast_trace, segs)
-        ok, violations = validate_trace(bad)
-        assert not ok
+        assert validate_trace(bad) == (False, [
+            "segment 1: starts at 203/300, expected 2/3",
+            "work deficit for job 0: 597/200 of 3",
+        ])
 
     def test_run_before_release(self, e1_fast_trace):
         # shove job 2 (released at 1) into the very first segment
@@ -205,9 +218,77 @@ class TestValidateTrace:
         first = segs[0]
         segs[0] = Segment(first.start, first.end, (first.assignment[0], 2))
         bad = self._clone_with_segments(e1_fast_trace, segs)
-        ok, violations = validate_trace(bad)
-        assert not ok
-        assert any("runs before its release" in v for v in violations)
+        assert validate_trace(bad) == (False, [
+            "work deficit for job 0: 2 of 3",
+            "segment 0: job 2 runs before its release",
+            "work surplus for job 2: 2 of 1",
+        ])
+
+    def test_job_listed_twice_counts_once(self):
+        trace = hand_trace([(0, 0, 1)], 2, [(0, 1, (0, 0))], [1])
+        assert validate_trace(trace) == (
+            False, ["segment 0: parallel self-processing of job 0"])
+
+    def test_runs_after_completion(self):
+        trace = hand_trace([(0, 0, 1), (1, 0, 1)], 1, [(0, 1, (0,)), (1, 2, (1,))], ["1/2", 2])
+        assert validate_trace(trace) == (False, [
+            "segment 0: job 0 runs after its completion",
+            "job 0: last service ends 1, completion says 1/2",
+        ])
+
+    def test_work_surplus(self):
+        trace = hand_trace([(0, 0, 1)], 1, [(0, 2, (0,))], [2])
+        assert validate_trace(trace) == (False, ["work surplus for job 0: 2 of 1"])
+
+    def test_last_service_before_completion(self):
+        trace = hand_trace([(0, 0, 1)], 1, [(0, 1, (0,)), (1, 2, (None,))], [2])
+        assert validate_trace(trace) == (
+            False, ["job 0: last service ends 1, completion says 2"])
+
+    def test_completes_before_release(self):
+        trace = hand_trace([(0, 2, 1)], 1, [(0, 1, (0,))], [1])
+        assert validate_trace(trace) == (False, [
+            "segment 0: job 0 runs before its release",
+            "job 0 completes before release",
+        ])
+
+    def test_events_out_of_sync(self, e1_fast_trace):
+        bad = replace(e1_fast_trace, events=e1_fast_trace.events[:-1])
+        assert validate_trace(bad) == (
+            False, ["event list out of sync with arrivals and completions"])
+
+    def test_unknown_job(self, e1_fast_trace):
+        segs = list(e1_fast_trace.segments)
+        segs[1] = Segment(segs[1].start, segs[1].end, (0, 7))
+        assert validate_trace(self._clone_with_segments(e1_fast_trace, segs)) == (
+            False, ["segment 1: unknown job 7"])
+
+    def test_slot_count(self, e1_fast_trace):
+        segs = list(e1_fast_trace.segments)
+        segs[1] = Segment(segs[1].start, segs[1].end, (0,))
+        assert validate_trace(self._clone_with_segments(e1_fast_trace, segs)) == (
+            False, ["segment 1: 1 machine slots, expected 2"])
+
+    def test_segments_end_past_max_completion(self, e1_fast_trace):
+        segs = list(e1_fast_trace.segments) + [Segment(rat(2), rat(3), (None, None))]
+        assert validate_trace(self._clone_with_segments(e1_fast_trace, segs)) == (
+            False, ["segments end at 3, max completion is 2"])
+
+    def test_no_segments(self):
+        trace = hand_trace([(0, 0, 1)], 1, [], [1])
+        assert validate_trace(trace) == (False, [
+            "no segments but 1 jobs",
+            "work deficit for job 0: 0 of 1",
+            "job 0 never scheduled",
+        ])
+
+    def test_segments_for_empty_instance(self):
+        trace = hand_trace([], 1, [(0, 1, (None,))], [])
+        assert validate_trace(trace) == (False, ["segments present for an empty instance"])
+
+    def test_completions_cover(self, e1_fast_trace):
+        bad = replace(e1_fast_trace, completions=e1_fast_trace.completions[:2])
+        assert validate_trace(bad) == (False, ["completions cover 2 of 3 jobs"])
 
     def test_empty_instance_trace(self):
         inst = make_instance([], machines=1)
@@ -222,6 +303,67 @@ class TestValidateTrace:
             tr = simulate_srpt(inst, SpeedConfig.from_speed(speed))
             ok, violations = validate_trace(tr)
             assert ok, violations
+
+
+def hand_trace(triples, machines, segments, completions):
+    """A trace written out by hand: (start, end, assignment) segments, the
+    completion of each job id, and the events those completions imply."""
+    inst = make_instance(triples, machines=machines)
+    completions = tuple(rat(c) for c in completions)
+    return ExecutionTrace(
+        instance=inst,
+        speed=UNIT_SPEED,
+        segments=tuple(Segment(rat(a), rat(b), slots) for a, b, slots in segments),
+        completions=completions,
+        events=events_of(inst, completions),
+    )
+
+
+POLICIES = {
+    "srpt": srpt_priority,
+    "fifo": fifo_priority,
+    "lrpt": longest_remaining_priority,
+}
+
+
+def violation_cases():
+    """Case name -> [ok, violations] of validate_trace on every seeded
+    corruption of the SRPT, FIFO and LRPT traces of 20 small instances."""
+    cases = {}
+    for seed in range(20):
+        inst = random_integer_instance(seed)
+        speed = SpeedConfig.from_speed(("1", "3/2", "2")[seed % 3])
+        for pi, (policy, priority) in enumerate(POLICIES.items()):
+            trace = simulate_policy(inst, speed, priority)
+            for ki, kind in enumerate(CORRUPTION_KINDS):
+                rng = XorShift64Star(1000 * seed + 100 * pi + ki)
+                ok, violations = validate_trace(corrupt_trace(trace, kind, rng))
+                cases["seed=%d policy=%s kind=%s" % (seed, policy, kind)] = [ok, violations]
+    return cases
+
+
+class TestValidateGolden:
+    """Every violation list of the seeded corruptions, in order, against
+    tests/data/validate_violations.json."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((DATA / "validate_violations.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return violation_cases()
+
+    def test_same_cases(self, golden, cases):
+        assert list(cases) == list(golden)
+
+    @pytest.mark.parametrize("kind", CORRUPTION_KINDS)
+    def test_kind(self, kind, golden, cases):
+        mine = [name for name in cases if name.endswith(" kind=" + kind)]
+        assert len(mine) == 60
+        for name in mine:
+            assert cases[name] == golden[name], name
+        assert not all(cases[name][0] for name in mine)
 
 
 class TestFlowSummary:
@@ -317,3 +459,9 @@ class TestJsonFormat:
         inst = random_integer_instance(seed)
         tr = simulate_srpt(inst, SpeedConfig.from_speed("3/2"))
         assert trace_from_json(trace_to_json(tr)) == tr
+
+
+if __name__ == "__main__":
+    # regenerate the golden file:
+    # PYTHONPATH=src python tests/test_core.py > tests/data/validate_violations.json
+    print(json.dumps(violation_cases(), indent=1))
