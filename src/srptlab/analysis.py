@@ -14,7 +14,7 @@ rational arithmetic. The checks mirror an amortized analysis:
 
 Conventions: at an event time, completions are applied before arrivals, ties
 in job-id order; a job is alive at t when release <= t < completion, so
-evaluation at event times is post-event unless a pre-event view is requested.
+evaluation at event times is post-event.
 Between two consecutive event times every queried quantity is linear in t,
 and power-mode intervals are subdivided exactly at the rational roots of each
 job's clamped age expression, so endpoint checks on subintervals are sound.
@@ -65,11 +65,6 @@ class _TraceIndex:
     def alive(self, t) -> frozenset:
         return frozenset(
             j for j, r in self.release.items() if r <= t < self.completion[j]
-        )
-
-    def alive_pre(self, t) -> frozenset:
-        return frozenset(
-            j for j, r in self.release.items() if r < t <= self.completion[j]
         )
 
 
@@ -366,26 +361,18 @@ def theorem_factor(eps: Rational, k: int) -> Rational:
     return total_flow_factor(eps) if k == 1 else power_flow_factor(eps, k)
 
 
-def flow_potential(ctx: PairContext, t, pre_event: bool = False) -> Rational:
+def flow_potential(ctx: PairContext, t) -> Rational:
     """Queue-wide potential for the total-flow analysis, evaluated post-event
-    at event times unless pre_event is set."""
+    at event times."""
     _require_eps_positive(ctx)
-    alive_alg, alive_ref = _natural_sets(ctx, t, pre_event)
-    return _phi_avg(ctx, t, alive_alg, alive_ref)
+    return _phi_avg(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t))
 
 
-def power_flow_potential(ctx: PairContext, t, k: int | None = None, pre_event: bool = False) -> Rational:
+def power_flow_potential(ctx: PairContext, t, k: int | None = None) -> Rational:
     """Queue-wide potential for the k-th power flow analysis (0 < eps <= 1/2)."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
-    alive_alg, alive_ref = _natural_sets(ctx, t, pre_event)
-    return _phi_power(ctx, t, alive_alg, alive_ref, k)
-
-
-def _natural_sets(ctx, t, pre_event):
-    if pre_event:
-        return ctx.idx_alg.alive_pre(t), ctx.idx_ref.alive_pre(t)
-    return ctx.idx_alg.alive(t), ctx.idx_ref.alive(t)
+    return _phi_power(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t), k)
 
 
 def _require_eps_positive(ctx):
@@ -667,12 +654,14 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
     jobs = sorted(rank)
 
     owed = {}
+    rem_ref = {}  # i -> reference remaining volumes when the fast schedule finishes i
     contributors = {}
     for i in jobs:
         t = comp_alg[i]
         alive_ref = ctx.idx_ref.alive(t)
         st = ctx.state(t, ctx.idx_alg.alive(t), alive_ref)
         owed[i] = st.ahead_ref_small[i]
+        rem_ref[i] = st.rem_ref
         contributors[i] = sorted(
             j for j in alive_ref if rank[j] <= rank[i] and size[j] <= size[i]
         )
@@ -694,7 +683,7 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
         t = comp_alg[i]
         for j in contributors[i]:
             earlier = sum(
-                (ctx.idx_ref.remaining(a, t) for a in contributors[i] if release[a] < release[j]),
+                (rem_ref[i][a] for a in contributors[i] if release[a] < release[j]),
                 ZERO,
             )
             lhs = (owed[i] - earlier) / denom

@@ -516,10 +516,10 @@ def _sweep_cell(payload):
                         fam["family"],
                         seed,
                         m_used,
-                        (int(eps.numerator), int(eps.denominator)),
+                        (eps.numerator, eps.denominator),
                         k,
                     ),
-                    "_ratio": (int(ratio.numerator), int(ratio.denominator)),
+                    "_ratio": ratio,
                     "_within": within,
                 }
             )
@@ -576,14 +576,8 @@ def cmd_sweep(args) -> int:
         notices.extend(cell_notices)
     rows.sort(key=lambda r: r["_sort"])
 
-    max_ratio = None
-    all_within = True
-    for row in rows:
-        num, den = row["_ratio"]
-        val = Rational(num, den)
-        if max_ratio is None or val > max_ratio:
-            max_ratio = val
-        all_within = all_within and row["_within"]
+    max_ratio = max((row["_ratio"] for row in rows), default=None)
+    all_within = all(row["_within"] for row in rows)
 
     if args.format == "json":
         doc = {

@@ -46,28 +46,25 @@ class Instance:
 
 @dataclass(frozen=True)
 class SpeedConfig:
-    """Machine speed s and the augmentation eps, kept exactly in sync.
+    """Machine speed s; the augmentation eps is s - 1.
 
     eps may be 0 (or even negative) for exploratory runs; the potential
     checks reject such configs themselves.
     """
 
     speed: Rational
-    epsilon: Rational
 
-    def __post_init__(self):
-        if self.speed != 1 + self.epsilon:
-            raise InstanceError("speed must equal 1 + epsilon exactly")
+    @property
+    def epsilon(self) -> Rational:
+        return self.speed - 1
 
     @classmethod
     def from_speed(cls, speed) -> "SpeedConfig":
-        s = rat(speed)
-        return cls(speed=s, epsilon=s - 1)
+        return cls(speed=rat(speed))
 
     @classmethod
     def from_epsilon(cls, epsilon) -> "SpeedConfig":
-        e = rat(epsilon)
-        return cls(speed=1 + e, epsilon=e)
+        return cls(speed=1 + rat(epsilon))
 
 
 UNIT_SPEED = SpeedConfig.from_speed(1)
@@ -202,15 +199,12 @@ def validate_trace(trace: ExecutionTrace):
 
     if n:
         horizon = max(trace.completions)
-        if trace.segments:
-            if trace.segments[0].start != 0:
-                violations.append("segment 0: trace does not start at 0")
-            if prev_end != horizon:
-                violations.append(
-                    "segments end at %s, max completion is %s" % (prev_end, horizon)
-                )
-        else:
+        if not trace.segments:
             violations.append("no segments but %d jobs" % n)
+        elif prev_end != horizon:
+            violations.append(
+                "segments end at %s, max completion is %s" % (prev_end, horizon)
+            )
     elif trace.segments:
         violations.append("segments present for an empty instance")
 

@@ -98,8 +98,8 @@ def instance_from_json(data: dict) -> Instance:
     return validate_instance(Instance(jobs=jobs, machines=int(data["machines"])))
 
 
-def trace_to_json(trace: ExecutionTrace, extra: dict | None = None) -> dict:
-    doc = {
+def trace_to_json(trace: ExecutionTrace) -> dict:
+    return {
         "instance": instance_to_json(trace.instance),
         "speed": {
             "speed": str(trace.speed.speed),
@@ -120,18 +120,14 @@ def trace_to_json(trace: ExecutionTrace, extra: dict | None = None) -> dict:
             str(jid): str(c) for jid, c in enumerate(trace.completions)
         },
     }
-    if extra:
-        doc.update(extra)
-    return doc
 
 
 def trace_from_json(data: dict) -> ExecutionTrace:
     try:
         instance = instance_from_json(data["instance"])
-        speed = SpeedConfig(
-            speed=rat(data["speed"]["speed"]),
-            epsilon=rat(data["speed"]["epsilon"]),
-        )
+        speed = SpeedConfig(speed=rat(data["speed"]["speed"]))
+        if speed.epsilon != rat(data["speed"]["epsilon"]):
+            raise ValueError("speed must equal 1 + epsilon exactly")
         m = instance.machines
         segments = []
         for seg in data["segments"]:

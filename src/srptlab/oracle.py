@@ -38,14 +38,10 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class OracleLimits:
-    max_jobs: int = 10
-    max_total_work: int = 40
-    max_machines: int = 3
-
-
-DEFAULT_LIMITS = OracleLimits()
+# the largest instances the search accepts
+MAX_JOBS = 10
+MAX_TOTAL_WORK = 40
+MAX_MACHINES = 3
 
 
 @dataclass(frozen=True)
@@ -63,17 +59,15 @@ def _integral_jobs(instance: Instance):
     return out
 
 
-def _check_limits(instance: Instance, jobs, limits: OracleLimits):
-    if instance.n > limits.max_jobs:
-        raise OracleError("limits exceeded: %d jobs > %d" % (instance.n, limits.max_jobs))
+def _check_limits(instance: Instance, jobs):
+    if instance.n > MAX_JOBS:
+        raise OracleError("limits exceeded: %d jobs > %d" % (instance.n, MAX_JOBS))
     total = sum(p for _, p, _ in jobs)
-    if total > limits.max_total_work:
+    if total > MAX_TOTAL_WORK:
+        raise OracleError("limits exceeded: total work %d > %d" % (total, MAX_TOTAL_WORK))
+    if instance.machines > MAX_MACHINES:
         raise OracleError(
-            "limits exceeded: total work %d > %d" % (total, limits.max_total_work)
-        )
-    if instance.machines > limits.max_machines:
-        raise OracleError(
-            "limits exceeded: %d machines > %d" % (instance.machines, limits.max_machines)
+            "limits exceeded: %d machines > %d" % (instance.machines, MAX_MACHINES)
         )
 
 
@@ -96,13 +90,13 @@ def _actions(classes, q):
     return out
 
 
-def brute_force_opt(instance: Instance, k: int = 1, limits: OracleLimits = DEFAULT_LIMITS) -> OracleResult:
+def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     """Minimum k-th power flow over integral-slot schedules, with a witness trace."""
     if not isinstance(k, int) or k < 1:
         raise OracleError("k must be an integer >= 1")
     inst = validate_instance(instance)
     jobs = _integral_jobs(inst)
-    _check_limits(inst, jobs, limits)
+    _check_limits(inst, jobs)
     m = inst.machines
 
     if not jobs:

@@ -1,18 +1,16 @@
 """Exact rational arithmetic and deterministic decimal rendering.
 
-Every quantity that gates a check in this package is a Rational; floats never
-enter any comparison. gmpy2's mpq is used when available purely for speed, the
-stdlib Fraction is the fallback, and both satisfy the same contract: lowest
-terms, positive denominator, exact ops.
+Every quantity that gates a check in this package is a Rational, which is
+the standard library's fractions.Fraction: lowest terms, positive
+denominator, exact ops. Floats never enter any comparison; decimals are
+rendered to SIG significant digits for display only.
 """
 
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as Rational
+from fractions import Fraction as Rational
 
+SIG = 12  # significant digits of every rendered decimal
 ZERO = Rational(0)
 ONE = Rational(1)
 
@@ -79,22 +77,21 @@ def _floor_log10(num: int, den: int) -> int:
     return e
 
 
-def decimal_str(q, sig: int = 12) -> str:
-    """Render a Rational as a decimal with `sig` significant digits.
+def decimal_str(q) -> str:
+    """Render a Rational as a decimal with SIG significant digits.
 
     Round-half-even, trailing zeros trimmed, plain notation for the magnitudes
     this package produces (scientific only beyond 10^±21). Pure integer
     arithmetic, so output is identical across platforms.
     """
-    q = rat(q) if not isinstance(q, Rational) else q
-    num = int(q.numerator)
-    den = int(q.denominator)
+    q = rat(q)
+    num, den = q.numerator, q.denominator
     if num == 0:
         return "0"
     sign = "-" if num < 0 else ""
     num = abs(num)
     e = _floor_log10(num, den)
-    shift = sig - 1 - e
+    shift = SIG - 1 - e
     if shift >= 0:
         scaled_num, rem = divmod(num * 10 ** shift, den)
     else:
@@ -103,16 +100,16 @@ def decimal_str(q, sig: int = 12) -> str:
     divisor = den if shift >= 0 else den * 10 ** (-shift)
     if 2 * rem > divisor or (2 * rem == divisor and scaled_num % 2 == 1):
         scaled_num += 1
-    if scaled_num == 10 ** sig:
+    if scaled_num == 10 ** SIG:
         scaled_num //= 10
         e += 1
-    digits = str(scaled_num).rjust(sig, "0")
+    digits = str(scaled_num).rjust(SIG, "0")
     if e < -21 or e > 21:
         mant = digits[0] + "." + digits[1:].rstrip("0")
         mant = mant.rstrip(".")
         return "%s%se%+d" % (sign, mant, e)
-    if e >= sig - 1:
-        return sign + digits + "0" * (e - sig + 1)
+    if e >= SIG - 1:
+        return sign + digits + "0" * (e - SIG + 1)
     if e >= 0:
         head, tail = digits[: e + 1], digits[e + 1 :].rstrip("0")
         return sign + head + ("." + tail if tail else "")
@@ -121,22 +118,21 @@ def decimal_str(q, sig: int = 12) -> str:
     return sign + "0." + body
 
 
-def kth_root_str(q, k: int, sig: int = 12) -> str:
-    """Decimal string of q**(1/k) to `sig` significant digits, q >= 0 exact.
+def kth_root_str(q, k: int) -> str:
+    """Decimal string of q**(1/k) to SIG significant digits, q >= 0 exact.
 
     Scales to an integer k-th root with guard digits, so the result is
     deterministic and accurate well past the rendered precision.
     """
-    q = rat(q) if not isinstance(q, Rational) else q
+    q = rat(q)
     if q < 0:
         raise ValueError("kth_root_str needs q >= 0")
     if q == 0:
         return "0"
     if k == 1:
-        return decimal_str(q, sig)
-    num = int(q.numerator)
-    den = int(q.denominator)
-    guard = sig + 20
+        return decimal_str(q)
+    num, den = q.numerator, q.denominator
+    guard = SIG + 20
     # q^(1/k) = (num * den^(k-1))^(1/k) / den
     scaled = iroot(num * den ** (k - 1) * 10 ** (k * guard), k)
-    return decimal_str(Rational(scaled, den * 10 ** guard), sig)
+    return decimal_str(Rational(scaled, den * 10 ** guard))

@@ -130,7 +130,9 @@ class TestBacklogBound:
 
 class TestFlowPotential:
     def test_zero_before_first_event(self, e1_ctx):
-        assert flow_potential(e1_ctx, 0, pre_event=True) == 0
+        reports = check_flow_conditions(e1_ctx)
+        rec = records_by_label(reports.completion, "potential before first event")[0]
+        assert rec.delta == 0
 
     def test_zero_after_everything(self, e1_ctx):
         assert flow_potential(e1_ctx, 3) == 0
@@ -204,7 +206,9 @@ class TestFlowConditions:
 class TestPowerPotential:
     def test_empty_queue(self, e1_ctx):
         assert power_flow_potential(e1_ctx, 100, k=2) == 0
-        assert power_flow_potential(e1_ctx, 0, k=2, pre_event=True) == 0
+        reports = check_power_flow_conditions(e1_ctx, k=2)
+        rec = records_by_label(reports.completion, "potential before first event")[0]
+        assert rec.delta == 0
 
     def test_single_job_at_release(self):
         # only the arriving job is alive, t - release = 0, so the potential

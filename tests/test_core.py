@@ -1,12 +1,13 @@
 """Domain types, exact parsing/rendering, and trace feasibility audits."""
 
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import srptlab
 from srptlab import (
     ExecutionTrace,
     Instance,
@@ -14,6 +15,7 @@ from srptlab import (
     ParseError,
     Segment,
     SpeedConfig,
+    TraceError,
     UNIT_SPEED,
     build_jobs,
     dump_json,
@@ -144,9 +146,8 @@ class TestInstanceValidation:
 
 
 class TestSpeedConfig:
-    def test_sync_enforced(self):
-        with pytest.raises(InstanceError, match="speed must equal 1 \\+ epsilon"):
-            SpeedConfig(speed=rat(2), epsilon=rat("1/2"))
+    def test_speed_is_the_only_field(self):
+        assert [f.name for f in fields(SpeedConfig)] == ["speed"]
 
     def test_from_speed(self):
         cfg = SpeedConfig.from_speed("3/2")
@@ -201,6 +202,10 @@ class TestValidateTrace:
         bad = self._clone_with_segments(e1_fast_trace, segs)
         assert validate_trace(bad) == (
             False, ["work deficit for job 1: 0 of 1", "job 1 never scheduled"])
+
+    def test_first_segment_starts_late(self):
+        trace = hand_trace([(0, 0, 1)], 1, [(1, 2, (0,))], [2])
+        assert validate_trace(trace) == (False, ["segment 0: starts at 1, expected 0"])
 
     def test_gap_between_segments(self, e1_fast_trace):
         segs = list(e1_fast_trace.segments)
@@ -446,6 +451,15 @@ class TestJsonFormat:
         doc = trace_to_json(e1_fast_trace)
         assert trace_from_json(doc) == e1_fast_trace
 
+    def test_speed_epsilon_mismatch(self, e1_fast_trace):
+        doc = trace_to_json(e1_fast_trace)
+        doc["speed"] = {"speed": "2", "epsilon": "1/2"}
+        with pytest.raises(
+            TraceError,
+            match="^malformed trace document: speed must equal 1 \\+ epsilon exactly$",
+        ):
+            trace_from_json(doc)
+
     def test_dump_json_stable(self, e1_fast_trace):
         a = dump_json(trace_to_json(e1_fast_trace))
         b = dump_json(trace_to_json(e1_fast_trace))
@@ -459,6 +473,15 @@ class TestJsonFormat:
         inst = random_integer_instance(seed)
         tr = simulate_srpt(inst, SpeedConfig.from_speed("3/2"))
         assert trace_from_json(trace_to_json(tr)) == tr
+
+
+class TestExports:
+    def test_star_import_and_unique_names(self):
+        # a name deleted from the package but left in __all__ fails here
+        namespace = {}
+        exec("from srptlab import *", namespace)
+        assert set(srptlab.__all__) <= namespace.keys()
+        assert len(set(srptlab.__all__)) == len(srptlab.__all__)
 
 
 if __name__ == "__main__":

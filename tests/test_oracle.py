@@ -6,7 +6,6 @@ import pytest
 
 from srptlab import (
     OracleError,
-    OracleLimits,
     SpeedConfig,
     UNIT_SPEED,
     brute_force_opt,
@@ -93,7 +92,7 @@ class TestBruteForce:
         doc = {}
         for k in (1, 2, 3):
             res = brute_force_opt(inst, k=k)
-            doc[str(k)] = trace_to_json(res.trace, {"objective": str(res.objective)})
+            doc[str(k)] = dict(trace_to_json(res.trace), objective=str(res.objective))
         assert dump_json(doc) == (DATA / (stem + ".json")).read_text()
 
     def test_rejects_non_integral(self):
@@ -115,11 +114,6 @@ class TestBruteForce:
         inst = make_instance([(0, 0, 1)], machines=4)
         with pytest.raises(OracleError, match="limits exceeded"):
             brute_force_opt(inst)
-
-    def test_custom_limits(self):
-        inst = make_instance([(0, 0, 41)], machines=1)
-        res = brute_force_opt(inst, limits=OracleLimits(max_total_work=50))
-        assert res.objective == 41
 
     def test_bad_k(self):
         inst = make_instance([(0, 0, 1)], machines=1)
