@@ -13,17 +13,12 @@ from .analysis import (
     ConditionReports,
     PairContext,
     PotentialReport,
-    alg_backlog,
     check_backlog_bound,
     check_completion_charge,
     check_flow_conditions,
     check_power_flow_conditions,
-    flow_potential,
     make_context,
     objectives,
-    power_flow_potential,
-    ref_backlog_smaller,
-    remaining_at,
     report_to_json,
 )
 from .core import (
@@ -36,7 +31,6 @@ from .core import (
     SpeedConfig,
     TraceError,
     UNIT_SPEED,
-    build_jobs,
     events_of,
     make_instance,
     validate_instance,
@@ -53,7 +47,6 @@ from .engine import (
 from .formats import (
     ParseError,
     dump_json,
-    instance_from_json,
     instance_to_json,
     parse_instance,
     serialize_instance,
@@ -64,7 +57,6 @@ from .oracle import (
     OracleError,
     OracleResult,
     brute_force_opt,
-    single_machine_relaxation_lb,
 )
 from .rationals import Rational, RationalParseError, decimal_str, kth_root_str, rat
 from .workload import FAMILIES, GenSpec, WorkloadError, XorShift64Star, generate
@@ -96,9 +88,7 @@ __all__ = [
     "UNIT_SPEED",
     "WorkloadError",
     "XorShift64Star",
-    "alg_backlog",
     "brute_force_opt",
-    "build_jobs",
     "check_backlog_bound",
     "check_completion_charge",
     "check_flow_conditions",
@@ -107,9 +97,7 @@ __all__ = [
     "dump_json",
     "events_of",
     "fifo_priority",
-    "flow_potential",
     "generate",
-    "instance_from_json",
     "instance_to_json",
     "kth_root_str",
     "longest_remaining_priority",
@@ -117,15 +105,11 @@ __all__ = [
     "make_instance",
     "objectives",
     "parse_instance",
-    "power_flow_potential",
     "rat",
-    "ref_backlog_smaller",
-    "remaining_at",
     "report_to_json",
     "serialize_instance",
     "simulate_policy",
     "simulate_srpt",
-    "single_machine_relaxation_lb",
     "srpt_priority",
     "trace_from_json",
     "trace_to_json",

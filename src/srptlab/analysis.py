@@ -15,9 +15,7 @@ rational arithmetic. The checks mirror an amortized analysis:
 Conventions: at an event time, completions are applied before arrivals, ties
 in job-id order; a job is alive at t when release <= t < completion, so
 evaluation at event times is post-event.
-Between two consecutive event times every queried quantity is linear in t,
-and power-mode intervals are subdivided exactly at the rational roots of each
-job's clamped age expression, so endpoint checks on subintervals are sound.
+Between two consecutive event times every queried quantity is linear in t.
 """
 
 from __future__ import annotations
@@ -411,18 +409,15 @@ def _clamped_age(ctx, st, t, i) -> Rational:
 
 
 def _phi_power(ctx, t, alive_alg, alive_ref, k) -> Rational:
-    release = ctx.idx_alg.release
-    ages = sum(((t - release[i]) ** k for i in alive_alg), ZERO)
-    return _power_value(ctx, t, alive_alg, alive_ref, k) - ages
-
-
-def _power_value(ctx, t, alive_alg, alive_ref, k) -> Rational:
-    # objective accumulation + power potential over fixed alive sets; the
-    # (t - release)^k sums cancel, leaving only the clamped terms
     st = ctx.state(t, alive_alg, alive_ref)
     scale = (1 - ctx.epsilon) ** (-k)
+    release = ctx.idx_alg.release
     return sum(
-        (_clamped_power(scale, _clamped_age(ctx, st, t, i), k) for i in alive_alg), ZERO
+        (
+            _clamped_power(scale, _clamped_age(ctx, st, t, i), k) - (t - release[i]) ** k
+            for i in alive_alg
+        ),
+        ZERO,
     )
 
 
@@ -434,8 +429,7 @@ def check_flow_conditions(ctx: PairContext) -> ConditionReports:
 
 
 def check_power_flow_conditions(ctx: PairContext, k: int | None = None) -> ConditionReports:
-    """Same walk for the k-th power potential (0 < eps <= 1/2); running
-    intervals are subdivided at the exact roots of each clamped age."""
+    """Same walk for the k-th power potential (0 < eps <= 1/2)."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
     return _condition_walk(ctx, power=True, k=k)
@@ -447,7 +441,31 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     release = ctx.idx_alg.release
     size = ctx.idx_alg.size
     bounds = _boundaries(ctx)
-    half = Rational(1, 2)
+
+    # Both walks track objective plus potential as a sum, over alive jobs,
+    # of a convex term of the job's clamped age g. Between events each g is
+    # linear, so the sum is convex and never rises on [t, b] exactly when
+    # its left derivative at b is at most 0; rise(ga, gb) is (b - t) times
+    # one job's share of that derivative.
+    if power:
+        scale = (1 - eps) ** (-k)
+
+        def term(g):
+            return _clamped_power(scale, g, k)
+
+        def rise(ga, gb):
+            # the term is 0 just before b unless g > 0 there
+            if gb > 0 or ga > gb == 0:
+                return scale * k * gb ** (k - 1) * (gb - ga)
+            return ZERO
+
+    else:
+
+        def term(g):
+            return g
+
+        def rise(ga, gb):
+            return gb - ga
 
     arrivals_at = {}
     for jid, r in release.items():
@@ -459,7 +477,6 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     for jid, c in ctx.idx_ref.completion.items():
         comp_ref_at.setdefault(c, []).append(jid)
 
-    scale = (1 - eps) ** (-k) if power else None
     arrival_records = []
     completion_records = []
     running_records = []
@@ -479,24 +496,19 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
             st = ctx.state(t, alive_alg, alive_ref)
             for c in finished_alg:
                 owed = st.ahead_ref_small[c]
-                if power:
-                    age = t - release[c]
-                    g = age - owed / (m * eps)
-                    jump = age ** k - _clamped_power(scale, g, k)
-                    if owed <= m * eps * eps * age:
-                        rec = _rec_le(
-                            t, "completion job %d (drained case)" % c, jump, ZERO
-                        )
-                    else:
-                        rec = _rec_le(
-                            t,
-                            "completion job %d (owed case)" % c,
-                            jump,
-                            (owed / m) ** k / eps ** (2 * k),
-                        )
-                else:
-                    jump = owed / (m * eps)
+                age = t - release[c]
+                jump = age ** k - term(age - owed / (m * eps))
+                if not power:
                     rec = _rec_info(t, "completion job %d" % c, jump)
+                elif owed <= m * eps * eps * age:
+                    rec = _rec_le(t, "completion job %d (drained case)" % c, jump, ZERO)
+                else:
+                    rec = _rec_le(
+                        t,
+                        "completion job %d (owed case)" % c,
+                        jump,
+                        (owed / m) ** k / eps ** (2 * k),
+                    )
                 completion_records.append(rec)
                 jump_total += jump
                 completion_jump_total += jump
@@ -507,26 +519,18 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
             alive_alg = alive_alg | {a}
             alive_ref = alive_ref | {a}
             st = ctx.state(t, alive_alg, alive_ref)
+            jump = term(_clamped_age(ctx, st, t, a))
             if power:
-                # the age term is exactly 0 at release
-                jump = _clamped_power(scale, _inner(m, st, a) / (m * eps), k)
                 bound = (2 / (eps * (1 - eps))) ** k * size[a] ** k
             else:
-                jump = _inner(m, st, a) / (m * eps)
                 bound = 2 * size[a] / eps
             # the analysis assumes an arrival leaves every other job's term
             # alone; a shift is a failure, recorded as the change it makes to
             # the potential so that the identity below holds
             for i in sorted(prev_alive):
-                gap = _inner(m, st, i) - _inner(m, before, i)
-                if gap == 0:
-                    continue
-                if power:
-                    shift = _clamped_power(
-                        scale, _clamped_age(ctx, st, t, i), k
-                    ) - _clamped_power(scale, _clamped_age(ctx, before, t, i), k)
-                else:
-                    shift = gap / (m * eps)
+                shift = term(_clamped_age(ctx, st, t, i)) - term(
+                    _clamped_age(ctx, before, t, i)
+                )
                 if shift != 0:
                     arrival_records.append(
                         _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
@@ -537,38 +541,17 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
         if pos + 1 == len(bounds):
             break
         b = bounds[pos + 1]
-        if power:
-            points = [t]
-            st_a = ctx.state(t, alive_alg, alive_ref)
-            st_b = ctx.state(b, alive_alg, alive_ref)
-            roots = set()
-            for i in alive_alg:
-                ga = _clamped_age(ctx, st_a, t, i)
-                gb = _clamped_age(ctx, st_b, b, i)
-                if (ga > 0 > gb) or (ga < 0 < gb):
-                    roots.add(t + ga * (b - t) / (ga - gb))
-            points.extend(sorted(roots))
-            points.append(b)
-            for u, v in zip(points, points[1:]):
-                mid = (u + v) * half
-                val_u = _power_value(ctx, u, alive_alg, alive_ref, k)
-                val_m = _power_value(ctx, mid, alive_alg, alive_ref, k)
-                val_v = _power_value(ctx, v, alive_alg, alive_ref, k)
-                running_records.append(
-                    _rec_le(u, "drift on [%s, %s]" % (u, mid), val_m - val_u, ZERO)
-                )
-                running_records.append(
-                    _rec_le(mid, "drift on [%s, %s]" % (mid, v), val_v - val_m, ZERO)
-                )
-                drift_total += val_v - val_u
-        else:
-            phi_a = _phi_avg(ctx, t, alive_alg, alive_ref)
-            phi_b = _phi_avg(ctx, b, alive_alg, alive_ref)
-            delta = len(alive_alg) * (b - t) + phi_b - phi_a
-            running_records.append(
-                _rec_le(t, "drift on [%s, %s]" % (t, b), delta, ZERO)
-            )
-            drift_total += delta
+        st_a = ctx.state(t, alive_alg, alive_ref)
+        st_b = ctx.state(b, alive_alg, alive_ref)
+        delta = ZERO
+        slope = ZERO
+        for i in alive_alg:
+            ga = _clamped_age(ctx, st_a, t, i)
+            gb = _clamped_age(ctx, st_b, b, i)
+            delta += term(gb) - term(ga)
+            slope += rise(ga, gb)
+        running_records.append(_rec_le(t, "drift on [%s, %s]" % (t, b), delta, delta - slope))
+        drift_total += delta
 
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")

@@ -10,29 +10,34 @@ import pytest
 from srptlab import (
     AnalysisError,
     ExecutionTrace,
+    GenSpec,
     Segment,
     SpeedConfig,
     UNIT_SPEED,
-    alg_backlog,
     brute_force_opt,
     check_backlog_bound,
     check_completion_charge,
     check_flow_conditions,
     check_power_flow_conditions,
     fifo_priority,
-    flow_potential,
+    generate,
     longest_remaining_priority,
     make_context,
     make_instance,
     objectives,
-    power_flow_potential,
-    ref_backlog_smaller,
-    remaining_at,
     report_to_json,
     simulate_policy,
     simulate_srpt,
 )
-from srptlab.analysis import _mk_report, _rec_le
+from srptlab.analysis import (
+    _mk_report,
+    _rec_le,
+    alg_backlog,
+    flow_potential,
+    power_flow_potential,
+    ref_backlog_smaller,
+    remaining_at,
+)
 from srptlab.core import events_of
 from srptlab.rationals import rat
 
@@ -299,8 +304,8 @@ class TestPowerConditions:
         ctx = single_job_ctx(p="2", eps="1/2")
         reports = check_power_flow_conditions(ctx, k=2)
         assert reports.all_pass
-        # one alive job keeps its max-expression positive, so no roots are
-        # crossed and every drift interval stays whole
+        # the job's clamped age falls from 4 to exactly 0 at its fast
+        # completion 4/3, so the value never rises on a drift interval
         drifts = records_by_label(reports.running, "drift")
         assert drifts and all(r.delta <= 0 for r in drifts)
 
@@ -338,6 +343,71 @@ class TestPowerConditions:
         fast = simulate_srpt(inst, SpeedConfig.from_epsilon("1/4"))
         ref = simulate_srpt(inst, UNIT_SPEED)
         assert check_power_flow_conditions(make_context(fast, ref), k=k).all_pass
+
+
+class TestRunningSlope:
+    """Between events the power walk's value is convex, so it can be lower at
+    an interval's end and midpoint than at its start and still rise just
+    before the end. The running check reads the left derivative at the end;
+    on these LRPT walks the value climbs over the last hundredth of one
+    interval."""
+
+    @pytest.mark.parametrize(
+        "seed, speed, k, t, b, slack",
+        [(8, "5/4", 2, "5", "6", "-832/81"), (16, "3/2", 3, "7", "23/3", "-17552/243")],
+    )
+    def test_lrpt_rise_before_interval_end(self, seed, speed, k, t, b, slack):
+        inst = generate(GenSpec("uniform", 10, 3, (1, 6), (0, 8), seed))
+        fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), longest_remaining_priority)
+        ctx = make_context(fast, simulate_srpt(inst, UNIT_SPEED))
+        reports = check_power_flow_conditions(ctx, k=k)
+        assert reports.arrival.verdict and reports.completion.verdict
+        [witness] = reports.running.failures
+        assert witness.label == "drift on [%s, %s]" % (t, b)
+        assert witness.time == rat(t) and witness.slack == rat(slack)
+
+        # the rise, rebuilt from point queries inside the interval: objective
+        # accumulation of the alive jobs plus the potential
+        def value(s):
+            alive = [j for j in inst.jobs if j.release <= s < fast.completions[j.id]]
+            ages = sum((s - j.release) ** k for j in alive)
+            return ages + power_flow_potential(ctx, s, k=k)
+
+        end = rat(b)
+        assert value(end - rat("1/1000")) > value(end - rat("1/100"))
+
+        total = (
+            reports.arrival.aggregate
+            + reports.completion.aggregate
+            + reports.running.aggregate
+        )
+        assert total == objectives(fast, ks=(k,)).kth_power_flow[k]
+
+    @pytest.mark.parametrize("k, delta, bound", [(1, -8, 0), (2, -64, -64)])
+    def test_term_falling_to_zero(self, k, delta, bound):
+        # one job of size 2 at eps = 1/2: its clamped age falls from
+        # 2/eps = 4 at 0 to exactly 0 at its fast completion 4/3, so the value
+        # falls by scale * 4^k. At k = 1 (scale 2) its left derivative at 4/3
+        # is -8/(4/3), so bound = -8 + 8 = 0; at k = 2 (scale 4) the
+        # derivative there is 0 and bound = delta
+        reports = check_power_flow_conditions(single_job_ctx(p="2", eps="1/2"), k=k)
+        assert [(r.label, r.delta, r.bound) for r in reports.running.records] == [
+            ("drift on [0, 4/3]", delta, bound),
+            ("drift on [4/3, 2]", 0, 0),
+        ]
+
+    def test_term_rising_to_zero(self):
+        # m = 1, LRPT at 3/2 against unit SRPT. On [4, 5] job 0 waits in the
+        # fast schedule with 1/2 left while the reference runs job 2: its
+        # clamped age rises from 3 + (3/2 + 1/2 - 5)/(1/2) = -3 to exactly 0,
+        # so its term stays 0 and adds no slope. Jobs 1 and 2 move by -3 and
+        # +3 (times scale 2), so delta and bound are both 0
+        inst = make_instance([(0, 1, 5), (1, 2, 2), (2, 4, 1), (3, 5, 5)], machines=1)
+        fast = simulate_policy(inst, SpeedConfig.from_speed(rat("3/2")), longest_remaining_priority)
+        ctx = make_context(fast, simulate_srpt(inst, UNIT_SPEED))
+        reports = check_power_flow_conditions(ctx, k=1)
+        [rec] = records_by_label(reports.running, "drift on [4, 5]")
+        assert (rec.delta, rec.bound, rec.passed) == (0, 0, True)
 
 
 class TestArrivalShifts:
@@ -418,6 +488,30 @@ class TestCompletionCharge:
         assert records_by_label(report, "window bound pair (0, 0)")
         assert not records_by_label(report, "window bound pair (1,")
         assert records_by_label(report, "aggregate charge")[0].delta == 1
+
+    def test_window_bound_later_charges(self):
+        # m = 1, eps = 1/2. Fast SRPT runs job 1 on [0, 4/3] and job 0 on
+        # [4/3, 10/3]; the FIFO reference runs job 0 on [0, 3] and job 1 on
+        # [3, 5]. Both fast completions charge job 1. Pair (1, 1) owes 2, so
+        # lhs = 2/(3/2) = 4/3; its later charge is job 1's reference volume
+        # at job 0's reference completion, 2 at t = 3 (not 5/3 at the fast
+        # completion 10/3), so rhs = 5 - 2/(3/2) = 11/3. Pair (0, 1) owes
+        # 5/3 and has no later charge: lhs = 10/9, rhs = 5.
+        inst = make_instance([(0, 0, 3), (1, 0, 2)], machines=1)
+        fast = simulate_srpt(inst, SpeedConfig.from_speed(rat("3/2")))
+        ref = simulate_policy(inst, UNIT_SPEED, fifo_priority)
+        assert fast.completions == (rat("10/3"), rat("4/3"))
+        assert ref.completions == (3, 5)
+        report = check_completion_charge(make_context(fast, ref), k=1)
+        pairs = {
+            r.label: (r.time, r.delta, r.bound)
+            for r in records_by_label(report, "window bound pair")
+        }
+        assert pairs == {
+            "window bound pair (1, 1)": (rat("4/3"), rat("4/3"), rat("11/3")),
+            "window bound pair (0, 1)": (rat("10/3"), rat("10/9"), 5),
+        }
+        assert records_by_label(report, "aggregate charge")[0].delta == rat("11/3")
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_oracle_reference_random(self, k):

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior, exit codes, and artifact determinism."""
 
+import contextlib
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -525,3 +527,22 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--nope"])
         assert exc.value.code == 2
+
+
+if __name__ == "__main__":
+    # regenerate the golden verify files: PYTHONPATH=src python tests/test_cli.py
+    data = DATA.resolve()
+    for stem, (text, extra) in GOLDEN_VERIFY.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            os.chdir(tmp)
+            Path("instance.txt").write_text(text)
+            args = ["verify", "--instance", "instance.txt"] + extra
+            table = io.StringIO()
+            with contextlib.redirect_stdout(table):
+                assert main(args) == 0
+            (data / (stem + ".stdout")).write_text(table.getvalue())
+            for fmt in ("json", "csv"):
+                out = "report." + fmt
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(args + ["--format", fmt, "--out", out]) == 0
+                (data / (stem + "." + fmt)).write_bytes(Path(out).read_bytes())

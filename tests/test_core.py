@@ -17,11 +17,9 @@ from srptlab import (
     SpeedConfig,
     TraceError,
     UNIT_SPEED,
-    build_jobs,
     dump_json,
     events_of,
     fifo_priority,
-    instance_from_json,
     instance_to_json,
     longest_remaining_priority,
     make_instance,
@@ -36,6 +34,7 @@ from srptlab import (
     validate_instance,
     validate_trace,
 )
+from srptlab.formats import instance_from_json
 from srptlab.rationals import (
     Rational,
     RationalParseError,

@@ -13,10 +13,10 @@ from srptlab import (
     make_instance,
     objectives,
     simulate_srpt,
-    single_machine_relaxation_lb,
     trace_to_json,
     validate_trace,
 )
+from srptlab.oracle import single_machine_relaxation_lb
 from srptlab.rationals import rat
 
 from helpers import random_integer_instance
