@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import ExecutionTrace, FlowSummary, validate_trace
+from .core import ExecutionTrace, FlowSummary, flow_power, validate_trace
 from .rationals import Rational, ZERO, kth_root_str
 
 
@@ -171,16 +171,16 @@ def objectives(trace: ExecutionTrace, ks=(1, 2, 3)) -> FlowSummary:
         trace.completions[j.id] - j.release
         for j in sorted(trace.instance.jobs, key=lambda j: j.id)
     )
-    total = sum(flows, ZERO)
     powers = {}
     norms = {}
     for k in ks:
         if not isinstance(k, int) or k < 1:
             raise AnalysisError("k must be an integer >= 1")
-        val = sum((f ** k for f in flows), ZERO)
-        powers[k] = val
-        norms[k] = kth_root_str(val, k)
-    return FlowSummary(flows=flows, total_flow=total, kth_power_flow=powers, lk_norm=norms)
+        powers[k] = flow_power(trace, k)
+        norms[k] = kth_root_str(powers[k], k)
+    return FlowSummary(
+        flows=flows, total_flow=flow_power(trace, 1), kth_power_flow=powers, lk_norm=norms
+    )
 
 
 # --------------------------------------------------------------------------
@@ -347,10 +347,16 @@ def total_flow_factor(eps: Rational) -> Rational:
     return 4 / eps
 
 
+def _power_arrival_coefficient(eps: Rational, k: int) -> Rational:
+    """(2/(eps(1-eps)))^k: the power walk's arrival jump is at most this
+    times size^k, and it is the first summand of the power factor."""
+    return (2 / (eps * (1 - eps))) ** k
+
+
 def power_flow_factor(eps: Rational, k: int) -> Rational:
     """Competitive factor for the k-th power of flow at speed 1+eps
     (0 < eps <= 1/2): (2/(eps(1-eps)))^k + ((1+eps)/eps^2)^k."""
-    return (2 / (eps * (1 - eps))) ** k + ((1 + eps) / eps ** 2) ** k
+    return _power_arrival_coefficient(eps, k) + ((1 + eps) / eps ** 2) ** k
 
 
 def theorem_factor(eps: Rational, k: int) -> Rational:
@@ -361,16 +367,16 @@ def theorem_factor(eps: Rational, k: int) -> Rational:
 
 def flow_potential(ctx: PairContext, t) -> Rational:
     """Queue-wide potential for the total-flow analysis, evaluated post-event
-    at event times."""
+    at event times: the sum of the alive jobs' backlog gaps over m*eps."""
     _require_eps_positive(ctx)
-    return _phi_avg(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t))
+    return _potential(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t), False, 1)
 
 
 def power_flow_potential(ctx: PairContext, t, k: int | None = None) -> Rational:
     """Queue-wide potential for the k-th power flow analysis (0 < eps <= 1/2)."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
-    return _phi_power(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t), k)
+    return _potential(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t), True, k)
 
 
 def _require_eps_positive(ctx):
@@ -385,39 +391,48 @@ def _require_eps_power(ctx, k):
         raise AnalysisError("epsilon out of theorem range (need 0 < eps <= 1/2)")
 
 
-def _inner(m, st, i) -> Rational:
-    """Job i's backlog gap: fast volume ahead of it, plus m times its own
-    remaining volume, minus the reference's small-job volume ahead of it."""
-    return st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
-
-
-def _clamped_power(scale, g, k) -> Rational:
-    return scale * g ** k if g > 0 else ZERO
-
-
-def _phi_avg(ctx, t, alive_alg, alive_ref) -> Rational:
-    st = ctx.state(t, alive_alg, alive_ref)
-    m = ctx.machines
-    return sum((_inner(m, st, i) for i in alive_alg), ZERO) / (m * ctx.epsilon)
-
-
 def _clamped_age(ctx, st, t, i) -> Rational:
-    """Age of job i plus its normalized backlog gap, the quantity whose clamp
-    at zero drives the power potential. Linear in t between events."""
+    """Age of job i plus its backlog gap over m*eps, the quantity whose clamp
+    at zero drives the power potential. The gap is the fast volume ahead of
+    i, plus m times i's own remaining volume, minus the reference's
+    small-job volume ahead of i. Linear in t between events."""
     m = ctx.machines
-    return (t - ctx.idx_alg.release[i]) + _inner(m, st, i) / (m * ctx.epsilon)
+    gap = st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
+    return (t - ctx.idx_alg.release[i]) + gap / (m * ctx.epsilon)
 
 
-def _phi_power(ctx, t, alive_alg, alive_ref, k) -> Rational:
+def _walk_term(eps, power: bool, k: int):
+    """(term, rise) of a potential walk. Objective plus potential is the sum,
+    over alive jobs, of term(g) with g the job's clamped age: g itself in the
+    flow walk, scale * max(g, 0)^k with scale = (1 - eps)^-k in the power
+    walk (scale is computed only there, since the flow walk allows eps = 1).
+    rise(ga, gb) is (b - t) times the term's left derivative at b while g
+    runs linearly from ga at t to gb at b."""
+    if not power:
+        return (lambda g: g), (lambda ga, gb: gb - ga)
+    scale = (1 - eps) ** (-k)
+
+    def term(g):
+        return scale * g ** k if g > 0 else ZERO
+
+    def rise(ga, gb):
+        # the term is 0 just before b unless g > 0 there
+        if gb > 0 or ga > gb == 0:
+            return scale * k * gb ** (k - 1) * (gb - ga)
+        return ZERO
+
+    return term, rise
+
+
+def _potential(ctx, t, alive_alg, alive_ref, power: bool, k: int) -> Rational:
+    """The walk's potential: the sum over alive jobs of term(g) minus
+    (t - release)^k. In the flow walk this is the sum of the backlog gaps
+    over m*eps."""
+    term, _ = _walk_term(ctx.epsilon, power, k)
     st = ctx.state(t, alive_alg, alive_ref)
-    scale = (1 - ctx.epsilon) ** (-k)
     release = ctx.idx_alg.release
     return sum(
-        (
-            _clamped_power(scale, _clamped_age(ctx, st, t, i), k) - (t - release[i]) ** k
-            for i in alive_alg
-        ),
-        ZERO,
+        (term(_clamped_age(ctx, st, t, i)) - (t - release[i]) ** k for i in alive_alg), ZERO
     )
 
 
@@ -435,6 +450,14 @@ def check_power_flow_conditions(ctx: PairContext, k: int | None = None) -> Condi
     return _condition_walk(ctx, power=True, k=k)
 
 
+def _ids_at(times: dict) -> dict:
+    """time -> the job ids at that time, from job id -> time."""
+    out = {}
+    for jid, t in times.items():
+        out.setdefault(t, []).append(jid)
+    return out
+
+
 def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     m = ctx.machines
     eps = ctx.epsilon
@@ -442,40 +465,17 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     size = ctx.idx_alg.size
     bounds = _boundaries(ctx)
 
-    # Both walks track objective plus potential as a sum, over alive jobs,
-    # of a convex term of the job's clamped age g. Between events each g is
-    # linear, so the sum is convex and never rises on [t, b] exactly when
-    # its left derivative at b is at most 0; rise(ga, gb) is (b - t) times
-    # one job's share of that derivative.
+    # Objective plus potential is a sum over alive jobs of a convex term of
+    # the job's clamped age g. Between events each g is linear, so the sum is
+    # convex and never rises on [t, b] exactly when its left derivative at b
+    # is at most 0.
+    term, rise = _walk_term(eps, power, k)
     if power:
-        scale = (1 - eps) ** (-k)
+        arrival_coefficient = _power_arrival_coefficient(eps, k)
 
-        def term(g):
-            return _clamped_power(scale, g, k)
-
-        def rise(ga, gb):
-            # the term is 0 just before b unless g > 0 there
-            if gb > 0 or ga > gb == 0:
-                return scale * k * gb ** (k - 1) * (gb - ga)
-            return ZERO
-
-    else:
-
-        def term(g):
-            return g
-
-        def rise(ga, gb):
-            return gb - ga
-
-    arrivals_at = {}
-    for jid, r in release.items():
-        arrivals_at.setdefault(r, []).append(jid)
-    comp_alg_at = {}
-    for jid, c in ctx.idx_alg.completion.items():
-        comp_alg_at.setdefault(c, []).append(jid)
-    comp_ref_at = {}
-    for jid, c in ctx.idx_ref.completion.items():
-        comp_ref_at.setdefault(c, []).append(jid)
+    arrivals_at, comp_alg_at, comp_ref_at = (
+        _ids_at(times) for times in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
+    )
 
     arrival_records = []
     completion_records = []
@@ -503,12 +503,8 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
                 elif owed <= m * eps * eps * age:
                     rec = _rec_le(t, "completion job %d (drained case)" % c, jump, ZERO)
                 else:
-                    rec = _rec_le(
-                        t,
-                        "completion job %d (owed case)" % c,
-                        jump,
-                        (owed / m) ** k / eps ** (2 * k),
-                    )
+                    bound = (owed / m) ** k / eps ** (2 * k)
+                    rec = _rec_le(t, "completion job %d (owed case)" % c, jump, bound)
                 completion_records.append(rec)
                 jump_total += jump
                 completion_jump_total += jump
@@ -520,17 +516,12 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
             alive_ref = alive_ref | {a}
             st = ctx.state(t, alive_alg, alive_ref)
             jump = term(_clamped_age(ctx, st, t, a))
-            if power:
-                bound = (2 / (eps * (1 - eps))) ** k * size[a] ** k
-            else:
-                bound = 2 * size[a] / eps
+            bound = arrival_coefficient * size[a] ** k if power else 2 * size[a] / eps
             # the analysis assumes an arrival leaves every other job's term
             # alone; a shift is a failure, recorded as the change it makes to
             # the potential so that the identity below holds
             for i in sorted(prev_alive):
-                shift = term(_clamped_age(ctx, st, t, i)) - term(
-                    _clamped_age(ctx, before, t, i)
-                )
+                shift = term(_clamped_age(ctx, st, t, i)) - term(_clamped_age(ctx, before, t, i))
                 if shift != 0:
                     arrival_records.append(
                         _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
@@ -556,10 +547,8 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")
 
-    flows = [ctx.idx_alg.completion[j] - release[j] for j in release]
-    alg_objective = sum((f ** k for f in flows), ZERO)
-    ref_flows = [ctx.idx_ref.completion[j] - release[j] for j in release]
-    ref_objective = sum((f ** k for f in ref_flows), ZERO)
+    alg_objective = flow_power(ctx.srpt_trace, k)
+    ref_objective = flow_power(ctx.ref_trace, k)
 
     # the potential starts and ends at zero, so jumps plus drift must
     # reproduce the final objective exactly; any mismatch is a harness bug
@@ -570,11 +559,9 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
         )
 
     end = bounds[-1] if bounds else ZERO
-    boundary_records = [
-        _rec_eq(ZERO, "potential before first event", _phi_at_empty(ctx, ZERO, power, k)),
-        _rec_eq(end, "potential after final event", _phi_at_empty(ctx, end, power, k)),
-    ]
-    completion_records.extend(boundary_records)
+    empty = frozenset()
+    for t, label in ((ZERO, "potential before first event"), (end, "potential after final event")):
+        completion_records.append(_rec_eq(t, label, _potential(ctx, t, empty, empty, power, k)))
 
     if not power:
         completion_records.append(
@@ -608,13 +595,6 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
         objective_bound=bound_report,
         k=k,
     )
-
-
-def _phi_at_empty(ctx, t, power, k):
-    empty = frozenset()
-    if power:
-        return _phi_power(ctx, t, empty, empty, k)
-    return _phi_avg(ctx, t, empty, empty)
 
 
 # --------------------------------------------------------------------------
@@ -656,9 +636,8 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
 
     records = []
     total = sum(((owed[i] / m) ** k for i in jobs), ZERO)
-    ref_objective = sum(((comp_ref[j] - release[j]) ** k for j in jobs), ZERO)
     records.append(
-        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * ref_objective)
+        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * flow_power(ctx.ref_trace, k))
     )
 
     denom = (1 + eps) * m

@@ -27,7 +27,7 @@ from .analysis import (
     report_to_json,
     theorem_factor,
 )
-from .core import InstanceError, SpeedConfig, UNIT_SPEED, validate_trace
+from .core import InstanceError, SpeedConfig, UNIT_SPEED, flow_power, validate_trace
 from .engine import fifo_priority, simulate_policy, simulate_srpt
 from .formats import (
     ParseError,
@@ -37,8 +37,8 @@ from .formats import (
     trace_to_json,
 )
 from .oracle import OracleError, brute_force_opt
-from .rationals import ONE, Rational, RationalParseError, ZERO, decimal_str, rat
-from .workload import FAMILIES, GenSpec, WorkloadError, generate
+from .rationals import ONE, Rational, RationalParseError, decimal_str, rat
+from .workload import FAMILIES, GenSpec, WorkloadError, generate, is_int, validate_spec
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -201,11 +201,19 @@ def cmd_gen(args) -> int:
 VERIFY_CHECKS = ("backlog-bound", "flow-potential", "power-flow-potential", "completion-charge")
 
 
-def _skipped_json(check, params, reason):
-    doc = report_to_json(merge_reports(check, ()), params)
-    doc["verdict"] = "skipped"
-    doc["witnesses"] = [{"label": reason, "time": None, "delta": "0", "bound": None}]
-    return doc
+def _note_json(check, params, n_events, verdict, notes):
+    """A check document whose witnesses are notes, not check records: the
+    trace audit's violations, or the reason a check was skipped."""
+    return {
+        "check": check,
+        "params": {key: str(val) for key, val in params.items()},
+        "n_events": n_events,
+        "worst_slack": None,
+        "verdict": verdict,
+        "witnesses": [
+            {"label": note, "time": None, "delta": "0", "bound": None} for note in notes
+        ],
+    }
 
 
 def _reference_contexts(name, instance, trace, oracle_ks):
@@ -266,23 +274,16 @@ def cmd_verify(args) -> int:
     trace = simulate_srpt(instance, speed)
     ok, violations = validate_trace(trace)
     base_params = {"instance": args.instance, "speed": speed.speed, "eps": eps}
-
-    feas = {
-        "check": "trace-feasibility",
-        "params": {key: str(val) for key, val in base_params.items()},
-        "n_events": len(trace.segments),
-        "worst_slack": None,
-        "verdict": "pass" if ok else "fail",
-        "witnesses": [
-            {"label": v, "time": None, "delta": "0", "bound": None} for v in violations
-        ],
-    }
-    exports = [feas]
-    # (check, reference, k, verdict, worst-slack)
-    table = [("trace-feasibility", "-", "-", feas["verdict"], "-")]
+    verdict = "pass" if ok else "fail"
+    audit = _note_json(
+        "trace-feasibility", base_params, len(trace.segments), verdict, violations
+    )
+    # each table row (check, reference, k, verdict, worst-slack) with the
+    # documents it summarizes
+    rows = [(("trace-feasibility", "-", "-", verdict, "-"), [audit])]
 
     if not ok:
-        _emit_verify(args, table, exports, skip_notice)
+        _emit_verify(args, rows, True, skip_notice)
         for v in violations[:5]:
             print("witness: %s" % v)
         return EXIT_VERIFY
@@ -298,76 +299,61 @@ def cmd_verify(args) -> int:
             table_k = "-" if check == "backlog-bound" else klabel
             reason = skipped if check_ks else skip_notice
             if reason is not None:
-                exports.append(_skipped_json(check, dict(params, k=klabel), reason))
-                table.append((check, name, table_k, "skipped", "-"))
+                doc = _note_json(check, dict(params, k=klabel), 0, "skipped", [reason])
+                rows.append(((check, name, table_k, "skipped", "-"), [doc]))
                 continue
-            per_k = []
-            for k in check_ks:
-                report = _check_report(check, contexts[k], k)
-                exports.append(report_to_json(report, dict(params, k=k)))
-                per_k.append(report)
-            slacks = [rep.worst_slack for rep in per_k if rep.worst_slack is not None]
+            reports = [_check_report(check, contexts[k], k) for k in check_ks]
+            slacks = [rep.worst_slack for rep in reports if rep.worst_slack is not None]
             worst = str(min(slacks)) if slacks else "-"
-            verdict = "pass" if all(rep.verdict for rep in per_k) else "fail"
-            table.append((check, name, table_k, verdict, worst))
+            verdict = "pass" if all(rep.verdict for rep in reports) else "fail"
+            docs = [report_to_json(rep, dict(params, k=k)) for rep, k in zip(reports, check_ks)]
+            rows.append(((check, name, table_k, verdict, worst), docs))
 
-    any_fail = any(row[3] == "fail" for row in table)
-    _emit_verify(args, table, exports, skip_notice)
-    if any_fail:
-        shown = 0
-        for doc in exports:
-            if doc["verdict"] != "fail":
-                continue
-            for wit in doc["witnesses"]:
-                print(
-                    "witness [%s]: %s (delta %s vs bound %s at t=%s)"
-                    % (doc["check"], wit["label"], wit["delta"], wit["bound"], wit["time"])
-                )
-                shown += 1
-                if shown >= 10:
-                    break
-            if shown >= 10:
-                break
-        return EXIT_VERIFY
-    return EXIT_OK
+    failed = any(row[3] == "fail" for row, _ in rows)
+    _emit_verify(args, rows, failed, skip_notice)
+    if not failed:
+        return EXIT_OK
+    witnesses = [
+        (doc["check"], wit)
+        for _, docs in rows
+        for doc in docs
+        if doc["verdict"] == "fail"
+        for wit in doc["witnesses"]
+    ]
+    for check, wit in witnesses[:10]:
+        print(
+            "witness [%s]: %s (delta %s vs bound %s at t=%s)"
+            % (check, wit["label"], wit["delta"], wit["bound"], wit["time"])
+        )
+    return EXIT_VERIFY
 
 
-def _emit_verify(args, table, exports, skip_notice):
-    rows = [("check", "reference", "k", "verdict", "worst-slack")]
-    rows.extend(table)
-    widths = [max(len(row[col]) for row in rows) for col in range(5)]
-    for row in rows:
+def _emit_verify(args, rows, failed, skip_notice):
+    table = [("check", "reference", "k", "verdict", "worst-slack")]
+    table.extend(row for row, _ in rows)
+    widths = [max(len(row[col]) for row in table) for col in range(5)]
+    for row in table:
         print("  ".join(val.ljust(wid) for val, wid in zip(row, widths)).rstrip())
     if skip_notice:
         print("note: %s" % skip_notice)
     if not args.out:
         return
+    exports = [doc for _, docs in rows for doc in docs]
     if args.format == "csv":
-        buf = []
-        buf.append("instance,check,eps,k,reference,n_events,worst_slack,verdict")
+        buf = ["instance,check,eps,k,reference,n_events,worst_slack,verdict"]
         for doc in exports:
             params = doc["params"]
-            buf.append(
-                ",".join(
-                    [
-                        args.instance,
-                        doc["check"],
-                        params.get("eps", ""),
-                        params.get("k", "-"),
-                        params.get("reference", "-"),
-                        str(doc["n_events"]),
-                        doc["worst_slack"] if doc["worst_slack"] is not None else "",
-                        doc["verdict"],
-                    ]
-                )
-            )
+            fields = (params.get("eps", ""), params.get("k", "-"), params.get("reference", "-"))
+            slack = doc["worst_slack"] or ""  # None for a note document
+            buf.append(",".join([args.instance, doc["check"], *fields, str(doc["n_events"]),
+                                 slack, doc["verdict"]]))
         _write_text(args.out, "\n".join(buf) + "\n")
     else:
         doc = {
             "instance": args.instance,
             "speed": str(rat(args.speed)),
             "checks": exports,
-            "verdict": "fail" if any(r[3] == "fail" for r in table) else "pass",
+            "verdict": "fail" if failed else "pass",
         }
         _write_text(args.out, dump_json(doc))
     print("report written to %s" % args.out)
@@ -375,6 +361,10 @@ def _emit_verify(args, table, exports, skip_notice):
 
 # --------------------------------------------------------------------------
 # sweep
+
+def _positive_ints(value) -> bool:
+    return isinstance(value, list) and bool(value) and all(is_int(x) and x >= 1 for x in value)
+
 
 def _load_manifest(path: str) -> dict:
     try:
@@ -397,22 +387,25 @@ def _load_manifest(path: str) -> dict:
             raise CliError(
                 EXIT_INPUT, "manifest: family entry missing %s" % ", ".join(sorted(missing))
             )
-        if fam["family"] not in FAMILIES:
-            raise CliError(EXIT_INPUT, "manifest: unknown family %r" % fam["family"])
+        spec = GenSpec(fam["family"], fam["n"], 1, fam["size_range"], fam["release_range"], 0)
+        try:
+            validate_spec(spec)
+        except WorkloadError as exc:
+            raise CliError(EXIT_INPUT, "manifest: %s" % exc)
     out["families"] = fams
 
     seeds = doc.get("seeds", 1)
-    if isinstance(seeds, int):
+    if is_int(seeds):
         if seeds < 0:
             raise CliError(EXIT_INPUT, "manifest: seeds count must be >= 0")
         out["seeds"] = list(range(seeds))
-    elif isinstance(seeds, list) and all(isinstance(s, int) for s in seeds):
+    elif isinstance(seeds, list) and all(is_int(s) for s in seeds):
         out["seeds"] = seeds
     else:
         raise CliError(EXIT_INPUT, "manifest: seeds must be a count or a list of integers")
 
     machines = doc.get("machines", [1])
-    if not (isinstance(machines, list) and machines and all(isinstance(m, int) and m >= 1 for m in machines)):
+    if not _positive_ints(machines):
         raise CliError(EXIT_INPUT, "manifest: machines must be a non-empty list of integers >= 1")
     out["machines"] = machines
 
@@ -422,7 +415,7 @@ def _load_manifest(path: str) -> dict:
     out["mode"] = mode
 
     ks = doc.get("k", [1])
-    if not (isinstance(ks, list) and ks and all(isinstance(k, int) and k >= 1 for k in ks)):
+    if not _positive_ints(ks):
         raise CliError(EXIT_INPUT, "manifest: k must be a non-empty list of integers >= 1")
     ks = sorted(set(ks))
 
@@ -487,19 +480,16 @@ def _sweep_cell(payload):
             speed_val = 1 + eps
         if optima:  # no row needs the trace when the oracle refused every k
             trace = simulate_srpt(instance, SpeedConfig.from_speed(speed_val))
-            flows = [trace.completions[j.id] - j.release for j in instance.jobs]
         for k in ks:
             if k in skipped:
                 notices.append(skipped[k])
                 continue
             opt = optima[k]
-            srpt_obj = sum((f ** k for f in flows), ZERO)
+            srpt_obj = flow_power(trace, k)
             bound_rat = ONE if mode == "one-competitive" else theorem_factor(eps, k)
             within = srpt_obj <= bound_rat * opt
-            if opt != 0:
-                ratio = srpt_obj / opt
-            else:
-                ratio = ONE  # both objectives vanish only on the empty instance
+            # both objectives vanish only on the empty instance
+            ratio = srpt_obj / opt if opt != 0 else ONE
             rows.append(
                 {
                     "family": fam["family"],
@@ -577,12 +567,13 @@ def cmd_sweep(args) -> int:
     rows.sort(key=lambda r: r["_sort"])
 
     max_ratio = max((row["_ratio"] for row in rows), default=None)
+    max_text = None if max_ratio is None else decimal_str(max_ratio)
     all_within = all(row["_within"] for row in rows)
 
     if args.format == "json":
         doc = {
             "rows": [{c: row[c] for c in CSV_COLUMNS} for row in rows],
-            "max_ratio": None if max_ratio is None else decimal_str(max_ratio),
+            "max_ratio": max_text,
             "all_within_bound": all_within,
         }
         _write_text(args.out, dump_json(doc))
@@ -601,7 +592,7 @@ def cmd_sweep(args) -> int:
         % (
             len(rows),
             len(notices),
-            "-" if max_ratio is None else decimal_str(max_ratio),
+            max_text or "-",
             "yes" if all_within else "NO",
         ),
         file=sys.stderr,

@@ -101,6 +101,12 @@ class FlowSummary:
     lk_norm: dict  # k -> 12-significant-digit decimal string
 
 
+def flow_power(trace: ExecutionTrace, k: int) -> Rational:
+    """The trace's k-th power flow objective: the sum over jobs of
+    (completion - release)^k, exact."""
+    return sum(((trace.completions[j.id] - j.release) ** k for j in trace.instance.jobs), ZERO)
+
+
 def build_jobs(triples) -> tuple:
     """Make a Job tuple from (id, release, size) triples; values go through rat()."""
     return tuple(Job(id=int(i), release=rat(r), size=rat(p)) for i, r, p in triples)

@@ -28,6 +28,7 @@ from .core import (
     SpeedConfig,
     UNIT_SPEED,
     events_of,
+    flow_power,
     validate_instance,
 )
 from .engine import simulate_srpt
@@ -217,9 +218,7 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         events=events_of(inst, completions),
     )
     objective = Rational(opt)
-    recomputed = sum(
-        ((completions[j.id] - j.release) ** k for j in inst.jobs), ZERO
-    )
+    recomputed = flow_power(trace, k)
     if recomputed != objective:  # pragma: no cover - accounting bug trap
         raise OracleError("internal: trace objective %s != search value %s"
                           % (recomputed, objective))
@@ -234,10 +233,6 @@ def single_machine_relaxation_lb(instance: Instance) -> Rational:
     and runs SRPT there, which minimizes total flow on a single machine.
     """
     inst = validate_instance(instance)
-    if not inst.jobs:
-        return ZERO
     pooled = Instance(jobs=inst.jobs, machines=1)
     trace = simulate_srpt(pooled, SpeedConfig.from_speed(inst.machines))
-    return sum(
-        (trace.completions[j.id] - j.release for j in inst.jobs), ZERO
-    )
+    return flow_power(trace, 1)

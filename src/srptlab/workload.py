@@ -84,24 +84,37 @@ class GenSpec:
     seed: int
 
 
-def _validate_spec(spec: GenSpec) -> None:
+def is_int(x) -> bool:
+    """An int that is not a bool: JSON's true must not pass as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_span(span, lo: int) -> bool:
+    return (
+        isinstance(span, (tuple, list))
+        and len(span) == 2
+        and all(is_int(x) for x in span)
+        and lo <= span[0] <= span[1]
+    )
+
+
+def validate_spec(spec: GenSpec) -> None:
+    """Raise WorkloadError unless `generate` can build the spec."""
     if spec.family not in FAMILIES:
         raise WorkloadError("unknown family %r" % (spec.family,))
-    if not isinstance(spec.n, int) or spec.n < 0:
+    if not is_int(spec.n) or spec.n < 0:
         raise WorkloadError("n must be a non-negative integer")
-    if not isinstance(spec.machines, int) or spec.machines < 1:
+    if not is_int(spec.machines) or spec.machines < 1:
         raise WorkloadError("machines must be >= 1")
-    slo, shi = spec.size_range
-    if not (isinstance(slo, int) and isinstance(shi, int) and 1 <= slo <= shi):
+    if not _int_span(spec.size_range, 1):
         raise WorkloadError("size_range must be integers with 1 <= lo <= hi")
-    rlo, rhi = spec.release_range
-    if not (isinstance(rlo, int) and isinstance(rhi, int) and 0 <= rlo <= rhi):
+    if not _int_span(spec.release_range, 0):
         raise WorkloadError("release_range must be integers with 0 <= lo <= hi")
 
 
 def generate(spec: GenSpec) -> Instance:
     """Build the instance a spec describes; same spec, same instance."""
-    _validate_spec(spec)
+    validate_spec(spec)
     rng = XorShift64Star(spec.seed)
     slo, shi = spec.size_range
     rlo, rhi = spec.release_range

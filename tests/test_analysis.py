@@ -5,6 +5,9 @@ Hand-derived values for the three-job running example (fast side at speed
 computed by replaying the schedules by hand before the module existed.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from srptlab import (
@@ -28,8 +31,10 @@ from srptlab import (
     report_to_json,
     simulate_policy,
     simulate_srpt,
+    srpt_priority,
 )
 from srptlab.analysis import (
+    _check_grid,
     _mk_report,
     _rec_le,
     alg_backlog,
@@ -42,6 +47,8 @@ from srptlab.core import events_of
 from srptlab.rationals import rat
 
 from helpers import random_integer_instance
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +275,44 @@ class TestPowerPotential:
                 if k == 1 and not clamped:
                     tied = (ages + flow_potential(ctx, t)) / (1 - eps) - ages
                     assert expected == tied
+
+
+POTENTIAL_POLICIES = {
+    "srpt": srpt_priority,
+    "fifo": fifo_priority,
+    "lrpt": longest_remaining_priority,
+}
+
+
+def potential_cases():
+    """Case name -> rows [t, flow_potential, power_flow_potential at
+    k = 1, 2, 3] at every merged event time and midpoint, for seeded
+    8-job instances with SRPT, FIFO and LRPT fast traces against unit SRPT."""
+    cases = {}
+    for m in (1, 2, 3):
+        for seed in (0, 1):
+            inst = generate(GenSpec("uniform", 8, m, (1, 6), (0, 8), seed))
+            ref = simulate_srpt(inst, UNIT_SPEED)
+            for name, priority in POTENTIAL_POLICIES.items():
+                for speed in ("5/4", "3/2"):
+                    fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
+                    ctx = make_context(fast, ref)
+                    cases["m=%d seed=%d policy=%s speed=%s" % (m, seed, name, speed)] = [
+                        [str(t), str(flow_potential(ctx, t))]
+                        + [str(power_flow_potential(ctx, t, k=k)) for k in (1, 2, 3)]
+                        for t in _check_grid(ctx)
+                    ]
+    return cases
+
+
+def test_potential_point_queries_golden():
+    """Every point query of potential_cases() against
+    tests/data/potential_queries.json."""
+    golden = json.loads((DATA / "potential_queries.json").read_text())
+    cases = potential_cases()
+    assert list(cases) == list(golden)
+    for name, rows in cases.items():
+        assert rows == golden[name], name
 
 
 class TestPowerConditions:
@@ -585,3 +630,10 @@ class TestReportExport:
         assert doc["witnesses"] == [
             {"time": "1", "label": "too big", "delta": "2", "bound": "1"}
         ]
+
+
+if __name__ == "__main__":
+    # regenerate the golden file: PYTHONPATH=src python tests/test_analysis.py
+    rows = ["%s: [\n%s\n]" % (json.dumps(name), ",\n".join(json.dumps(row) for row in case))
+            for name, case in potential_cases().items()]
+    (DATA / "potential_queries.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")

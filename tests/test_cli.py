@@ -389,6 +389,36 @@ class TestSweep:
     def test_unreadable_manifest(self, tmp_path, capsys):
         assert main(["sweep", "--manifest", str(tmp_path / "none.json")]) == 2
 
+    # each malformed value is rejected when the manifest loads, before any
+    # cell runs, so a pool worker never meets it; JSON true is not an integer
+    @pytest.mark.parametrize("threads", ("1", "2"))
+    @pytest.mark.parametrize(
+        "family, top, message",
+        [
+            ({"n": 2.5}, {}, "n must be a non-negative integer"),
+            ({"n": True}, {}, "n must be a non-negative integer"),
+            ({"size_range": [3, 1]}, {}, "size_range must be integers with 1 <= lo <= hi"),
+            ({"size_range": "1:2"}, {}, "size_range must be integers with 1 <= lo <= hi"),
+            ({"release_range": [0, True]}, {}, "release_range must be integers"),
+            ({}, {"machines": [True]}, "machines must be a non-empty list of integers"),
+            ({}, {"k": [True]}, "k must be a non-empty list of integers"),
+            ({}, {"seeds": True}, "seeds must be a count or a list of integers"),
+            ({}, {"seeds": [0, False]}, "seeds must be a count or a list of integers"),
+        ],
+        ids=["n-2.5", "n-true", "size-reversed", "size-string", "release-true",
+             "machines-true", "k-true", "seeds-true", "seed-false"],
+    )
+    def test_malformed_entry(self, tmp_path, capsys, monkeypatch, threads, family, top, message):
+        monkeypatch.setenv("SRPTLAB_THREADS", threads)
+        fam = {"family": "uniform", "n": 3, "size_range": [1, 2], "release_range": [0, 2]}
+        doc = {"families": [dict(fam, **family)], "seeds": 2, "machines": [1, 2], "eps": ["1/2"]}
+        man = manifest_file(tmp_path, dict(doc, **top))
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--manifest", man, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest: " + message)
+        assert not out.exists()
+
 
 # a 3-eps grid with k 1,2; uniform n = 12 is over the oracle's job limit, so
 # every one of its (eps, k) pairs leaves a skip notice on stderr

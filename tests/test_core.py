@@ -370,6 +370,58 @@ class TestValidateGolden:
         assert not all(cases[name][0] for name in mine)
 
 
+def decimal_cases():
+    """Seeded rationals covering the classes where rendering to 12
+    significant digits can go wrong: exact ties at the last kept digit,
+    carries to the next power of ten, both sides of the switch to scientific
+    notation at 10^±21, tiny and huge magnitudes, negative values and
+    denominators of up to 40 digits."""
+    rng = XorShift64Star(12)
+
+    def digits(n):  # a random integer of exactly n digits
+        return int("".join([str(rng.randint(1, 9))] + [str(rng.below(10)) for _ in range(n - 1)]))
+
+    def signed(q):
+        return -q if rng.below(3) == 0 else q
+
+    def times_ten(mant, e):
+        return Rational(mant) * Rational(10) ** e
+
+    nines = 10**12 - 1
+    cases = []
+    for e in range(-45, 46):
+        head = digits(12)
+        cases += [
+            times_ten(1, e),
+            times_ten(10 * head + 5, e - 12),  # tie, kept digit either parity
+            times_ten(10 * (head ^ 1) + 5, e - 12),
+            times_ten(10 * nines + 5, e - 12),  # tie that carries
+            times_ten(10 * nines + rng.randint(6, 9), e - 12),  # carry
+            times_ten(10 * nines + rng.randint(0, 4), e - 12),  # no carry
+            times_ten(digits(rng.randint(1, 40)), e) / digits(rng.randint(1, 40)),
+        ]
+    for den in range(1, 61):
+        cases.append(Rational(rng.randint(-1000, 1000), den))
+    for _ in range(400):
+        cases.append(Rational(digits(rng.randint(1, 40)), digits(rng.randint(1, 40))))
+    return [signed(q) for q in cases]
+
+
+class TestDecimalGolden:
+    """decimal_str on every seeded rational of tests/data/decimal_str.json."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((DATA / "decimal_str.json").read_text())
+
+    def test_same_cases(self, golden):
+        assert [Rational(num, den) for num, den, _ in golden] == decimal_cases()
+
+    def test_renderings(self, golden):
+        for num, den, text in golden:
+            assert decimal_str(Rational(num, den)) == text, (num, den)
+
+
 class TestFlowSummary:
     def test_e1_unit(self, e1_unit_trace):
         summary = objectives(e1_unit_trace)
@@ -484,6 +536,11 @@ class TestExports:
 
 
 if __name__ == "__main__":
-    # regenerate the golden file:
-    # PYTHONPATH=src python tests/test_core.py > tests/data/validate_violations.json
-    print(json.dumps(violation_cases(), indent=1))
+    # regenerate the golden files: PYTHONPATH=src python tests/test_core.py
+    (DATA / "validate_violations.json").write_text(
+        json.dumps(violation_cases(), indent=1) + "\n"
+    )
+    decimals = [[q.numerator, q.denominator, decimal_str(q)] for q in decimal_cases()]
+    (DATA / "decimal_str.json").write_text(
+        "[\n" + ",\n".join(json.dumps(row) for row in decimals) + "\n]\n"
+    )
