@@ -8,17 +8,37 @@ arrival instants; for m >= 2 the value is an upper bound on the fractional
 preemptive optimum, which is the sound direction for ratio checks of the
 form "algorithm <= c * reference".
 
-The search memoizes on (time step, multiset of (remaining, release) pairs of
-arrived unfinished jobs) and only branches over work-conserving slot
-assignments: handing an idle machine's slot to an alive job can only move
-that job's last unit of work earlier while leaving every other job untouched,
-so for any k >= 1 no optimum is lost by the restriction.
+The search memoizes the least objective still to pay from each state (time
+step, multiset of (remaining, tag) pairs of arrived unfinished jobs) and
+only branches over work-conserving slot assignments: handing an idle
+machine's slot to an alive job can only move that job's last unit of work
+earlier while leaving every other job untouched, so for any k >= 1 no
+optimum is lost by the restriction. A job finishing at t + 1 pays
+(t + 1 - tag)^k. The tag is the job's release for k >= 2 and 0 for k = 1.
+
+For k = 1 the total flow is sum_j (C_j - r_j) = sum_j C_j - sum_j r_j, and
+the second sum is fixed by the instance. From a time t on, the schedules
+still open and their completion times depend only on the remaining works
+of the alive jobs and on the jobs still to arrive, not on when the alive
+jobs were released. So states that differ only in those releases have the
+same least sum of completion times, and one search key serves them all:
+no optimum is lost, and the objective is the search value minus the sum of
+releases. Arrivals still enter at their true release times.
+
+The witness trace replays the search from the start. In each slot it tries
+the actions over the alive jobs' true (remaining, release) classes, in
+_actions order, and keeps the first one whose tagged payment plus the
+value of the state it leads to is least. For k = 1 every candidate of a
+slot differs from its exact remaining flow by the same sum of releases, so
+this is the first exactly optimal action, and ties break as they would in
+a search keyed by releases. Within a class the lowest ids run first.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 
 from .core import (
@@ -72,23 +92,24 @@ def _check_limits(instance: Instance, jobs):
         )
 
 
-def _actions(classes, q):
-    """Distinct q-element submultisets of `classes` = ((key, count), ...),
-    as take-vectors in lexicographic order."""
+@cache
+def _actions(counts, q):
+    """Distinct q-element submultisets of a multiset whose classes hold
+    `counts` jobs, as take-vectors in lexicographic order."""
     out = []
 
     def rec(idx, left, rest, takes):
         if left == 0:
-            out.append(takes + (0,) * (len(classes) - idx))
+            out.append(takes + (0,) * (len(counts) - idx))
             return
         # leave no more than the classes after idx, holding `rest` jobs, can take
-        cnt = classes[idx][1]
+        cnt = counts[idx]
         rest -= cnt
         for take in range(max(0, left - rest), min(cnt, left) + 1):
             rec(idx + 1, left - take, rest, takes + (take,))
 
-    rec(0, q, sum(c for _, c in classes), ())
-    return out
+    rec(0, q, sum(counts), ())
+    return tuple(out)
 
 
 def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
@@ -106,6 +127,9 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         )
         return OracleResult(objective=ZERO, trace=trace)
 
+    def tag(r):
+        return r if k >= 2 else 0
+
     releases = sorted({r for r, _, _ in jobs})
     # release -> (size, release, id) of the jobs arriving then, ascending
     jobs_at = {}
@@ -114,69 +138,72 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     arrivals_at = {}
     for r, arrived in jobs_at.items():
         arrived.sort()
-        arrivals_at[r] = tuple((p, r) for p, r, _ in arrived)
-
-    def classes_of(ms):
-        return [(key, len(list(grp))) for key, grp in groupby(ms)]
+        arrivals_at[r] = tuple((p, tag(r)) for p, _, _ in arrived)
 
     def step(t, classes, takes):
-        """Run takes[i] jobs of classes[i] in the slot [t, t + 1]. Returns the
-        objective the jobs finishing at t + 1 pay and the multiset after the
-        slot, with the arrivals at t + 1."""
+        """Run takes[i] jobs of classes[i] = ((remaining, tag), count) in the
+        slot [t, t + 1]. Returns the objective the jobs finishing at t + 1
+        pay and the multiset after the slot, with the arrivals at t + 1."""
         paid = 0
         nxt = list(arrivals_at.get(t + 1, ()))
         for (key, cnt), take in zip(classes, takes):
-            rem, rel = key
+            rem, tg = key
             nxt.extend([key] * (cnt - take))
             if rem > 1:
-                nxt.extend([(rem - 1, rel)] * take)
+                nxt.extend([(rem - 1, tg)] * take)
             elif take:
-                paid += take * (t + 1 - rel) ** k
+                paid += take * (t + 1 - tg) ** k
         nxt.sort()
         return paid, tuple(nxt)
 
-    # (t, ms) -> (least objective still to pay, position in _actions order
-    # of the first action that reaches it; None for an empty ms)
-    memo = {}
-
-    def value(t, ms):
-        state = (t, ms)
-        hit = memo.get(state)
-        if hit is not None:
-            return hit[0]
-        if not ms:
-            i = bisect_right(releases, t)
-            best = 0 if i == len(releases) else value(releases[i], arrivals_at[releases[i]])
-            memo[state] = (best, None)
-            return best
-        classes = classes_of(ms)
-        best = pos = None
-        for i, takes in enumerate(_actions(classes, min(m, len(ms)))):
+    def best_action(t, classes):
+        """Least objective still to pay over the actions of the slot at t,
+        and the first take-vector that reaches it."""
+        best = None
+        counts = tuple(cnt for _, cnt in classes)
+        for takes in _actions(counts, min(m, sum(counts))):
             paid, nxt = step(t, classes, takes)
             cand = paid + value(t + 1, nxt)
             if best is None or cand < best:
-                best, pos = cand, i
-        memo[state] = (best, pos)
+                best, chosen = cand, takes
+        return best, chosen
+
+    memo = {}  # (t, ms) -> least objective still to pay
+
+    def value(t, ms):
+        state = (t, ms)
+        best = memo.get(state)
+        if best is not None:
+            return best
+        if not ms:
+            i = bisect_right(releases, t)
+            best = 0 if i == len(releases) else value(releases[i], arrivals_at[releases[i]])
+        else:
+            classes = [(key, len(list(grp))) for key, grp in groupby(ms)]
+            best = best_action(t, classes)[0]
+        memo[state] = best
         return best
 
     t = releases[0]
-    ms = arrivals_at[t]
-    opt = value(t, ms)
+    opt = value(t, arrivals_at[t])
+    if k == 1:
+        opt -= sum(r for r, _, _ in jobs)
 
-    # follow the recorded actions; `alive` is ms with job ids, sorted the
-    # same way, so each class is a run of it and its lowest ids run first
+    # replay the search; `alive` holds (remaining, release, id) sorted, so
+    # each true class is a run of it and its lowest ids run first
     alive = jobs_at[t]
     slots = []  # (t, tuple of chosen jids sorted)
     completions = [None] * inst.n
-    while ms or t < releases[-1]:
-        if not ms:
+    while alive or t < releases[-1]:
+        if not alive:
             t = releases[bisect_right(releases, t)]
-            ms = arrivals_at[t]
             alive = jobs_at[t]
             continue
-        classes = classes_of(ms)
-        takes = _actions(classes, min(m, len(ms)))[memo[t, ms][1]]
-        _, ms = step(t, classes, takes)
+        classes = [
+            ((rem, tag(rel)), len(list(grp)))
+            for (rem, rel), grp in groupby(alive, key=lambda j: j[:2])
+        ]
+        _, takes = best_action(t, classes)
         ran = []
         nxt = list(jobs_at.get(t + 1, ()))
         i = 0

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from .core import Instance, make_instance
 
 MASK64 = (1 << 64) - 1
+# below() draws from one 64-bit output, so a range holds at most this many values
+MAX_SPAN = 1 << 64
 _STAR_MULT = 0x2545F4914F6CDD1D
 
 FAMILIES = ("uniform", "bursty", "starvation-stream", "heavy-tail-discrete")
@@ -61,6 +63,8 @@ class XorShift64Star:
         """Uniform integer in [0, n) by rejection of the biased tail."""
         if n <= 0:
             raise WorkloadError("below() needs a positive bound")
+        if n > MAX_SPAN:
+            raise WorkloadError("below() needs a bound of at most 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()
@@ -110,6 +114,9 @@ def validate_spec(spec: GenSpec) -> None:
         raise WorkloadError("size_range must be integers with 1 <= lo <= hi")
     if not _int_span(spec.release_range, 0):
         raise WorkloadError("release_range must be integers with 0 <= lo <= hi")
+    for name, (lo, hi) in (("size_range", spec.size_range), ("release_range", spec.release_range)):
+        if hi - lo >= MAX_SPAN:
+            raise WorkloadError("%s holds more than 2^64 values" % name)
 
 
 def generate(spec: GenSpec) -> Instance:

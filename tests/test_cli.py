@@ -400,12 +400,13 @@ class TestSweep:
             ({"size_range": [3, 1]}, {}, "size_range must be integers with 1 <= lo <= hi"),
             ({"size_range": "1:2"}, {}, "size_range must be integers with 1 <= lo <= hi"),
             ({"release_range": [0, True]}, {}, "release_range must be integers"),
+            ({"size_range": [1, 2**64 + 1]}, {}, "size_range holds more than 2^64 values"),
             ({}, {"machines": [True]}, "machines must be a non-empty list of integers"),
             ({}, {"k": [True]}, "k must be a non-empty list of integers"),
             ({}, {"seeds": True}, "seeds must be a count or a list of integers"),
             ({}, {"seeds": [0, False]}, "seeds must be a count or a list of integers"),
         ],
-        ids=["n-2.5", "n-true", "size-reversed", "size-string", "release-true",
+        ids=["n-2.5", "n-true", "size-reversed", "size-string", "release-true", "size-over-64-bits",
              "machines-true", "k-true", "seeds-true", "seed-false"],
     )
     def test_malformed_entry(self, tmp_path, capsys, monkeypatch, threads, family, top, message):
@@ -539,6 +540,14 @@ class TestGen:
 
         inst = parse_instance(out.read_text())
         assert inst.n == 8
+
+    def test_range_over_64_bits(self, capsys):
+        rc = main(["gen", "--family", "uniform", "--n", "1",
+                   "--size-range", "1:99999999999999999999", "--seed", "0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: cannot generate: size_range holds more than 2^64 values\n"
+        )
 
     def test_unknown_family(self, capsys):
         # family is an argparse choice, so this is a usage error

@@ -1,5 +1,7 @@
 """Brute-force reference scheduler: exactness, determinism, corroboration."""
 
+import json
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -13,13 +15,15 @@ from srptlab import (
     make_instance,
     objectives,
     simulate_srpt,
+    trace_from_json,
     trace_to_json,
     validate_trace,
 )
-from srptlab.oracle import single_machine_relaxation_lb
+from srptlab.oracle import _actions, single_machine_relaxation_lb
 from srptlab.rationals import rat
+from srptlab.workload import GenSpec, generate
 
-from helpers import random_integer_instance
+from helpers import random_integer_instance, rebuild_remaining
 
 DATA = Path(__file__).parent / "data"
 
@@ -38,12 +42,76 @@ GOLDEN_ORACLE = {
     ),
 }
 
+GOLDEN_FAMILIES = ("uniform", "bursty", "heavy-tail-discrete")
+
+
+def golden_specs():
+    """The seeded instances of oracle_golden.json: small sizes and releases,
+    so alive jobs often tie on remaining work with different releases."""
+    return [
+        GenSpec(family, 3 + seed, m, (1, 4), (0, 4), seed)
+        for family in GOLDEN_FAMILIES
+        for m in (1, 2, 3)
+        for seed in range(6)
+    ]
+
+
+def golden_row(spec, k):
+    res = brute_force_opt(generate(spec), k=k)
+    return {
+        "family": spec.family,
+        "seed": spec.seed,
+        "m": spec.machines,
+        "k": k,
+        "objective": str(res.objective),
+        "trace": trace_to_json(res.trace),
+    }
+
+
+def golden_rows(family, m):
+    return [
+        golden_row(spec, k)
+        for spec in golden_specs()
+        if (spec.family, spec.machines) == (family, m)
+        for k in (1, 2, 3)
+    ]
+
+
+def has_release_tie(trace):
+    """Whether at some integer time two alive jobs have equal remaining work
+    and different releases."""
+    for t in range(int(max(trace.completions))):
+        seen = {}
+        for job in trace.instance.jobs:
+            if job.release <= t < trace.completions[job.id]:
+                seen.setdefault(rebuild_remaining(trace, job.id, t), set()).add(job.release)
+        if any(len(rels) > 1 for rels in seen.values()):
+            return True
+    return False
+
 
 class TestBruteForce:
     def test_two_jobs_either_order(self):
         inst = make_instance([(0, 0, 2), (1, 1, 1)], machines=1)
         res = brute_force_opt(inst, k=1)
         assert res.objective == 4
+
+    @pytest.mark.parametrize(
+        "k,objective,completions,segments",
+        [
+            # both orders tie at 4; the first take-vector runs the later release
+            (1, 4, (3, 2), [(0, 1, 0), (1, 2, 1), (2, 3, 0)]),
+            (2, 8, (2, 3), [(0, 2, 0), (2, 3, 1)]),
+            (3, 16, (2, 3), [(0, 2, 0), (2, 3, 1)]),
+        ],
+    )
+    def test_equal_remaining_different_releases(self, k, objective, completions, segments):
+        # at t = 1 both jobs have one unit left; job 0 was released at 0, job 1 at 1
+        inst = make_instance([(0, 0, 2), (1, 1, 1)], machines=1)
+        res = brute_force_opt(inst, k=k)
+        assert res.objective == objective
+        assert res.trace.completions == completions
+        assert [(s.start, s.end, s.assignment[0]) for s in res.trace.segments] == segments
 
     def test_three_equal_jobs_two_machines(self):
         inst = make_instance([(0, 0, 2), (1, 0, 2), (2, 0, 2)], machines=2)
@@ -95,6 +163,19 @@ class TestBruteForce:
             doc[str(k)] = dict(trace_to_json(res.trace), objective=str(res.objective))
         assert dump_json(doc) == (DATA / (stem + ".json")).read_text()
 
+    @pytest.mark.parametrize("family,m", list(product(GOLDEN_FAMILIES, (1, 2, 3))))
+    def test_golden_searches(self, family, m):
+        golden = json.loads((DATA / "oracle_golden.json").read_text())
+        expected = [r for r in golden if (r["family"], r["m"]) == (family, m)]
+        assert golden_rows(family, m) == expected
+
+    def test_golden_searches_cover_release_ties(self):
+        # the file pins the tie-break between equal-remaining jobs of
+        # different releases, which the k = 1 search key does not tell apart
+        golden = json.loads((DATA / "oracle_golden.json").read_text())
+        tied = [r for r in golden if r["k"] == 1 and has_release_tie(trace_from_json(r["trace"]))]
+        assert len(tied) >= 20
+
     def test_rejects_non_integral(self):
         inst = make_instance([(0, 0, rat("3/2"))], machines=1)
         with pytest.raises(OracleError, match="non-integral data: job 0"):
@@ -119,6 +200,24 @@ class TestBruteForce:
         inst = make_instance([(0, 0, 1)], machines=1)
         with pytest.raises(OracleError, match="k must be an integer >= 1"):
             brute_force_opt(inst, k=0)
+
+
+def compositions(total):
+    """Tuples of positive counts summing to `total`."""
+    if total == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, total + 1) for rest in compositions(total - first)]
+
+
+class TestActions:
+    @pytest.mark.parametrize("total", range(1, 9))
+    def test_matches_product_reference(self, total):
+        for counts in compositions(total):
+            for q in range(4):
+                reference = sorted(
+                    {t for t in product(*(range(c + 1) for c in counts)) if sum(t) == q}
+                )
+                assert list(_actions(counts, q)) == reference, (counts, q)
 
 
 class TestRelaxationBound:
@@ -149,3 +248,11 @@ class TestSingleMachineExactness:
         opt = brute_force_opt(inst, k=1).objective
         srpt = objectives(simulate_srpt(inst, UNIT_SPEED)).total_flow
         assert opt == srpt
+
+
+if __name__ == "__main__":
+    # regenerate the golden file: PYTHONPATH=src python tests/test_oracle.py
+    rows = [row for family, m in product(GOLDEN_FAMILIES, (1, 2, 3)) for row in golden_rows(family, m)]
+    (DATA / "oracle_golden.json").write_text(
+        "[\n" + ",\n".join(json.dumps(row, sort_keys=True) for row in rows) + "\n]\n"
+    )

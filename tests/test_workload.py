@@ -46,6 +46,13 @@ class TestPrng:
         with pytest.raises(WorkloadError, match="positive bound"):
             XorShift64Star(1).below(0)
 
+    def test_below_bound_limit(self):
+        # a bound of 2^64 takes one output as it is; a larger one is refused
+        # rather than rejecting every draw
+        assert XorShift64Star(5).below(2**64) == XorShift64Star(5).next_u64()
+        with pytest.raises(WorkloadError, match="at most 2\\^64"):
+            XorShift64Star(5).below(2**64 + 1)
+
     def test_randint_inclusive(self):
         rng = XorShift64Star(9)
         draws = {rng.randint(3, 5) for _ in range(100)}
@@ -164,3 +171,10 @@ class TestSpecValidation:
     def test_bad_release_range(self):
         with pytest.raises(WorkloadError, match="release_range"):
             generate(spec_for("uniform", releases=(-1, 3)))
+
+    def test_range_over_64_bits(self):
+        assert generate(spec_for("uniform", sizes=(1, 2**64), releases=(0, 2**64 - 1))).n
+        with pytest.raises(WorkloadError, match="size_range holds more than 2\\^64 values"):
+            generate(spec_for("uniform", sizes=(1, 2**64 + 1)))
+        with pytest.raises(WorkloadError, match="release_range holds more than 2\\^64 values"):
+            generate(spec_for("bursty", releases=(0, 2**64)))
