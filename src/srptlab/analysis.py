@@ -20,6 +20,7 @@ Between two consecutive event times every queried quantity is linear in t.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .core import ExecutionTrace, FlowSummary, flow_power, validate_trace
@@ -33,43 +34,85 @@ class AnalysisError(ValueError):
 # --------------------------------------------------------------------------
 # trace indexing
 
+def _ids_at(times: dict) -> dict:
+    """time -> the job ids at that time, from job id -> time."""
+    out = {}
+    for jid, t in times.items():
+        out.setdefault(t, []).append(jid)
+    return out
+
+
 class _TraceIndex:
-    """Per-trace query cache: service intervals per job, exact remaining volume."""
+    """Per-trace query cache. Each job's service is kept as maximal
+    intervals (sorted starts and ends); its remaining volume is a line in t
+    inside one and a constant after one, so a remaining volume is one
+    bisection. The alive set is precomputed once per release or completion
+    time."""
 
     def __init__(self, trace: ExecutionTrace):
         self.speed = trace.speed.speed
         self.release = {j.id: j.release for j in trace.instance.jobs}
         self.size = {j.id: j.size for j in trace.instance.jobs}
         self.completion = {jid: c for jid, c in enumerate(trace.completions)}
-        ivs = {jid: [] for jid in self.release}
+        self.starts = {jid: [] for jid in self.release}
+        self.ends = {jid: [] for jid in self.release}
         for seg in trace.segments:
             for jid in seg.assignment:
-                if jid is not None:
-                    ivs[jid].append((seg.start, seg.end))
-        self.intervals = ivs
+                if jid is None:
+                    continue
+                ends = self.ends[jid]
+                if ends and ends[-1] == seg.start:  # service runs on: one interval
+                    ends[-1] = seg.end
+                else:
+                    self.starts[jid].append(seg.start)
+                    ends.append(seg.end)
+        # inside interval q a job's remaining volume is line[q] - speed * t,
+        # after it left[q]
+        self.line = {}
+        self.left = {}
+        for jid, starts in self.starts.items():
+            rem = self.size[jid]
+            self.line[jid] = line = []
+            self.left[jid] = left = []
+            for a, b in zip(starts, self.ends[jid]):
+                line.append(rem + self.speed * a)
+                rem -= self.speed * (b - a)
+                left.append(rem)
+        # membership changes only at a release or a completion, so the
+        # alive set at breakpoint p holds on [breakpoints[p], next one)
+        released = _ids_at(self.release)
+        finished = _ids_at(self.completion)
+        self.breakpoints = sorted(set(released) | set(finished))
+        alive = frozenset()
+        self.alive_sets = [alive]  # before the first breakpoint
+        for t in self.breakpoints:
+            alive = (alive - frozenset(finished.get(t, ()))) | frozenset(
+                j for j in released.get(t, ()) if self.completion[j] > t
+            )
+            self.alive_sets.append(alive)
 
     def remaining(self, jid: int, t) -> Rational:
         if t <= self.release[jid]:
             return self.size[jid]
         if t >= self.completion[jid]:
             return ZERO
-        service = ZERO
-        for a, b in self.intervals[jid]:
-            if t <= a:
-                break
-            service += (b if b < t else t) - a
-        return self.size[jid] - self.speed * service
+        pos = bisect_left(self.starts[jid], t)  # intervals starting before t
+        if pos == 0:
+            return self.size[jid]
+        if t < self.ends[jid][pos - 1]:
+            return self.line[jid][pos - 1] - self.speed * t
+        return self.left[jid][pos - 1]
 
     def alive(self, t) -> frozenset:
-        return frozenset(
-            j for j, r in self.release.items() if r <= t < self.completion[j]
-        )
+        """Jobs with release <= t < completion; the same object for every t
+        between two breakpoints."""
+        return self.alive_sets[bisect_right(self.breakpoints, t)]
 
 
 @dataclass(frozen=True)
 class _StateEval:
-    rem_alg: dict  # jid -> remaining in the fast schedule (0 if not alive)
-    rem_ref: dict  # jid -> remaining in the reference (0 if not alive)
+    rem_alg: dict  # jid in alive_alg -> remaining in the fast schedule
+    rem_ref: dict  # jid in alive_ref -> remaining in the reference
     ahead_alg: dict  # jid -> remaining fast volume on jobs finishing by jid
     ahead_ref_small: dict  # jid -> remaining reference volume on no-larger such jobs
 
@@ -93,33 +136,45 @@ class PairContext:
         self.idx_ref = _TraceIndex(ref_trace)
         # total order on the fast schedule's completions: (time, id)
         order = sorted((c, jid) for jid, c in enumerate(srpt_trace.completions))
-        self.finish_rank = {jid: pos for pos, (_, jid) in enumerate(order)}
+        self.by_rank = [jid for _, jid in order]
+        self.finish_rank = {jid: pos for pos, jid in enumerate(self.by_rank)}
+        # sizes as integers in size order, equal sizes sharing one
+        size = self.idx_alg.size
+        rank_of = {p: r for r, p in enumerate(sorted(set(size.values())))}
+        self.size_rank = {jid: rank_of[p] for jid, p in size.items()}
         self._states = {}
 
     def state(self, t, alive_alg: frozenset, alive_ref: frozenset) -> _StateEval:
+        """Remaining volumes at t of the given alive sets (any subsets of the
+        jobs, not only the alive sets at t) and, for every job i, the fast
+        volume on alive jobs the fast schedule finishes no later than i, and
+        the reference volume on alive reference jobs that it finishes no
+        later than i and that are no larger than i. One pass in finish
+        order: the first is a running sum; for the second, reference jobs go
+        into a list sorted by size rank whose prefix sums are updated from
+        the insertion point."""
         key = (t, alive_alg, alive_ref)
         hit = self._states.get(key)
         if hit is not None:
             return hit
         rem_alg = {j: self.idx_alg.remaining(j, t) for j in alive_alg}
         rem_ref = {j: self.idx_ref.remaining(j, t) for j in alive_ref}
-        rank = self.finish_rank
-        size = self.idx_alg.size
+        size_rank = self.size_rank
         ahead_alg = {}
         ahead_ref_small = {}
-        for i in rank:
-            ri = rank[i]
-            si = size[i]
-            acc = ZERO
-            for j in alive_alg:
-                if rank[j] <= ri:
-                    acc += rem_alg[j]
+        acc = ZERO
+        keys = []  # size ranks of the reference jobs passed so far, sorted
+        sums = [ZERO]  # sums[q]: their remaining volume over keys[:q]
+        for i in self.by_rank:
+            if i in rem_alg:
+                acc += rem_alg[i]
             ahead_alg[i] = acc
-            acc = ZERO
-            for j in alive_ref:
-                if rank[j] <= ri and size[j] <= si:
-                    acc += rem_ref[j]
-            ahead_ref_small[i] = acc
+            if i in rem_ref:
+                pos = bisect_right(keys, size_rank[i])
+                keys.insert(pos, size_rank[i])
+                v = rem_ref[i]
+                sums[pos + 1:] = [sums[pos] + v] + [x + v for x in sums[pos + 1:]]
+            ahead_ref_small[i] = sums[bisect_right(keys, size_rank[i])]
         out = _StateEval(rem_alg, rem_ref, ahead_alg, ahead_ref_small)
         self._states[key] = out
         return out
@@ -203,7 +258,7 @@ def _rec_le(time, label, delta, bound, in_aggregate=True) -> CheckRecord:
 
 
 def _rec_eq(time, label, delta) -> CheckRecord:
-    slack = -abs(delta)
+    slack = -abs(delta) if delta else ZERO
     return CheckRecord(time, label, delta, ZERO, slack, delta == 0, True)
 
 
@@ -226,7 +281,7 @@ class PotentialReport:
 
 def _mk_report(condition: str, records) -> PotentialReport:
     records = tuple(records)
-    aggregate = sum((r.delta for r in records if r.in_aggregate), ZERO)
+    aggregate = sum((r.delta for r in records if r.in_aggregate and r.delta), ZERO)
     slacks = [r.slack for r in records if r.slack is not None]
     return PotentialReport(
         condition=condition,
@@ -290,37 +345,52 @@ def report_to_json(report: PotentialReport, params: dict | None = None) -> dict:
 # backlog bound (holds against every feasible unit-speed reference)
 
 def check_backlog_bound(ctx: PairContext) -> PotentialReport:
-    """At every merged event time and segment midpoint t >= release(i):
-    fast backlog ahead of i minus the reference's small-job backlog ahead of i
-    never exceeds machines * size(i); and the fast backlog equals its own
+    """At every merged event time and every midpoint between two of them,
+    for each job i with release(i) <= t: the fast backlog ahead of i (on
+    alive jobs the fast schedule finishes no later than i) minus the
+    reference's backlog on the no-larger of those jobs never exceeds
+    machines * size(i); and the fast backlog ahead of i equals its own
     restriction to jobs with remaining volume <= size(i)."""
-    m = ctx.machines
     size = ctx.idx_alg.size
+    release = ctx.idx_alg.release
     rank = ctx.finish_rank
+    bound = {i: ctx.machines * p for i, p in size.items()}
+    by_release = sorted(size, key=lambda j: (release[j], j))
+    released = []  # ids released by t, ascending
+    nxt = 0
     records = []
     for t in _check_grid(ctx):
+        while nxt < len(by_release) and release[by_release[nxt]] <= t:
+            insort(released, by_release[nxt])
+            nxt += 1
         alive_alg = ctx.idx_alg.alive(t)
-        alive_ref = ctx.idx_ref.alive(t)
-        st = ctx.state(t, alive_alg, alive_ref)
-        for i in sorted(rank):
-            if ctx.idx_alg.release[i] > t:
-                continue
+        st = ctx.state(t, alive_alg, ctx.idx_ref.alive(t))
+        # largest fast remaining volume ahead of each job: when it is at most
+        # size(i), the restriction is the whole backlog and the identity holds
+        top = {}
+        most = ZERO
+        for j in ctx.by_rank:
+            if j in st.rem_alg and st.rem_alg[j] > most:
+                most = st.rem_alg[j]
+            top[j] = most
+        for i in released:
             records.append(
                 _rec_le(
                     t,
                     "backlog gap job %d" % i,
                     st.ahead_alg[i] - st.ahead_ref_small[i],
-                    m * size[i],
+                    bound[i],
                 )
             )
-            small = ZERO
-            ri = rank[i]
-            for j in alive_alg:
-                if rank[j] <= ri and st.rem_alg[j] <= size[i]:
-                    small += st.rem_alg[j]
-            records.append(
-                _rec_eq(t, "small-volume identity job %d" % i, small - st.ahead_alg[i])
-            )
+            if top[i] <= size[i]:
+                delta = ZERO
+            else:
+                small = ZERO
+                for j in alive_alg:
+                    if rank[j] <= rank[i] and st.rem_alg[j] <= size[i]:
+                        small += st.rem_alg[j]
+                delta = small - st.ahead_alg[i]
+            records.append(_rec_eq(t, "small-volume identity job %d" % i, delta))
     return _mk_report("backlog-bound", records)
 
 
@@ -448,14 +518,6 @@ def check_power_flow_conditions(ctx: PairContext, k: int | None = None) -> Condi
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
     return _condition_walk(ctx, power=True, k=k)
-
-
-def _ids_at(times: dict) -> dict:
-    """time -> the job ids at that time, from job id -> time."""
-    out = {}
-    for jid, t in times.items():
-        out.setdefault(t, []).append(jid)
-    return out
 
 
 def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:

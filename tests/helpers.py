@@ -20,6 +20,7 @@ constant).  Hence per-quantum re-evaluation picks the same jobs.
 from fractions import Fraction
 
 from srptlab import ExecutionTrace, Segment, make_instance
+from srptlab.analysis import _StateEval
 from srptlab.workload import XorShift64Star
 
 
@@ -85,6 +86,43 @@ def rebuild_remaining(trace, jid, t):
         if hi > seg.start and jid in seg.assignment:
             rem -= (hi - seg.start) * trace.speed.speed
     return rem
+
+
+def alive_by_definition(trace, t):
+    """Jobs alive at t: released by t and not yet complete."""
+    return frozenset(
+        j.id for j in trace.instance.jobs if j.release <= t < trace.completions[j.id]
+    )
+
+
+def reference_state(ctx, t, alive_alg, alive_ref):
+    """PairContext.state computed straight from its definition, in
+    O(n * (|alive_alg| + |alive_ref|)) comparisons: for each job i, the fast
+    remaining volume of the alive jobs the fast schedule finishes no later
+    than i, and the reference remaining volume of the alive reference jobs
+    that also are no larger than i. Remaining volumes come from the raw
+    segments, finish order from sorting (completion, id)."""
+    rem_alg = {j: rebuild_remaining(ctx.srpt_trace, j, t) for j in alive_alg}
+    rem_ref = {j: rebuild_remaining(ctx.ref_trace, j, t) for j in alive_ref}
+    order = sorted((c, jid) for jid, c in enumerate(ctx.srpt_trace.completions))
+    rank = {jid: pos for pos, (_, jid) in enumerate(order)}
+    size = {j.id: j.size for j in ctx.instance.jobs}
+    ahead_alg = {}
+    ahead_ref_small = {}
+    for i in rank:
+        ri = rank[i]
+        si = size[i]
+        acc = Fraction(0)
+        for j in alive_alg:
+            if rank[j] <= ri:
+                acc += rem_alg[j]
+        ahead_alg[i] = acc
+        acc = Fraction(0)
+        for j in alive_ref:
+            if rank[j] <= ri and size[j] <= si:
+                acc += rem_ref[j]
+        ahead_ref_small[i] = acc
+    return _StateEval(rem_alg, rem_ref, ahead_alg, ahead_ref_small)
 
 
 def corrupted(trace):

@@ -5,10 +5,13 @@ Hand-derived values for the three-job running example (fast side at speed
 computed by replaying the schedules by hand before the module existed.
 """
 
+import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from srptlab import (
     AnalysisError,
@@ -34,6 +37,7 @@ from srptlab import (
     srpt_priority,
 )
 from srptlab.analysis import (
+    _TraceIndex,
     _check_grid,
     _mk_report,
     _rec_le,
@@ -46,7 +50,12 @@ from srptlab.analysis import (
 from srptlab.core import events_of
 from srptlab.rationals import rat
 
-from helpers import random_integer_instance
+from helpers import (
+    alive_by_definition,
+    random_integer_instance,
+    rebuild_remaining,
+    reference_state,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -126,6 +135,28 @@ class TestBacklogBound:
         report = check_backlog_bound(e1_ctx)
         idents = records_by_label(report, "small-volume identity")
         assert idents and all(r.passed and r.delta == 0 for r in idents)
+
+    def test_fifo_small_volume_identity_fails(self):
+        # m = 1; job 0 (r 0, p 4), job 1 (r 1, p 1). FIFO at 3/2 runs job 0
+        # on [0, 8/3] and job 1 on [8/3, 10/3]; unit SRPT runs job 0 on
+        # [0, 1], job 1 on [1, 2] and job 0 on [2, 5]. At t = 1 the fast
+        # backlog ahead of job 1 is 5/2 + 1, of which only job 1's 1 is at
+        # most size(1): the identity is off by -5/2, and the gap against
+        # the reference's 1 on job 1 is 5/2 > m * size(1) = 1. At t = 3/2
+        # job 0 has 7/4 left; from t = 2 on it has at most 1.
+        inst = make_instance([(0, 0, 4), (1, 1, 1)], machines=1)
+        fast = simulate_policy(inst, SpeedConfig.from_speed(rat("3/2")), fifo_priority)
+        ctx = make_context(fast, simulate_srpt(inst, UNIT_SPEED))
+        report = check_backlog_bound(ctx)
+        assert not report.verdict
+        ident = {r.time: r for r in records_by_label(report, "small-volume identity job 1")}
+        assert ident[1].delta == rat("-5/2") and not ident[1].passed
+        assert ident[rat("3/2")].delta == rat("-7/4") and not ident[rat("3/2")].passed
+        assert all(r.passed for t, r in ident.items() if t >= 2)
+        assert {t for t, r in ident.items() if not r.passed} == {1, rat("3/2")}
+        gap = [r for r in records_by_label(report, "backlog gap job 1") if r.time == 1][0]
+        assert (gap.delta, gap.bound, gap.passed) == (rat("5/2"), 1, False)
+        assert all(r.passed for r in records_by_label(report, "small-volume identity job 0"))
 
     @pytest.mark.parametrize("seed", range(15))
     def test_random_pairs_all_references(self, seed):
@@ -313,6 +344,114 @@ def test_potential_point_queries_golden():
     assert list(cases) == list(golden)
     for name, rows in cases.items():
         assert rows == golden[name], name
+
+
+def backlog_digest(report):
+    """SHA-256 over every record of a backlog report: time, label, delta,
+    bound and verdict, one line each."""
+    h = hashlib.sha256()
+    for r in report.records:
+        h.update(("%s|%s|%s|%s|%s\n" % (r.time, r.label, r.delta, r.bound, r.passed)).encode())
+    return h.hexdigest()
+
+
+def backlog_cases():
+    """Case name -> [record count, failed count, digest] of check_backlog_bound
+    for seeded uniform and heavy-tail-discrete instances (n = 10 at 3/2,
+    n = 7 at 5/4, m = 1-3) with SRPT, FIFO and LRPT fast traces against
+    unit SRPT and unit FIFO."""
+    cases = {}
+    for family in ("uniform", "heavy-tail-discrete"):
+        for m in (1, 2, 3):
+            for seed, n, speed in ((0, 10, "3/2"), (1, 7, "5/4")):
+                inst = generate(GenSpec(family, n, m, (1, 8), (0, 8), seed))
+                refs = {
+                    "srpt": simulate_srpt(inst, UNIT_SPEED),
+                    "fifo": simulate_policy(inst, UNIT_SPEED, fifo_priority),
+                }
+                for name, priority in POTENTIAL_POLICIES.items():
+                    fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
+                    for ref_name, ref in refs.items():
+                        report = check_backlog_bound(make_context(fast, ref))
+                        key = "%s m=%d seed=%d policy=%s speed=%s ref=%s" % (
+                            family, m, seed, name, speed, ref_name)
+                        cases[key] = [
+                            len(report.records),
+                            len(report.failures),
+                            backlog_digest(report),
+                        ]
+    return cases
+
+
+def test_backlog_records_golden():
+    """Every backlog record of backlog_cases() against
+    tests/data/backlog_digests.json."""
+    golden = json.loads((DATA / "backlog_digests.json").read_text())
+    cases = backlog_cases()
+    assert list(cases) == list(golden)
+    for name, row in cases.items():
+        assert row == golden[name], name
+    # the golden set holds failing identity records, not only passing ones
+    assert sum(row[1] for row in cases.values()) > 0
+
+
+_SIZES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2)])
+_RELEASES = st.integers(0, 6).map(lambda x: Fraction(x, 2))
+_SPEEDS = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
+
+
+@st.composite
+def trace_pairs(draw):
+    """A context over a small fractional instance (ties in size, release
+    and completion time are common) with an SRPT, FIFO or LRPT fast trace
+    against unit SRPT or FIFO."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 7))
+    inst = make_instance([(i, draw(_RELEASES), draw(_SIZES)) for i in range(n)], machines=m)
+    priority = draw(st.sampled_from(sorted(POTENTIAL_POLICIES)))
+    fast = simulate_policy(inst, SpeedConfig.from_speed(draw(_SPEEDS)), POTENTIAL_POLICIES[priority])
+    ref_priority = draw(st.sampled_from(["srpt", "fifo"]))
+    ref = simulate_policy(inst, UNIT_SPEED, POTENTIAL_POLICIES[ref_priority])
+    return make_context(fast, ref)
+
+
+def probe_times(trace):
+    """Every event and segment boundary of a trace, the midpoints between
+    consecutive ones, and a time before the first and after the last."""
+    times = set(trace.events)
+    for seg in trace.segments:
+        times.update((seg.start, seg.end))
+    times = sorted(times)
+    mids = [(a + b) / 2 for a, b in zip(times, times[1:])]
+    return sorted(set(times + mids + [times[0] - 1, times[-1] + 1]))
+
+
+class TestStateDefinition:
+    @given(ctx=trace_pairs(), data=st.data())
+    def test_state_matches_definition(self, ctx, data):
+        jobs = sorted(j.id for j in ctx.instance.jobs)
+        grid = _check_grid(ctx) + [_check_grid(ctx)[-1] + 1]
+        for t in grid:
+            alive_alg = ctx.idx_alg.alive(t)
+            alive_ref = ctx.idx_ref.alive(t)
+            assert ctx.state(t, alive_alg, alive_ref) == reference_state(
+                ctx, t, alive_alg, alive_ref)
+        # the walks pass pre-event and pre-arrival sets; any subset must do
+        for _ in range(4):
+            t = data.draw(st.sampled_from(grid) | st.fractions(-1, grid[-1] + 1, max_denominator=12))
+            alive_alg = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
+            alive_ref = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
+            assert ctx.state(t, alive_alg, alive_ref) == reference_state(
+                ctx, t, alive_alg, alive_ref)
+
+    @given(ctx=trace_pairs())
+    def test_remaining_and_alive_match_definition(self, ctx):
+        for trace in (ctx.srpt_trace, ctx.ref_trace):
+            idx = _TraceIndex(trace)
+            for t in probe_times(trace):
+                assert idx.alive(t) == alive_by_definition(trace, t), t
+                for j in trace.instance.jobs:
+                    assert remaining_at(trace, j.id, t) == rebuild_remaining(trace, j.id, t)
 
 
 class TestPowerConditions:
@@ -633,7 +772,9 @@ class TestReportExport:
 
 
 if __name__ == "__main__":
-    # regenerate the golden file: PYTHONPATH=src python tests/test_analysis.py
+    # regenerate the golden files: PYTHONPATH=src python tests/test_analysis.py
     rows = ["%s: [\n%s\n]" % (json.dumps(name), ",\n".join(json.dumps(row) for row in case))
             for name, case in potential_cases().items()]
     (DATA / "potential_queries.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    rows = ["%s: %s" % (json.dumps(name), json.dumps(row)) for name, row in backlog_cases().items()]
+    (DATA / "backlog_digests.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")
