@@ -1,8 +1,8 @@
 """Exact verification harness for flow-time guarantees of speed-augmented SRPT.
 
 Everything here compares a fast trace (machines of speed 1+eps running SRPT)
-against a unit-speed reference trace over the same instance, entirely in
-rational arithmetic. The checks mirror an amortized analysis:
+against a unit-speed reference trace over the same instance, exactly. The
+checks mirror an amortized analysis:
 
 * a backlog bound relating the fast schedule's unfinished volume to the
   reference's, holding at all times;
@@ -16,12 +16,27 @@ Conventions: at an event time, completions are applied before arrivals, ties
 in job-id order; a job is alive at t when release <= t < completion, so
 evaluation at event times is post-event.
 Between two consecutive event times every queried quantity is linear in t.
+
+Integer time base. Each context measures time in units of 1/L and volume in
+units of 1/V. L is twice the lcm of the denominators of every release, size,
+segment bound and completion in both traces, so every event time and every
+midpoint between two of them is an integer T = t * L. With the fast speed
+p/q in lowest terms, V = q * L: a job's remaining volume inside a service
+interval is line - p * T in the fast schedule and line - q * T in the
+reference, with line an integer, so every remaining volume at a grid time is
+an integer too (and an exact Fraction at any other T, with no division). The
+checks run on these integers. Fractions are built only for the fields of
+check records, report totals and the public point queries, which take and
+return times and volumes in their own units.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple
 
 from .core import ExecutionTrace, FlowSummary, flow_power, validate_trace
 from .rationals import Rational, ZERO, kth_root_str
@@ -42,31 +57,55 @@ def _ids_at(times: dict) -> dict:
     return out
 
 
-class _TraceIndex:
-    """Per-trace query cache. Each job's service is kept as maximal
-    intervals (sorted starts and ends); its remaining volume is a line in t
-    inside one and a constant after one, so a remaining volume is one
-    bisection. The alive set is precomputed once per release or completion
-    time."""
+def _time_unit(*traces) -> int:
+    """L: twice the lcm of the denominators of every release, size, segment
+    bound and completion of the traces, so that each of them and each
+    midpoint between two of them is a whole multiple of 1/L."""
+    dens = {1}
+    for trace in traces:
+        for j in trace.instance.jobs:
+            dens.add(j.release.denominator)
+            dens.add(j.size.denominator)
+        for seg in trace.segments:
+            dens.add(seg.start.denominator)
+            dens.add(seg.end.denominator)
+        dens.update(c.denominator for c in trace.completions)
+    return 2 * lcm(*dens)
 
-    def __init__(self, trace: ExecutionTrace):
-        self.speed = trace.speed.speed
-        self.release = {j.id: j.release for j in trace.instance.jobs}
-        self.size = {j.id: j.size for j in trace.instance.jobs}
-        self.completion = {jid: c for jid, c in enumerate(trace.completions)}
+
+def _scaled(x, unit: int) -> int:
+    """x * unit for a rational x whose denominator divides unit."""
+    return x.numerator * (unit // x.denominator)
+
+
+class _TraceIndex:
+    """Per-trace query cache in integer units: times in 1/L, volumes in 1/V.
+    Each job's service is kept as maximal intervals (sorted starts and ends);
+    its remaining volume is a line in T inside one and a constant after one,
+    so a remaining volume is one bisection. The alive set is precomputed once
+    per release or completion time."""
+
+    def __init__(self, trace: ExecutionTrace, L: int, V: int):
+        # volume served per time unit; an integer because V / L is the fast
+        # speed's denominator
+        self.rate = rate = int(trace.speed.speed * (V // L))
+        self.release = {j.id: _scaled(j.release, L) for j in trace.instance.jobs}
+        self.size = {j.id: _scaled(j.size, V) for j in trace.instance.jobs}
+        self.completion = {jid: _scaled(c, L) for jid, c in enumerate(trace.completions)}
         self.starts = {jid: [] for jid in self.release}
         self.ends = {jid: [] for jid in self.release}
         for seg in trace.segments:
+            start, end = _scaled(seg.start, L), _scaled(seg.end, L)
             for jid in seg.assignment:
                 if jid is None:
                     continue
                 ends = self.ends[jid]
-                if ends and ends[-1] == seg.start:  # service runs on: one interval
-                    ends[-1] = seg.end
+                if ends and ends[-1] == start:  # service runs on: one interval
+                    ends[-1] = end
                 else:
-                    self.starts[jid].append(seg.start)
-                    ends.append(seg.end)
-        # inside interval q a job's remaining volume is line[q] - speed * t,
+                    self.starts[jid].append(start)
+                    ends.append(end)
+        # inside interval q a job's remaining volume is line[q] - rate * T,
         # after it left[q]
         self.line = {}
         self.left = {}
@@ -75,8 +114,8 @@ class _TraceIndex:
             self.line[jid] = line = []
             self.left[jid] = left = []
             for a, b in zip(starts, self.ends[jid]):
-                line.append(rem + self.speed * a)
-                rem -= self.speed * (b - a)
+                line.append(rem + rate * a)
+                rem -= rate * (b - a)
                 left.append(rem)
         # membership changes only at a release or a completion, so the
         # alive set at breakpoint p holds on [breakpoints[p], next one)
@@ -91,26 +130,30 @@ class _TraceIndex:
             )
             self.alive_sets.append(alive)
 
-    def remaining(self, jid: int, t) -> Rational:
-        if t <= self.release[jid]:
+    def remaining(self, jid: int, T):
+        """Remaining volume at scaled time T: an int at an integer T, an
+        exact Fraction at a Fraction T."""
+        if T <= self.release[jid]:
             return self.size[jid]
-        if t >= self.completion[jid]:
-            return ZERO
-        pos = bisect_left(self.starts[jid], t)  # intervals starting before t
+        if T >= self.completion[jid]:
+            return 0
+        pos = bisect_left(self.starts[jid], T)  # intervals starting before T
         if pos == 0:
             return self.size[jid]
-        if t < self.ends[jid][pos - 1]:
-            return self.line[jid][pos - 1] - self.speed * t
+        if T < self.ends[jid][pos - 1]:
+            return self.line[jid][pos - 1] - self.rate * T
         return self.left[jid][pos - 1]
 
-    def alive(self, t) -> frozenset:
-        """Jobs with release <= t < completion; the same object for every t
+    def alive(self, T) -> frozenset:
+        """Jobs with release <= T < completion; the same object for every T
         between two breakpoints."""
-        return self.alive_sets[bisect_right(self.breakpoints, t)]
+        return self.alive_sets[bisect_right(self.breakpoints, T)]
 
 
 @dataclass(frozen=True)
 class _StateEval:
+    """Volumes in units of 1/V."""
+
     rem_alg: dict  # jid in alive_alg -> remaining in the fast schedule
     rem_ref: dict  # jid in alive_ref -> remaining in the reference
     ahead_alg: dict  # jid -> remaining fast volume on jobs finishing by jid
@@ -122,7 +165,8 @@ class PairContext:
 
     epsilon is taken from the fast trace's speed config; it may be 0 for
     backlog-only comparisons, while the potential checks demand eps > 0 and
-    the power checks demand 0 < eps <= 1/2.
+    the power checks demand 0 < eps <= 1/2. L and V are the context's time
+    and volume units (see the module docstring), p / q its fast speed.
     """
 
     def __init__(self, srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int = 1):
@@ -132,8 +176,12 @@ class PairContext:
         self.k = k
         self.instance = srpt_trace.instance
         self.machines = srpt_trace.instance.machines
-        self.idx_alg = _TraceIndex(srpt_trace)
-        self.idx_ref = _TraceIndex(ref_trace)
+        speed = srpt_trace.speed.speed
+        self.p, self.q = speed.numerator, speed.denominator
+        self.L = _time_unit(srpt_trace, ref_trace)
+        self.V = self.q * self.L
+        self.idx_alg = _TraceIndex(srpt_trace, self.L, self.V)
+        self.idx_ref = _TraceIndex(ref_trace, self.L, self.V)
         # total order on the fast schedule's completions: (time, id)
         order = sorted((c, jid) for jid, c in enumerate(srpt_trace.completions))
         self.by_rank = [jid for _, jid in order]
@@ -144,27 +192,27 @@ class PairContext:
         self.size_rank = {jid: rank_of[p] for jid, p in size.items()}
         self._states = {}
 
-    def state(self, t, alive_alg: frozenset, alive_ref: frozenset) -> _StateEval:
-        """Remaining volumes at t of the given alive sets (any subsets of the
-        jobs, not only the alive sets at t) and, for every job i, the fast
-        volume on alive jobs the fast schedule finishes no later than i, and
-        the reference volume on alive reference jobs that it finishes no
-        later than i and that are no larger than i. One pass in finish
-        order: the first is a running sum; for the second, reference jobs go
-        into a list sorted by size rank whose prefix sums are updated from
-        the insertion point."""
-        key = (t, alive_alg, alive_ref)
+    def state(self, T, alive_alg: frozenset, alive_ref: frozenset) -> _StateEval:
+        """Remaining volumes at scaled time T of the given alive sets (any
+        subsets of the jobs, not only the alive sets at T) and, for every job
+        i, the fast volume on alive jobs the fast schedule finishes no later
+        than i, and the reference volume on alive reference jobs that it
+        finishes no later than i and that are no larger than i, all in units
+        of 1/V. One pass in finish order: the first is a running sum; for the
+        second, reference jobs go into a list sorted by size rank whose prefix
+        sums are updated from the insertion point."""
+        key = (T, alive_alg, alive_ref)
         hit = self._states.get(key)
         if hit is not None:
             return hit
-        rem_alg = {j: self.idx_alg.remaining(j, t) for j in alive_alg}
-        rem_ref = {j: self.idx_ref.remaining(j, t) for j in alive_ref}
+        rem_alg = {j: self.idx_alg.remaining(j, T) for j in alive_alg}
+        rem_ref = {j: self.idx_ref.remaining(j, T) for j in alive_ref}
         size_rank = self.size_rank
         ahead_alg = {}
         ahead_ref_small = {}
-        acc = ZERO
+        acc = 0
         keys = []  # size ranks of the reference jobs passed so far, sorted
-        sums = [ZERO]  # sums[q]: their remaining volume over keys[:q]
+        sums = [0]  # sums[q]: their remaining volume over keys[:q]
         for i in self.by_rank:
             if i in rem_alg:
                 acc += rem_alg[i]
@@ -202,21 +250,26 @@ def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int =
 def remaining_at(trace: ExecutionTrace, jid: int, t) -> Rational:
     """Remaining volume of one job at time t: full size before release, 0 after
     completion, exactly interpolated through its service intervals between."""
-    return _TraceIndex(trace).remaining(jid, t)
+    L = _time_unit(trace)
+    V = trace.speed.speed.denominator * L
+    return Rational(_TraceIndex(trace, L, V).remaining(jid, t * L), V)
+
+
+def _state_at(ctx: PairContext, t) -> _StateEval:
+    T = t * ctx.L
+    return ctx.state(T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T))
 
 
 def alg_backlog(ctx: PairContext, jid: int, t) -> Rational:
     """Remaining fast-schedule volume, at t, of jobs the fast schedule
     finishes no later than job jid (jid included while alive)."""
-    st = ctx.state(t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t))
-    return st.ahead_alg[jid]
+    return Rational(_state_at(ctx, t).ahead_alg[jid], ctx.V)
 
 
 def ref_backlog_smaller(ctx: PairContext, jid: int, t) -> Rational:
     """Remaining reference volume, at t, of jobs no larger than jid that the
     fast schedule finishes no later than jid."""
-    st = ctx.state(t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t))
-    return st.ahead_ref_small[jid]
+    return Rational(_state_at(ctx, t).ahead_ref_small[jid], ctx.V)
 
 
 def objectives(trace: ExecutionTrace, ks=(1, 2, 3)) -> FlowSummary:
@@ -241,8 +294,7 @@ def objectives(trace: ExecutionTrace, ks=(1, 2, 3)) -> FlowSummary:
 # --------------------------------------------------------------------------
 # check records and reports
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     time: Rational | None
     label: str
     delta: Rational
@@ -266,11 +318,23 @@ def _rec_info(time, label, delta) -> CheckRecord:
     return CheckRecord(time, label, delta, None, None, True, True)
 
 
+def _in_units(unit: int):
+    """x -> Rational(x, unit), building each distinct value once."""
+    cache = {}
+
+    def real(x):
+        out = cache.get(x)
+        if out is None:
+            out = cache[x] = Rational(x, unit)
+        return out
+
+    return real
+
+
 @dataclass(frozen=True)
 class PotentialReport:
     condition: str
     records: tuple
-    aggregate: Rational
     worst_slack: Rational | None
     verdict: bool
 
@@ -278,15 +342,18 @@ class PotentialReport:
     def failures(self):
         return tuple(r for r in self.records if not r.passed)
 
+    @cached_property
+    def aggregate(self) -> Rational:
+        """Sum of the deltas of the records in the aggregate, on first read."""
+        return sum((r.delta for r in self.records if r.in_aggregate and r.delta), ZERO)
+
 
 def _mk_report(condition: str, records) -> PotentialReport:
     records = tuple(records)
-    aggregate = sum((r.delta for r in records if r.in_aggregate and r.delta), ZERO)
     slacks = [r.slack for r in records if r.slack is not None]
     return PotentialReport(
         condition=condition,
         records=records,
-        aggregate=aggregate,
         worst_slack=min(slacks) if slacks else None,
         verdict=all(r.passed for r in records),
     )
@@ -354,59 +421,66 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     size = ctx.idx_alg.size
     release = ctx.idx_alg.release
     rank = ctx.finish_rank
-    bound = {i: ctx.machines * p for i, p in size.items()}
+    real = _in_units(ctx.V)
+    bound = {j.id: ctx.machines * j.size for j in ctx.instance.jobs}
+    bound_v = {i: ctx.machines * p for i, p in size.items()}
+    gap_label = {i: "backlog gap job %d" % i for i in size}
+    identity_label = {i: "small-volume identity job %d" % i for i in size}
     by_release = sorted(size, key=lambda j: (release[j], j))
-    released = []  # ids released by t, ascending
+    released = []  # ids released by T, ascending
     nxt = 0
     records = []
-    for t in _check_grid(ctx):
-        while nxt < len(by_release) and release[by_release[nxt]] <= t:
+    worst = 0  # each identity record's slack is at most 0
+    for T in _check_grid(ctx):
+        t = Rational(T, ctx.L)
+        while nxt < len(by_release) and release[by_release[nxt]] <= T:
             insort(released, by_release[nxt])
             nxt += 1
-        alive_alg = ctx.idx_alg.alive(t)
-        st = ctx.state(t, alive_alg, ctx.idx_ref.alive(t))
+        alive_alg = ctx.idx_alg.alive(T)
+        st = ctx.state(T, alive_alg, ctx.idx_ref.alive(T))
         # largest fast remaining volume ahead of each job: when it is at most
         # size(i), the restriction is the whole backlog and the identity holds
         top = {}
-        most = ZERO
+        most = 0
         for j in ctx.by_rank:
             if j in st.rem_alg and st.rem_alg[j] > most:
                 most = st.rem_alg[j]
             top[j] = most
         for i in released:
-            records.append(
-                _rec_le(
-                    t,
-                    "backlog gap job %d" % i,
-                    st.ahead_alg[i] - st.ahead_ref_small[i],
-                    bound[i],
-                )
-            )
+            gap = st.ahead_alg[i] - st.ahead_ref_small[i]
+            slack = bound_v[i] - gap
+            records.append(CheckRecord(t, gap_label[i], real(gap), bound[i], real(slack), slack >= 0))
+            if slack < worst:
+                worst = slack
             if top[i] <= size[i]:
-                delta = ZERO
-            else:
-                small = ZERO
-                for j in alive_alg:
-                    if rank[j] <= rank[i] and st.rem_alg[j] <= size[i]:
-                        small += st.rem_alg[j]
-                delta = small - st.ahead_alg[i]
-            records.append(_rec_eq(t, "small-volume identity job %d" % i, delta))
-    return _mk_report("backlog-bound", records)
+                records.append(CheckRecord(t, identity_label[i], ZERO, ZERO, ZERO, True))
+                continue
+            small = 0
+            for j in alive_alg:
+                if rank[j] <= rank[i] and st.rem_alg[j] <= size[i]:
+                    small += st.rem_alg[j]
+            delta = small - st.ahead_alg[i]
+            slack = -abs(delta)
+            records.append(CheckRecord(t, identity_label[i], real(delta), ZERO, real(slack), slack == 0))
+            if slack < worst:
+                worst = slack
+    # the report of _mk_report, with the worst slack taken on the integers
+    return PotentialReport("backlog-bound", tuple(records), real(worst) if records else None, worst >= 0)
 
 
 def _boundaries(ctx: PairContext):
-    times = {ZERO}
-    times.update(ctx.srpt_trace.events)
-    times.update(ctx.ref_trace.events)
+    """0 and every event time of both traces, in time units."""
+    times = {0}
+    for trace in (ctx.srpt_trace, ctx.ref_trace):
+        times.update(_scaled(t, ctx.L) for t in trace.events)
     return sorted(times)
 
 
 def _check_grid(ctx: PairContext):
+    """The boundaries and the midpoints between them, in time units (every
+    boundary is even, so every midpoint is an integer)."""
     bounds = _boundaries(ctx)
-    grid = list(bounds)
-    for a, b in zip(bounds, bounds[1:]):
-        grid.append((a + b) / 2)
-    return sorted(grid)
+    return sorted(bounds + [(a + b) // 2 for a, b in zip(bounds, bounds[1:])])
 
 
 # --------------------------------------------------------------------------
@@ -439,14 +513,16 @@ def flow_potential(ctx: PairContext, t) -> Rational:
     """Queue-wide potential for the total-flow analysis, evaluated post-event
     at event times: the sum of the alive jobs' backlog gaps over m*eps."""
     _require_eps_positive(ctx)
-    return _potential(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t), False, 1)
+    T = t * ctx.L
+    return _potential(ctx, T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T), False, 1)
 
 
 def power_flow_potential(ctx: PairContext, t, k: int | None = None) -> Rational:
     """Queue-wide potential for the k-th power flow analysis (0 < eps <= 1/2)."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
-    return _potential(ctx, t, ctx.idx_alg.alive(t), ctx.idx_ref.alive(t), True, k)
+    T = t * ctx.L
+    return _potential(ctx, T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T), True, k)
 
 
 def _require_eps_positive(ctx):
@@ -461,49 +537,53 @@ def _require_eps_power(ctx, k):
         raise AnalysisError("epsilon out of theorem range (need 0 < eps <= 1/2)")
 
 
-def _clamped_age(ctx, st, t, i) -> Rational:
+def _clamped_age(ctx, st, T, i):
     """Age of job i plus its backlog gap over m*eps, the quantity whose clamp
-    at zero drives the power potential. The gap is the fast volume ahead of
-    i, plus m times i's own remaining volume, minus the reference's
-    small-job volume ahead of i. Linear in t between events."""
+    at zero drives the power potential, in units of 1/(L * m * (p - q)). The
+    gap is the fast volume ahead of i, plus m times i's own remaining volume,
+    minus the reference's small-job volume ahead of i. Linear in T between
+    events."""
     m = ctx.machines
     gap = st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
-    return (t - ctx.idx_alg.release[i]) + gap / (m * ctx.epsilon)
+    return (T - ctx.idx_alg.release[i]) * m * (ctx.p - ctx.q) + gap
 
 
-def _walk_term(eps, power: bool, k: int):
-    """(term, rise) of a potential walk. Objective plus potential is the sum,
-    over alive jobs, of term(g) with g the job's clamped age: g itself in the
-    flow walk, scale * max(g, 0)^k with scale = (1 - eps)^-k in the power
-    walk (scale is computed only there, since the flow walk allows eps = 1).
-    rise(ga, gb) is (b - t) times the term's left derivative at b while g
-    runs linearly from ga at t to gb at b."""
+def _walk_term(ctx, power: bool, k: int):
+    """(coef, term, rise) of a potential walk. Objective plus potential is
+    coef times the sum, over alive jobs, of term(G) with G the job's clamped
+    age in the units of _clamped_age: G itself in the flow walk, max(G, 0)^k
+    in the power walk, where coef also carries scale = (1 - eps)^-k (computed
+    only there, since the flow walk allows eps = 1). coef * rise(Ga, Gb) is
+    (b - t) times the left derivative at b of coef * term while G runs
+    linearly from Ga at t to Gb at b. term and rise map ints to ints (and
+    Fractions to Fractions off the grid)."""
+    unit = ctx.L * ctx.machines * (ctx.p - ctx.q)
     if not power:
-        return (lambda g: g), (lambda ga, gb: gb - ga)
-    scale = (1 - eps) ** (-k)
+        return Rational(1, unit), (lambda g: g), (lambda ga, gb: gb - ga)
+    coef = (1 - ctx.epsilon) ** (-k) / unit ** k
 
     def term(g):
-        return scale * g ** k if g > 0 else ZERO
+        return g ** k if g > 0 else 0
 
     def rise(ga, gb):
-        # the term is 0 just before b unless g > 0 there
+        # the term is 0 just before b unless G > 0 there
         if gb > 0 or ga > gb == 0:
-            return scale * k * gb ** (k - 1) * (gb - ga)
-        return ZERO
+            return k * gb ** (k - 1) * (gb - ga)
+        return 0
 
-    return term, rise
+    return coef, term, rise
 
 
-def _potential(ctx, t, alive_alg, alive_ref, power: bool, k: int) -> Rational:
-    """The walk's potential: the sum over alive jobs of term(g) minus
-    (t - release)^k. In the flow walk this is the sum of the backlog gaps
-    over m*eps."""
-    term, _ = _walk_term(ctx.epsilon, power, k)
-    st = ctx.state(t, alive_alg, alive_ref)
+def _potential(ctx, T, alive_alg, alive_ref, power: bool, k: int) -> Rational:
+    """The walk's potential at scaled time T: the sum over alive jobs of the
+    term of the clamped age minus (t - release)^k. In the flow walk this is
+    the sum of the backlog gaps over m*eps."""
+    coef, term, _ = _walk_term(ctx, power, k)
+    st = ctx.state(T, alive_alg, alive_ref)
     release = ctx.idx_alg.release
-    return sum(
-        (term(_clamped_age(ctx, st, t, i)) - (t - release[i]) ** k for i in alive_alg), ZERO
-    )
+    terms = sum(term(_clamped_age(ctx, st, T, i)) for i in alive_alg)
+    ages = sum((T - release[i]) ** k for i in alive_alg)
+    return coef * terms - Rational(ages, ctx.L ** k)
 
 
 def check_flow_conditions(ctx: PairContext) -> ConditionReports:
@@ -523,88 +603,109 @@ def check_power_flow_conditions(ctx: PairContext, k: int | None = None) -> Condi
 def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     m = ctx.machines
     eps = ctx.epsilon
+    L = ctx.L
     release = ctx.idx_alg.release
-    size = ctx.idx_alg.size
+    size = {j.id: j.size for j in ctx.instance.jobs}
     bounds = _boundaries(ctx)
+    times = [Rational(T, L) for T in bounds]
 
     # Objective plus potential is a sum over alive jobs of a convex term of
     # the job's clamped age g. Between events each g is linear, so the sum is
     # convex and never rises on [t, b] exactly when its left derivative at b
-    # is at most 0.
-    term, rise = _walk_term(eps, power, k)
+    # is at most 0. Sums of terms and rises stay integers until a record
+    # needs them.
+    coef, term, rise = _walk_term(ctx, power, k)
     if power:
         arrival_coefficient = _power_arrival_coefficient(eps, k)
+    # clamped ages move at age_rate per time unit; the drained case
+    # owed <= m * eps^2 * age reads owed * q <= drained * age in the units
+    age_rate = m * (ctx.p - ctx.q)
+    drained = age_rate * (ctx.p - ctx.q)
 
     arrivals_at, comp_alg_at, comp_ref_at = (
-        _ids_at(times) for times in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
+        _ids_at(t) for t in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
     )
 
     arrival_records = []
     completion_records = []
     running_records = []
-    jump_total = ZERO
-    drift_total = ZERO
-    completion_jump_total = ZERO
+    # each jump and drift is coef times a sum of terms, except that a
+    # completion jump is age^k minus coef times a term
+    ages_total = 0  # sum of age^k at the fast completions, in time units
+    jump_terms = 0  # terms of the arrival jumps and shifts
+    completion_terms = 0
+    drift_terms = 0
 
     alive_alg = frozenset()
     alive_ref = frozenset()
 
-    for pos, t in enumerate(bounds):
-        finished_ref = comp_ref_at.get(t, ())
+    for pos, T in enumerate(bounds):
+        t = times[pos]
+        finished_ref = comp_ref_at.get(T, ())
         if finished_ref:
             alive_ref = alive_ref - frozenset(finished_ref)
-        finished_alg = sorted(comp_alg_at.get(t, ()))
+        finished_alg = sorted(comp_alg_at.get(T, ()))
         if finished_alg:
-            st = ctx.state(t, alive_alg, alive_ref)
+            st = ctx.state(T, alive_alg, alive_ref)
             for c in finished_alg:
                 owed = st.ahead_ref_small[c]
-                age = t - release[c]
-                jump = age ** k - term(age - owed / (m * eps))
+                age = T - release[c]
+                g = term(age * age_rate - owed)
+                jump = Rational(age ** k, L ** k) - coef * g
                 if not power:
                     rec = _rec_info(t, "completion job %d" % c, jump)
-                elif owed <= m * eps * eps * age:
+                elif owed * ctx.q <= drained * age:
                     rec = _rec_le(t, "completion job %d (drained case)" % c, jump, ZERO)
                 else:
-                    bound = (owed / m) ** k / eps ** (2 * k)
+                    bound = Rational(owed, m * ctx.V) ** k / eps ** (2 * k)
                     rec = _rec_le(t, "completion job %d (owed case)" % c, jump, bound)
                 completion_records.append(rec)
-                jump_total += jump
-                completion_jump_total += jump
+                ages_total += age ** k
+                completion_terms += g
             alive_alg = alive_alg - frozenset(finished_alg)
-        for a in sorted(arrivals_at.get(t, ())):
-            before = ctx.state(t, alive_alg, alive_ref) if alive_alg else None
+        for a in sorted(arrivals_at.get(T, ())):
+            before = ctx.state(T, alive_alg, alive_ref) if alive_alg else None
             prev_alive = alive_alg
             alive_alg = alive_alg | {a}
             alive_ref = alive_ref | {a}
-            st = ctx.state(t, alive_alg, alive_ref)
-            jump = term(_clamped_age(ctx, st, t, a))
+            st = ctx.state(T, alive_alg, alive_ref)
+            g = term(_clamped_age(ctx, st, T, a))
             bound = arrival_coefficient * size[a] ** k if power else 2 * size[a] / eps
             # the analysis assumes an arrival leaves every other job's term
             # alone; a shift is a failure, recorded as the change it makes to
             # the potential so that the identity below holds
             for i in sorted(prev_alive):
-                shift = term(_clamped_age(ctx, st, t, i)) - term(_clamped_age(ctx, before, t, i))
+                shift = term(_clamped_age(ctx, st, T, i)) - term(_clamped_age(ctx, before, T, i))
                 if shift != 0:
                     arrival_records.append(
-                        _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), shift)
+                        _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), coef * shift)
                     )
-                    jump_total += shift
-            arrival_records.append(_rec_le(t, "arrival job %d" % a, jump, bound))
-            jump_total += jump
+                    jump_terms += shift
+            arrival_records.append(_rec_le(t, "arrival job %d" % a, coef * g, bound))
+            jump_terms += g
         if pos + 1 == len(bounds):
             break
-        b = bounds[pos + 1]
-        st_a = ctx.state(t, alive_alg, alive_ref)
-        st_b = ctx.state(b, alive_alg, alive_ref)
-        delta = ZERO
-        slope = ZERO
+        B = bounds[pos + 1]
+        st_a = ctx.state(T, alive_alg, alive_ref)
+        st_b = ctx.state(B, alive_alg, alive_ref)
+        delta = 0
+        slope = 0
         for i in alive_alg:
-            ga = _clamped_age(ctx, st_a, t, i)
-            gb = _clamped_age(ctx, st_b, b, i)
+            ga = _clamped_age(ctx, st_a, T, i)
+            gb = _clamped_age(ctx, st_b, B, i)
             delta += term(gb) - term(ga)
             slope += rise(ga, gb)
-        running_records.append(_rec_le(t, "drift on [%s, %s]" % (t, b), delta, delta - slope))
-        drift_total += delta
+        running_records.append(
+            CheckRecord(
+                t,
+                "drift on [%s, %s]" % (t, times[pos + 1]),
+                coef * delta,
+                coef * (delta - slope),
+                coef * -slope,
+                slope <= 0,
+            )
+        )
+        drift_terms += delta
 
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")
@@ -614,23 +715,26 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
 
     # the potential starts and ends at zero, so jumps plus drift must
     # reproduce the final objective exactly; any mismatch is a harness bug
+    ages = Rational(ages_total, L ** k)
+    jump_total = ages + coef * (jump_terms - completion_terms)
+    drift_total = coef * drift_terms
     if jump_total + drift_total != alg_objective:
         raise AnalysisError(
             "internal: potential accounting mismatch (%s + %s != %s)"
             % (jump_total, drift_total, alg_objective)
         )
 
-    end = bounds[-1] if bounds else ZERO
     empty = frozenset()
-    for t, label in ((ZERO, "potential before first event"), (end, "potential after final event")):
-        completion_records.append(_rec_eq(t, label, _potential(ctx, t, empty, empty, power, k)))
+    for pos, label in ((0, "potential before first event"), (-1, "potential after final event")):
+        value = _potential(ctx, bounds[pos], empty, empty, power, k)
+        completion_records.append(_rec_eq(times[pos], label, value))
 
     if not power:
         completion_records.append(
             _rec_le(
                 None,
                 "aggregate completion charge",
-                completion_jump_total,
+                ages - coef * completion_terms,
                 (1 + eps) / eps * ref_objective,
             )
         )
@@ -682,9 +786,9 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
     rem_ref = {}  # i -> reference remaining volumes when the fast schedule finishes i
     contributors = {}
     for i in jobs:
-        t = comp_alg[i]
-        alive_ref = ctx.idx_ref.alive(t)
-        st = ctx.state(t, ctx.idx_alg.alive(t), alive_ref)
+        T = comp_alg[i]
+        alive_ref = ctx.idx_ref.alive(T)
+        st = ctx.state(T, ctx.idx_alg.alive(T), alive_ref)
         owed[i] = st.ahead_ref_small[i]
         rem_ref[i] = st.rem_ref
         contributors[i] = sorted(
@@ -697,30 +801,31 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
             charged_to[j].append(i)
 
     records = []
-    total = sum(((owed[i] / m) ** k for i in jobs), ZERO)
+    total = Rational(sum(owed[i] ** k for i in jobs), (m * ctx.V) ** k)
     records.append(
         _rec_le(None, "aggregate charge", total, (1 + eps) ** k * flow_power(ctx.ref_trace, k))
     )
 
-    denom = (1 + eps) * m
+    # both sides of the window bound, times (1 + eps) * m * V = p * m * L
+    unit = ctx.p * m * ctx.L
     for i in jobs:
-        t = comp_alg[i]
+        t = ctx.srpt_trace.completions[i]
         for j in contributors[i]:
-            earlier = sum(
-                (rem_ref[i][a] for a in contributors[i] if release[a] < release[j]),
-                ZERO,
-            )
-            lhs = (owed[i] - earlier) / denom
+            earlier = sum(rem_ref[i][a] for a in contributors[i] if release[a] < release[j])
+            lhs = owed[i] - earlier
             later_charges = sum(
-                (
-                    ctx.idx_ref.remaining(j, comp_ref[a])
-                    for a in charged_to[j]
-                    if rank[a] > rank[i]
-                ),
-                ZERO,
+                ctx.idx_ref.remaining(j, comp_ref[a]) for a in charged_to[j] if rank[a] > rank[i]
             )
-            rhs = comp_ref[j] - release[j] - later_charges / denom
+            rhs = (comp_ref[j] - release[j]) * ctx.p * m - later_charges
             records.append(
-                _rec_le(t, "window bound pair (%d, %d)" % (i, j), lhs, rhs, in_aggregate=False)
+                CheckRecord(
+                    t,
+                    "window bound pair (%d, %d)" % (i, j),
+                    Rational(lhs, unit),
+                    Rational(rhs, unit),
+                    Rational(rhs - lhs, unit),
+                    rhs >= lhs,
+                    False,
+                )
             )
     return _mk_report("completion-charge", records)

@@ -101,9 +101,10 @@ def reference_state(ctx, t, alive_alg, alive_ref):
     remaining volume of the alive jobs the fast schedule finishes no later
     than i, and the reference remaining volume of the alive reference jobs
     that also are no larger than i. Remaining volumes come from the raw
-    segments, finish order from sorting (completion, id)."""
-    rem_alg = {j: rebuild_remaining(ctx.srpt_trace, j, t) for j in alive_alg}
-    rem_ref = {j: rebuild_remaining(ctx.ref_trace, j, t) for j in alive_ref}
+    segments, finish order from sorting (completion, id). Volumes are in
+    the context's units of 1/ctx.V, as PairContext.state returns them."""
+    rem_alg = {j: rebuild_remaining(ctx.srpt_trace, j, t) * ctx.V for j in alive_alg}
+    rem_ref = {j: rebuild_remaining(ctx.ref_trace, j, t) * ctx.V for j in alive_ref}
     order = sorted((c, jid) for jid, c in enumerate(ctx.srpt_trace.completions))
     rank = {jid: pos for pos, (_, jid) in enumerate(order)}
     size = {j.id: j.size for j in ctx.instance.jobs}
@@ -123,6 +124,29 @@ def reference_state(ctx, t, alive_alg, alive_ref):
                 acc += rem_ref[j]
         ahead_ref_small[i] = acc
     return _StateEval(rem_alg, rem_ref, ahead_alg, ahead_ref_small)
+
+
+def potential_by_definition(ctx, t, k=None):
+    """flow_potential(ctx, t) (k None) or power_flow_potential(ctx, t, k)
+    from the definition: over the jobs alive at t in the fast schedule, the
+    clamped age g = (t - release) + (A + m * rem - S) / (m * eps), with A,
+    rem and S the fast volume ahead, the own fast remaining volume and the
+    reference small-job volume ahead from reference_state; the sum of
+    g - (t - release) in the flow potential, of (1 - eps)^-k * max(g, 0)^k
+    - (t - release)^k in the power potential."""
+    alive_alg = alive_by_definition(ctx.srpt_trace, t)
+    st = reference_state(ctx, t, alive_alg, alive_by_definition(ctx.ref_trace, t))
+    m, eps = ctx.machines, ctx.epsilon
+    total = Fraction(0)
+    for i in alive_alg:
+        age = t - ctx.instance.job(i).release
+        gap = (st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]) / ctx.V
+        g = age + gap / (m * eps)
+        if k is None:
+            total += g - age
+        else:
+            total += (1 - eps) ** -k * max(g, 0) ** k - age ** k
+    return total
 
 
 def corrupted(trace):

@@ -37,7 +37,6 @@ from srptlab import (
     srpt_priority,
 )
 from srptlab.analysis import (
-    _TraceIndex,
     _check_grid,
     _mk_report,
     _rec_le,
@@ -47,11 +46,14 @@ from srptlab.analysis import (
     ref_backlog_smaller,
     remaining_at,
 )
-from srptlab.core import events_of
+from srptlab import analysis
+from srptlab.core import events_of, flow_power
 from srptlab.rationals import rat
+from srptlab.workload import XorShift64Star
 
 from helpers import (
     alive_by_definition,
+    potential_by_definition,
     random_integer_instance,
     rebuild_remaining,
     reference_state,
@@ -308,6 +310,12 @@ class TestPowerPotential:
                     assert expected == tied
 
 
+def grid_times(ctx):
+    """The context's check grid as times (the grid is kept in units of
+    1/ctx.L)."""
+    return [Fraction(T, ctx.L) for T in _check_grid(ctx)]
+
+
 POTENTIAL_POLICIES = {
     "srpt": srpt_priority,
     "fifo": fifo_priority,
@@ -331,7 +339,7 @@ def potential_cases():
                     cases["m=%d seed=%d policy=%s speed=%s" % (m, seed, name, speed)] = [
                         [str(t), str(flow_potential(ctx, t))]
                         + [str(power_flow_potential(ctx, t, k=k)) for k in (1, 2, 3)]
-                        for t in _check_grid(ctx)
+                        for t in grid_times(ctx)
                     ]
     return cases
 
@@ -395,6 +403,104 @@ def test_backlog_records_golden():
     assert sum(row[1] for row in cases.values()) > 0
 
 
+def reports_digest(reports):
+    """SHA-256 over reports: each report's condition, aggregate, worst slack
+    and verdict, then every record's fields, one line each."""
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(("%s|%s|%s|%s\n" % (rep.condition, rep.aggregate, rep.worst_slack, rep.verdict)).encode())
+        for r in rep.records:
+            h.update(("%s|%s|%s|%s|%s|%s|%s\n" % (
+                r.time, r.label, r.delta, r.bound, r.slack, r.passed, r.in_aggregate)).encode())
+    return h.hexdigest()
+
+
+_FRACTION_SIZES = (Fraction(1, 2), Fraction(1), Fraction(4, 3), Fraction(3, 2), Fraction(5, 3), Fraction(7, 4), 2)
+
+
+def fractional_instance(seed):
+    """5-8 jobs on 1-3 machines, releases in thirds and halves, sizes in
+    halves, thirds and quarters, from the package PRNG."""
+    rng = XorShift64Star(seed)
+    m = 1 + seed % 3
+    n = 5 + rng.below(4)
+    triples = [
+        (i, Fraction(rng.below(13), 2 + rng.below(2)), _FRACTION_SIZES[rng.below(len(_FRACTION_SIZES))])
+        for i in range(n)
+    ]
+    return make_instance(triples, machines=m)
+
+
+def _check_rows(ctx, ks, speed):
+    """[check, records, failures, digest] of every check that applies at this
+    speed: the backlog bound, the flow walk, and the power walk and
+    completion charge at each k in ks (0 < eps <= 1/2 only)."""
+    rows = [["backlog-bound", check_backlog_bound(ctx)]]
+    rows.append(["flow", check_flow_conditions(ctx).reports])
+    if speed != "2":
+        for k in ks:
+            rows.append(["power k=%d" % k, check_power_flow_conditions(ctx, k=k).reports])
+            rows.append(["charge k=%d" % k, check_completion_charge(ctx, k=k)])
+    out = []
+    for name, reports in rows:
+        reports = reports if isinstance(reports, tuple) else (reports,)
+        out.append([
+            name,
+            sum(len(rep.records) for rep in reports),
+            sum(len(rep.failures) for rep in reports),
+            reports_digest(reports),
+        ])
+    return out
+
+
+CHECK_SPEEDS = ("5/4", "4/3", "3/2", "2")
+
+
+def check_cases():
+    """Case name -> rows of _check_rows for SRPT, FIFO and LRPT fast traces
+    at speeds 5/4, 4/3, 3/2 and 2: fractional instances against unit SRPT
+    and unit FIFO, and integer instances against the oracle's schedule for
+    each k (the backlog bound and flow walk against the k = 1 schedule)."""
+    cases = {}
+    # seeds 21 and 36 hold LRPT walks that fail the window bound
+    for seed in (0, 1, 2, 3, 4, 5, 21, 36):
+        inst = fractional_instance(seed)
+        refs = {
+            "srpt": simulate_srpt(inst, UNIT_SPEED),
+            "fifo": simulate_policy(inst, UNIT_SPEED, fifo_priority),
+        }
+        for speed in CHECK_SPEEDS:
+            for name, priority in POTENTIAL_POLICIES.items():
+                fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
+                for ref_name, ref in refs.items():
+                    key = "fractional seed=%d policy=%s speed=%s ref=%s" % (seed, name, speed, ref_name)
+                    cases[key] = _check_rows(make_context(fast, ref), (1, 2, 3), speed)
+    for seed in range(3):
+        inst = generate(GenSpec("uniform", 6, 1 + seed, (1, 5), (0, 6), seed))
+        oracle = {k: brute_force_opt(inst, k=k).trace for k in (1, 2, 3)}
+        for speed in CHECK_SPEEDS:
+            for name, priority in POTENTIAL_POLICIES.items():
+                fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
+                for k, ref in oracle.items():
+                    key = "integer seed=%d policy=%s speed=%s ref=oracle k=%d" % (seed, name, speed, k)
+                    rows = _check_rows(make_context(fast, ref, k=k), (k,), speed)
+                    cases[key] = rows if k == 1 else rows[2:]
+    return cases
+
+
+def test_check_records_golden():
+    """Every record of every check in check_cases() against
+    tests/data/check_digests.json."""
+    golden = json.loads((DATA / "check_digests.json").read_text())
+    cases = check_cases()
+    assert list(cases) == list(golden)
+    for name, rows in cases.items():
+        assert rows == golden[name], name
+    # the golden set holds failing records of every check, not only passing ones
+    failing = {row[0].split()[0] for rows in cases.values() for row in rows if row[2]}
+    assert failing == {"backlog-bound", "flow", "power", "charge"}
+
+
 _SIZES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2)])
 _RELEASES = st.integers(0, 6).map(lambda x: Fraction(x, 2))
 _SPEEDS = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
@@ -429,29 +535,60 @@ def probe_times(trace):
 class TestStateDefinition:
     @given(ctx=trace_pairs(), data=st.data())
     def test_state_matches_definition(self, ctx, data):
+        # state takes time in units of 1/ctx.L and returns volumes in units
+        # of 1/ctx.V, as reference_state does
         jobs = sorted(j.id for j in ctx.instance.jobs)
-        grid = _check_grid(ctx) + [_check_grid(ctx)[-1] + 1]
+        grid = grid_times(ctx) + [grid_times(ctx)[-1] + 1]
         for t in grid:
-            alive_alg = ctx.idx_alg.alive(t)
-            alive_ref = ctx.idx_ref.alive(t)
-            assert ctx.state(t, alive_alg, alive_ref) == reference_state(
+            alive_alg = ctx.idx_alg.alive(t * ctx.L)
+            alive_ref = ctx.idx_ref.alive(t * ctx.L)
+            assert ctx.state(t * ctx.L, alive_alg, alive_ref) == reference_state(
                 ctx, t, alive_alg, alive_ref)
         # the walks pass pre-event and pre-arrival sets; any subset must do
         for _ in range(4):
             t = data.draw(st.sampled_from(grid) | st.fractions(-1, grid[-1] + 1, max_denominator=12))
             alive_alg = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
             alive_ref = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
-            assert ctx.state(t, alive_alg, alive_ref) == reference_state(
+            assert ctx.state(t * ctx.L, alive_alg, alive_ref) == reference_state(
                 ctx, t, alive_alg, alive_ref)
 
     @given(ctx=trace_pairs())
     def test_remaining_and_alive_match_definition(self, ctx):
-        for trace in (ctx.srpt_trace, ctx.ref_trace):
-            idx = _TraceIndex(trace)
+        for trace, idx in ((ctx.srpt_trace, ctx.idx_alg), (ctx.ref_trace, ctx.idx_ref)):
             for t in probe_times(trace):
-                assert idx.alive(t) == alive_by_definition(trace, t), t
+                assert idx.alive(t * ctx.L) == alive_by_definition(trace, t), t
                 for j in trace.instance.jobs:
                     assert remaining_at(trace, j.id, t) == rebuild_remaining(trace, j.id, t)
+
+
+class TestOffGridQueries:
+    """Point queries at times the context's time base lacks: 1/7, 5/11 and
+    the last event + 1/3, on integer instances at speeds 5/4 and 2 (no
+    denominator 3, 7 or 11 anywhere)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_point_queries_match_definition(self, seed):
+        inst = random_integer_instance(seed)
+        refs = (simulate_srpt(inst, UNIT_SPEED), simulate_policy(inst, UNIT_SPEED, fifo_priority))
+        for speed in ("5/4", "2"):
+            for priority in POTENTIAL_POLICIES.values():
+                fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
+                for ref in refs:
+                    ctx = make_context(fast, ref)
+                    end = max(fast.events[-1], ref.events[-1])
+                    for t in (Fraction(1, 7), Fraction(5, 11), end + Fraction(1, 3)):
+                        assert (t * ctx.L).denominator > 1
+                        st = reference_state(
+                            ctx, t, alive_by_definition(fast, t), alive_by_definition(ref, t))
+                        for j in inst.jobs:
+                            for trace in (fast, ref):
+                                assert remaining_at(trace, j.id, t) == rebuild_remaining(trace, j.id, t)
+                            assert alg_backlog(ctx, j.id, t) == st.ahead_alg[j.id] / ctx.V
+                            assert ref_backlog_smaller(ctx, j.id, t) == st.ahead_ref_small[j.id] / ctx.V
+                        assert flow_potential(ctx, t) == potential_by_definition(ctx, t)
+                        if speed == "5/4":
+                            for k in (1, 2, 3):
+                                assert power_flow_potential(ctx, t, k=k) == potential_by_definition(ctx, t, k)
 
 
 class TestPowerConditions:
@@ -713,6 +850,19 @@ class TestCompletionCharge:
             check_completion_charge(make_context(fast, ref), k=1)
 
 
+class TestAccountingIdentity:
+    @pytest.mark.parametrize("power", [False, True])
+    def test_mismatch_raises(self, e1_ctx, monkeypatch, power):
+        # jumps plus drift reproduce the true objective, so a walk measured
+        # against an objective one higher must raise
+        monkeypatch.setattr(analysis, "flow_power", lambda trace, k: flow_power(trace, k) + 1)
+        with pytest.raises(AnalysisError, match="potential accounting mismatch"):
+            if power:
+                check_power_flow_conditions(e1_ctx, k=2)
+            else:
+                check_flow_conditions(e1_ctx)
+
+
 class TestContextValidation:
     def test_mismatched_instances(self, e1_fast_trace):
         other = make_instance([(0, 0, 1)], machines=2)
@@ -778,3 +928,5 @@ if __name__ == "__main__":
     (DATA / "potential_queries.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")
     rows = ["%s: %s" % (json.dumps(name), json.dumps(row)) for name, row in backlog_cases().items()]
     (DATA / "backlog_digests.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")
+    rows = ["%s: %s" % (json.dumps(name), json.dumps(case)) for name, case in check_cases().items()]
+    (DATA / "check_digests.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")
