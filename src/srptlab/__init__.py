@@ -13,6 +13,7 @@ from .analysis import (
     ConditionReports,
     PairContext,
     PotentialReport,
+    VerifyReport,
     check_backlog_bound,
     check_completion_charge,
     check_flow_conditions,
@@ -20,6 +21,7 @@ from .analysis import (
     make_context,
     objectives,
     report_to_json,
+    verify,
 )
 from .core import (
     ExecutionTrace,
@@ -86,6 +88,7 @@ __all__ = [
     "SpeedConfig",
     "TraceError",
     "UNIT_SPEED",
+    "VerifyReport",
     "WorkloadError",
     "XorShift64Star",
     "brute_force_opt",
@@ -115,4 +118,5 @@ __all__ = [
     "trace_to_json",
     "validate_instance",
     "validate_trace",
+    "verify",
 ]

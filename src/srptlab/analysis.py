@@ -38,8 +38,14 @@ from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
-from .core import ExecutionTrace, FlowSummary, flow_power, validate_trace
+from . import engine, oracle
+from .core import UNIT_SPEED, ExecutionTrace, FlowSummary, flow_power, validate_trace
 from .rationals import Rational, ZERO, kth_root_str
+
+# the power checks and the k >= 2 guarantees need 0 < eps <= MAX_POWER_EPS
+MAX_POWER_EPS = Rational(1, 2)
+REFERENCES = ("oracle", "unit-srpt", "fifo")
+VERIFY_CHECKS = ("backlog-bound", "flow-potential", "power-flow-potential", "completion-charge")
 
 
 class AnalysisError(ValueError):
@@ -359,11 +365,6 @@ def _mk_report(condition: str, records) -> PotentialReport:
     )
 
 
-def merge_reports(condition: str, reports) -> PotentialReport:
-    """One report under `condition` holding the records of `reports` in order."""
-    return _mk_report(condition, (rec for rep in reports for rec in rep.records))
-
-
 @dataclass(frozen=True)
 class ConditionReports:
     """Arrival, completion and running condition reports for one potential,
@@ -533,7 +534,7 @@ def _require_eps_positive(ctx):
 def _require_eps_power(ctx, k):
     if not isinstance(k, int) or k < 1:
         raise AnalysisError("k must be an integer >= 1")
-    if ctx.epsilon <= 0 or ctx.epsilon > Rational(1, 2):
+    if ctx.epsilon <= 0 or ctx.epsilon > MAX_POWER_EPS:
         raise AnalysisError("epsilon out of theorem range (need 0 < eps <= 1/2)")
 
 
@@ -829,3 +830,105 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
                 )
             )
     return _mk_report("completion-charge", records)
+
+
+# --------------------------------------------------------------------------
+# the verify pipeline: every check against every reference
+
+class VerifyRow(NamedTuple):
+    """One check against one reference: its powers, with one report per
+    power or, when the check was skipped, the reason and no reports."""
+
+    check: str
+    reference: str
+    ks: tuple
+    reports: tuple
+    skipped: str | None
+
+    @property
+    def verdict(self) -> str:
+        if self.skipped is not None:
+            return "skipped"
+        return "pass" if all(rep.verdict for rep in self.reports) else "fail"
+
+    @property
+    def worst_slack(self) -> Rational | None:
+        slacks = [rep.worst_slack for rep in self.reports if rep.worst_slack is not None]
+        return min(slacks) if slacks else None
+
+
+@dataclass(frozen=True)
+class VerifyReport:
+    """The fast trace's audit violations and, when there are none, one row
+    per (check, reference); `notice` says why eps > 1/2 skipped rows."""
+
+    violations: tuple
+    rows: tuple
+    notice: str | None
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations and all(row.verdict != "fail" for row in self.rows)
+
+
+def _reference_contexts(name, trace, oracle_ks):
+    """Contexts pairing `trace` with reference `name`, keyed by objective
+    power: one context serves every power, except that the oracle's schedule
+    depends on the power. Returns (contexts, None) or (None, skip reason)."""
+    if name == "oracle":
+        try:
+            refs = {k: oracle.brute_force_opt(trace.instance, k=k).trace for k in oracle_ks}
+        except oracle.OracleError as exc:
+            return None, "oracle skipped: %s" % exc
+        return {k: make_context(trace, ref) for k, ref in refs.items()}, None
+    if name == "unit-srpt":
+        ref = engine.simulate_srpt(trace.instance, UNIT_SPEED)
+    else:
+        ref = engine.simulate_policy(trace.instance, UNIT_SPEED, priority=engine.fifo_priority)
+    return dict.fromkeys(oracle_ks, make_context(trace, ref)), None
+
+
+def _check_report(check, ctx, k):
+    """One check's report under its own name; a walk's four are merged."""
+    if check == "backlog-bound":
+        return check_backlog_bound(ctx)
+    if check == "completion-charge":
+        return check_completion_charge(ctx, k=k)
+    power = check == "power-flow-potential"
+    walk = check_power_flow_conditions(ctx, k=k) if power else check_flow_conditions(ctx)
+    return _mk_report(check, (rec for rep in walk.reports for rec in rep.records))
+
+
+def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
+    """Audit `trace`, a schedule at speed 1+eps, and run every check of
+    VERIFY_CHECKS on it against each named unit-speed reference of REFERENCES
+    over its instance: backlog and flow at k = 1, power and charge at each k
+    of `ks`. For eps > 1/2 the latter are skipped, and every k must be 1.
+    Raises AnalysisError on eps <= 0, a k below 1 or an unknown reference."""
+    eps = trace.speed.epsilon
+    ks = sorted(set(ks))
+    if not ks or not all(isinstance(k, int) and k >= 1 for k in ks):
+        raise AnalysisError("k values must be integers >= 1")
+    for name in refs:
+        if name not in REFERENCES:
+            raise AnalysisError("unknown reference %r" % name)
+    if eps <= 0:
+        raise AnalysisError("epsilon out of theorem range: verification needs speed > 1")
+    power_ks, notice = ks, None
+    if eps > MAX_POWER_EPS:
+        if any(k > 1 for k in ks):
+            raise AnalysisError("epsilon out of theorem range (k > 1 needs 0 < epsilon <= 1/2)")
+        power_ks = []
+        notice = "epsilon > 1/2: power-flow-potential and completion-charge checks skipped"
+    ok, violations = validate_trace(trace)
+    if not ok:
+        return VerifyReport(tuple(violations), (), notice)
+    rows = []
+    for name in refs:
+        ctxs, skipped = _reference_contexts(name, trace, sorted({1, *power_ks}))
+        for check in VERIFY_CHECKS:
+            check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
+            reason = skipped if check_ks else notice
+            reports = () if reason else tuple(_check_report(check, ctxs[k], k) for k in check_ks)
+            rows.append(VerifyRow(check, name, check_ks, reports, reason))
+    return VerifyReport((), tuple(rows), notice)

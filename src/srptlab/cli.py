@@ -16,19 +16,16 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .analysis import (
+    MAX_POWER_EPS,
+    REFERENCES,
     AnalysisError,
-    check_backlog_bound,
-    check_completion_charge,
-    check_flow_conditions,
-    check_power_flow_conditions,
-    make_context,
-    merge_reports,
     objectives,
     report_to_json,
     theorem_factor,
+    verify,
 )
-from .core import InstanceError, SpeedConfig, UNIT_SPEED, flow_power, validate_trace
-from .engine import fifo_priority, simulate_policy, simulate_srpt
+from .core import InstanceError, SpeedConfig, flow_power
+from .engine import simulate_srpt
 from .formats import (
     ParseError,
     dump_json,
@@ -40,13 +37,15 @@ from .oracle import OracleError, brute_force_opt
 from .rationals import ONE, Rational, RationalParseError, decimal_str, rat
 from .workload import FAMILIES, GenSpec, WorkloadError, generate, is_int, validate_spec
 
+# perfbench's tracer wraps these names here, though cli no longer calls them
+from .analysis import check_backlog_bound, check_completion_charge, make_context  # noqa: F401
+from .analysis import check_flow_conditions, check_power_flow_conditions  # noqa: F401
+from .core import validate_trace  # noqa: F401
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_VERIFY = 4
-
-REF_NAMES = ("oracle", "unit-srpt", "fifo")
-HALF = Rational(1, 2)
 
 
 class CliError(Exception):
@@ -100,9 +99,9 @@ def _ref_list(text: str):
         tok = tok.strip()
         if not tok:
             continue
-        if tok not in REF_NAMES:
+        if tok not in REFERENCES:
             raise CliError(
-                EXIT_INPUT, "unknown reference %r (choose from %s)" % (tok, ", ".join(REF_NAMES))
+                EXIT_INPUT, "unknown reference %r (choose from %s)" % (tok, ", ".join(REFERENCES))
             )
         if tok not in names:
             names.append(tok)
@@ -198,9 +197,6 @@ def cmd_gen(args) -> int:
 # --------------------------------------------------------------------------
 # verify
 
-VERIFY_CHECKS = ("backlog-bound", "flow-potential", "power-flow-potential", "completion-charge")
-
-
 def _note_json(check, params, n_events, verdict, notes):
     """A check document whose witnesses are notes, not check records: the
     trace audit's violations, or the reason a check was skipped."""
@@ -216,132 +212,58 @@ def _note_json(check, params, n_events, verdict, notes):
     }
 
 
-def _reference_contexts(name, instance, trace, oracle_ks):
-    """Contexts pairing `trace` with reference `name`, keyed by objective
-    power: one context serves every power, except that the oracle's schedule
-    depends on the power. Returns (contexts, None) or (None, skip reason)."""
-    if name == "oracle":
-        try:
-            refs = {k: brute_force_opt(instance, k=k).trace for k in oracle_ks}
-        except OracleError as exc:
-            return None, "oracle skipped: %s" % exc
-        return {k: make_context(trace, ref) for k, ref in refs.items()}, None
-    if name == "unit-srpt":
-        ref = simulate_srpt(instance, UNIT_SPEED)
-    else:
-        ref = simulate_policy(instance, UNIT_SPEED, priority=fifo_priority)
-    return dict.fromkeys(oracle_ks, make_context(trace, ref)), None
-
-
-def _check_report(check, ctx, k):
-    """The report of one check under its own name; only a potential walk's
-    four condition reports need merging for that."""
-    if check == "backlog-bound":
-        return check_backlog_bound(ctx)
-    if check == "completion-charge":
-        return check_completion_charge(ctx, k=k)
-    if check == "flow-potential":
-        walk = check_flow_conditions(ctx)
-    else:
-        walk = check_power_flow_conditions(ctx, k=k)
-    return merge_reports(check, walk.reports)
-
-
 def cmd_verify(args) -> int:
     instance = _read_instance(args.instance)
     speed = _speed_config(args.speed)
     ks = _k_list(args.k)
     refs = _ref_list(args.refs)
-    eps = speed.epsilon
-
-    if eps <= 0:
-        raise CliError(
-            EXIT_DOMAIN, "epsilon out of theorem range: verification needs speed > 1"
-        )
-    power_ks = list(ks)
-    skip_notice = None
-    if eps > HALF:
-        if any(k > 1 for k in ks):
-            raise CliError(
-                EXIT_DOMAIN,
-                "epsilon out of theorem range (k > 1 needs 0 < epsilon <= 1/2)",
-            )
-        power_ks = []
-        skip_notice = (
-            "epsilon > 1/2: power-flow-potential and completion-charge checks skipped"
-        )
-
     trace = simulate_srpt(instance, speed)
-    ok, violations = validate_trace(trace)
-    base_params = {"instance": args.instance, "speed": speed.speed, "eps": eps}
-    verdict = "pass" if ok else "fail"
-    audit = _note_json(
-        "trace-feasibility", base_params, len(trace.segments), verdict, violations
-    )
-    # each table row (check, reference, k, verdict, worst-slack) with the
-    # documents it summarizes
-    rows = [(("trace-feasibility", "-", "-", verdict, "-"), [audit])]
+    report = verify(trace, ks, refs)
 
-    if not ok:
-        _emit_verify(args, rows, True, skip_notice)
-        for v in violations[:5]:
-            print("witness: %s" % v)
-        return EXIT_VERIFY
+    params = {"instance": args.instance, "speed": speed.speed, "eps": speed.epsilon}
+    verdict = "fail" if report.violations else "pass"
+    table = [("trace-feasibility", "-", "-", verdict, "-")]
+    n_segments = len(trace.segments)
+    docs = [_note_json("trace-feasibility", params, n_segments, verdict, report.violations)]
+    for row in report.rows:
+        ref = dict(params, reference=row.reference)
+        klabel = ",".join(str(k) for k in row.ks) or "-"
+        if row.skipped is not None:
+            docs.append(_note_json(row.check, dict(ref, k=klabel), 0, "skipped", [row.skipped]))
+        else:
+            docs.extend(report_to_json(rep, dict(ref, k=k)) for rep, k in zip(row.reports, row.ks))
+        slack = "-" if row.worst_slack is None else str(row.worst_slack)
+        table_k = "-" if row.check == "backlog-bound" else klabel
+        table.append((row.check, row.reference, table_k, row.verdict, slack))
+    _emit_verify(args, table, docs, report)
 
-    # the oracle's schedule depends on the objective power
-    oracle_ks = sorted({1, *power_ks})
-    for name in refs:
-        params = dict(base_params, reference=name)
-        contexts, skipped = _reference_contexts(name, instance, trace, oracle_ks)
-        for check in VERIFY_CHECKS:
-            check_ks = [1] if check in ("backlog-bound", "flow-potential") else power_ks
-            klabel = ",".join(str(k) for k in check_ks) or "-"
-            table_k = "-" if check == "backlog-bound" else klabel
-            reason = skipped if check_ks else skip_notice
-            if reason is not None:
-                doc = _note_json(check, dict(params, k=klabel), 0, "skipped", [reason])
-                rows.append(((check, name, table_k, "skipped", "-"), [doc]))
-                continue
-            reports = [_check_report(check, contexts[k], k) for k in check_ks]
-            slacks = [rep.worst_slack for rep in reports if rep.worst_slack is not None]
-            worst = str(min(slacks)) if slacks else "-"
-            verdict = "pass" if all(rep.verdict for rep in reports) else "fail"
-            docs = [report_to_json(rep, dict(params, k=k)) for rep, k in zip(reports, check_ks)]
-            rows.append(((check, name, table_k, verdict, worst), docs))
-
-    failed = any(row[3] == "fail" for row, _ in rows)
-    _emit_verify(args, rows, failed, skip_notice)
-    if not failed:
-        return EXIT_OK
-    witnesses = [
-        (doc["check"], wit)
-        for _, docs in rows
-        for doc in docs
-        if doc["verdict"] == "fail"
-        for wit in doc["witnesses"]
-    ]
-    for check, wit in witnesses[:10]:
-        print(
+    if report.violations:
+        witnesses = ["witness: %s" % v for v in report.violations[:5]]
+    else:
+        witnesses = [
             "witness [%s]: %s (delta %s vs bound %s at t=%s)"
-            % (check, wit["label"], wit["delta"], wit["bound"], wit["time"])
-        )
-    return EXIT_VERIFY
+            % (rep.condition, rec.label, rec.delta, rec.bound, rec.time)
+            for row in report.rows
+            for rep in row.reports if not rep.verdict
+            for rec in rep.failures
+        ][:10]
+    for line in witnesses:
+        print(line)
+    return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def _emit_verify(args, rows, failed, skip_notice):
-    table = [("check", "reference", "k", "verdict", "worst-slack")]
-    table.extend(row for row, _ in rows)
+def _emit_verify(args, table, docs, report):
+    table = [("check", "reference", "k", "verdict", "worst-slack")] + table
     widths = [max(len(row[col]) for row in table) for col in range(5)]
     for row in table:
         print("  ".join(val.ljust(wid) for val, wid in zip(row, widths)).rstrip())
-    if skip_notice:
-        print("note: %s" % skip_notice)
+    if report.notice:
+        print("note: %s" % report.notice)
     if not args.out:
         return
-    exports = [doc for _, docs in rows for doc in docs]
     if args.format == "csv":
         buf = ["instance,check,eps,k,reference,n_events,worst_slack,verdict"]
-        for doc in exports:
+        for doc in docs:
             params = doc["params"]
             fields = (params.get("eps", ""), params.get("k", "-"), params.get("reference", "-"))
             slack = doc["worst_slack"] or ""  # None for a note document
@@ -352,8 +274,8 @@ def _emit_verify(args, rows, failed, skip_notice):
         doc = {
             "instance": args.instance,
             "speed": str(rat(args.speed)),
-            "checks": exports,
-            "verdict": "fail" if failed else "pass",
+            "checks": docs,
+            "verdict": "pass" if report.passed else "fail",
         }
         _write_text(args.out, dump_json(doc))
     print("report written to %s" % args.out)
@@ -437,7 +359,7 @@ def _load_manifest(path: str) -> dict:
                 raise CliError(EXIT_INPUT, "manifest: bad eps %r: %s" % (text, exc))
             if val <= 0:
                 raise CliError(EXIT_DOMAIN, "epsilon out of theorem range: eps %s <= 0" % val)
-            if val > HALF and any(k > 1 for k in ks):
+            if val > MAX_POWER_EPS and any(k > 1 for k in ks):
                 raise CliError(
                     EXIT_DOMAIN,
                     "epsilon out of theorem range (k > 1 needs eps <= 1/2, got %s)" % val,

@@ -35,6 +35,7 @@ from srptlab import (
     simulate_policy,
     simulate_srpt,
     srpt_priority,
+    verify,
 )
 from srptlab.analysis import (
     _check_grid,
@@ -919,6 +920,91 @@ class TestReportExport:
         assert doc["witnesses"] == [
             {"time": "1", "label": "too big", "delta": "2", "bound": "1"}
         ]
+
+
+LRPT_M1 = make_instance([(0, 0, 3), (1, 0, 1), (2, 1, 1), (3, 2, 2)], machines=1)
+
+
+class TestVerify:
+    """The library pipeline, with every failure reached through its input."""
+
+    def test_lrpt_matches_the_cli_golden(self):
+        speed = SpeedConfig.from_speed("3/2")
+        fast = simulate_policy(LRPT_M1, speed, priority=longest_remaining_priority)
+        report = verify(fast, ks=(1, 2), refs=("unit-srpt", "fifo"))
+        assert report.violations == () and report.notice is None and not report.passed
+        assert [(row.check, row.reference, row.ks) for row in report.rows] == [
+            (check, ref, ks)
+            for ref in ("unit-srpt", "fifo")
+            for check, ks in (("backlog-bound", (1,)), ("flow-potential", (1,)),
+                              ("power-flow-potential", (1, 2)), ("completion-charge", (1, 2)))
+        ]
+        assert [(row.verdict, str(row.worst_slack)) for row in report.rows] == [
+            ("fail", "-3"), ("fail", "-4"), ("fail", "-288"), ("pass", "14/9"),
+            ("fail", "-3"), ("fail", "-4"), ("fail", "-192"), ("pass", "7/3"),
+        ]
+        first = report.rows[0].reports[0].failures[0]
+        assert (first.label, first.delta, first.bound, first.time) == ("backlog gap job 1", 3, 1, 0)
+        # every report, witnesses included, as the CLI's golden JSON holds it
+        params = {"instance": "instance.txt", "speed": "3/2", "eps": "1/2"}
+        docs = [
+            report_to_json(rep, dict(params, reference=row.reference, k=k))
+            for row in report.rows
+            for rep, k in zip(row.reports, row.ks)
+        ]
+        golden = json.loads((DATA / "verify_lrpt_m1.json").read_text())
+        assert docs == golden["checks"][1:]
+
+    @pytest.mark.parametrize(
+        "speed, ks, message",
+        [
+            ("1", (1,), "epsilon out of theorem range: verification needs speed > 1"),
+            ("9/10", (1,), "epsilon out of theorem range: verification needs speed > 1"),
+            ("2", (1, 2), "epsilon out of theorem range (k > 1 needs 0 < epsilon <= 1/2)"),
+        ],
+    )
+    def test_eps_domain(self, e1_instance, speed, ks, message):
+        trace = simulate_srpt(e1_instance, SpeedConfig.from_speed(speed))
+        with pytest.raises(AnalysisError) as exc:
+            verify(trace, ks=ks)
+        assert str(exc.value) == message
+
+    def test_large_eps_skips_power_and_charge(self, e1_instance):
+        trace = simulate_srpt(e1_instance, SpeedConfig.from_speed("2"))
+        report = verify(trace, ks=(1,), refs=("unit-srpt",))
+        notice = "epsilon > 1/2: power-flow-potential and completion-charge checks skipped"
+        assert report.notice == notice and report.passed
+        assert [(row.check, row.ks, row.verdict, row.skipped) for row in report.rows] == [
+            ("backlog-bound", (1,), "pass", None),
+            ("flow-potential", (1,), "pass", None),
+            ("power-flow-potential", (), "skipped", notice),
+            ("completion-charge", (), "skipped", notice),
+        ]
+
+    def test_oracle_refusal_skips_its_rows(self):
+        # total work 41 is over the oracle's limit
+        inst = make_instance([(0, 0, 41)], machines=1)
+        report = verify(simulate_srpt(inst, SpeedConfig.from_speed("3/2")), ks=(1, 2),
+                        refs=("oracle", "unit-srpt"))
+        oracle_rows, unit_rows = report.rows[:4], report.rows[4:]
+        assert [row.ks for row in oracle_rows] == [(1,), (1,), (1, 2), (1, 2)]
+        assert all(row.verdict == "skipped" and row.reports == () for row in oracle_rows)
+        assert all(row.skipped.startswith("oracle skipped: ") for row in oracle_rows)
+        assert [row.verdict for row in unit_rows] == ["pass"] * 4
+        assert report.passed
+
+    def test_unknown_reference(self, e1_fast_trace):
+        with pytest.raises(AnalysisError, match="unknown reference 'lrpt'"):
+            verify(e1_fast_trace, refs=("unit-srpt", "lrpt"))
+
+    # a bad k must not turn into skipped oracle rows or power rows with no report
+    @pytest.mark.parametrize("ks", [(), (0,), (1, 0), (1.5,)],
+                             ids=["none", "zero", "one-zero", "float"])
+    @pytest.mark.parametrize("speed", ["3/2", "2"])
+    def test_bad_ks(self, e1_instance, speed, ks):
+        trace = simulate_srpt(e1_instance, SpeedConfig.from_speed(speed))
+        with pytest.raises(AnalysisError, match="k values must be integers >= 1"):
+            verify(trace, ks=ks)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from srptlab import cli
+from srptlab import analysis, cli
+from srptlab.analysis import REFERENCES, verify
 from srptlab.cli import main
+from srptlab.core import validate_trace
+from srptlab.engine import longest_remaining_priority, simulate_policy, simulate_srpt
 
 from helpers import corrupted
 
@@ -136,16 +139,15 @@ class TestVerify:
         assert "skipped" in captured.out
         assert "note: epsilon > 1/2" in captured.out
 
-    def test_corruption_detected(self, e1_path, capsys, monkeypatch):
-        simulate = cli.simulate_srpt
-        monkeypatch.setattr(
-            cli, "simulate_srpt", lambda inst, speed: corrupted(simulate(inst, speed))
-        )
-        rc = main(["verify", "--instance", e1_path, "--speed", "3/2"])
-        captured = capsys.readouterr()
-        assert rc == 4
-        assert "fail" in captured.out
-        assert "work deficit" in captured.out or "never scheduled" in captured.out
+    def test_corruption_detected(self, e1_fast_trace):
+        bad = corrupted(e1_fast_trace)
+        report = verify(bad, ks=(1, 2), refs=REFERENCES)
+        # make_context raises on an infeasible fast trace, so a returned
+        # report shows that verify built no context
+        assert report.violations == tuple(validate_trace(bad)[1])
+        assert any("work deficit" in v or "never scheduled" in v for v in report.violations)
+        assert report.rows == ()
+        assert not report.passed
 
     def test_csv_export(self, e1_path, tmp_path):
         out = tmp_path / "verify.csv"
@@ -204,23 +206,50 @@ class TestVerify:
     )
     def test_one_context_per_reference(self, e1_path, refs, contexts, monkeypatch, capsys):
         built = []
-        make_context = cli.make_context
+        make_context = analysis.make_context
 
         def counting(*args, **kwargs):
             built.append(None)
             return make_context(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "make_context", counting)
+        monkeypatch.setattr(analysis, "make_context", counting)
         assert main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1,2"] + refs) == 0
         assert len(built) == contexts
 
 
-# golden-file stem -> (instance text, extra verify arguments)
+def _corrupted_srpt(instance, speed):
+    return corrupted(simulate_srpt(instance, speed))
+
+
+def _lrpt(instance, speed):
+    return simulate_policy(instance, speed, priority=longest_remaining_priority)
+
+
+# golden-file stem -> (instance text, extra verify arguments, exit code, the
+# function cli calls for the fast schedule in place of simulate_srpt)
 GOLDEN_VERIFY = {
-    "verify_e1_speed_3_2": (E1_TEXT, ["--speed", "3/2", "--k", "1,2"]),
+    "verify_e1_speed_3_2": (E1_TEXT, ["--speed", "3/2", "--k", "1,2"], 0, simulate_srpt),
     # total work 41 is over the oracle's limit, and eps = 1 skips the power checks
-    "verify_over_limit_speed_2": ("m 1\njob 0 0 41\n", ["--speed", "2", "--k", "1"]),
+    "verify_over_limit_speed_2": ("m 1\njob 0 0 41\n", ["--speed", "2", "--k", "1"], 0,
+                                  simulate_srpt),
+    # the witness lines are the first violations in validate_trace's order
+    "verify_e1_corrupted": (E1_TEXT, ["--speed", "3/2", "--k", "1,2"], 4, _corrupted_srpt),
+    # LRPT at 3/2 fails the backlog and both potential checks against both references
+    "verify_lrpt_m1": (
+        "m 1\njob 0 0 3\njob 1 0 1\njob 2 1 1\njob 3 2 2\n",
+        ["--speed", "3/2", "--k", "1,2", "--refs", "unit-srpt,fifo"],
+        4,
+        _lrpt,
+    ),
 }
+
+
+def _golden_args(stem, directory):
+    """Write the stem's instance into `directory` and return its verify
+    arguments, exit code and fast schedule."""
+    text, extra, code, fast = GOLDEN_VERIFY[stem]
+    (directory / "instance.txt").write_text(text)
+    return ["verify", "--instance", "instance.txt"] + extra, code, fast
 
 
 class TestVerifyGolden:
@@ -229,44 +258,29 @@ class TestVerifyGolden:
 
     @pytest.mark.parametrize("stem", GOLDEN_VERIFY)
     def test_stdout(self, stem, tmp_path, monkeypatch, capsys):
-        text, extra = GOLDEN_VERIFY[stem]
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "instance.txt").write_text(text)
-        assert main(["verify", "--instance", "instance.txt"] + extra) == 0
+        args, code, fast = _golden_args(stem, tmp_path)
+        monkeypatch.setattr(cli, "simulate_srpt", fast)
+        assert main(args) == code
         assert capsys.readouterr().out == (DATA / (stem + ".stdout")).read_text()
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("stem", GOLDEN_VERIFY)
     def test_report(self, stem, fmt, tmp_path, monkeypatch, capsys):
-        text, extra = GOLDEN_VERIFY[stem]
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "instance.txt").write_text(text)
+        args, code, fast = _golden_args(stem, tmp_path)
+        monkeypatch.setattr(cli, "simulate_srpt", fast)
         out = "report." + fmt
-        args = ["verify", "--instance", "instance.txt"] + extra + ["--format", fmt, "--out", out]
-        assert main(args) == 0
-        table = (DATA / (stem + ".stdout")).read_text()
-        assert capsys.readouterr().out == table + "report written to %s\n" % out
+        assert main(args + ["--format", fmt, "--out", out]) == code
+        table, witnesses = _split_witnesses((DATA / (stem + ".stdout")).read_text())
+        assert capsys.readouterr().out == table + "report written to %s\n" % out + witnesses
         assert (tmp_path / out).read_bytes() == (DATA / (stem + "." + fmt)).read_bytes()
 
-    @pytest.fixture()
-    def corrupted_e1(self, tmp_path, monkeypatch):
-        simulate = cli.simulate_srpt
-        monkeypatch.setattr(
-            cli, "simulate_srpt", lambda inst, speed: corrupted(simulate(inst, speed))
-        )
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "instance.txt").write_text(E1_TEXT)
-        return ["verify", "--instance", "instance.txt", "--speed", "3/2", "--k", "1,2"]
 
-    def test_corrupted_stdout(self, corrupted_e1, capsys):
-        # the witness lines are the first violations in validate_trace's order
-        assert main(corrupted_e1) == 4
-        assert capsys.readouterr().out == (DATA / "verify_e1_corrupted.stdout").read_text()
-
-    def test_corrupted_report(self, corrupted_e1, tmp_path, capsys):
-        assert main(corrupted_e1 + ["--format", "json", "--out", "report.json"]) == 4
-        golden = (DATA / "verify_e1_corrupted.json").read_bytes()
-        assert (tmp_path / "report.json").read_bytes() == golden
+def _split_witnesses(stdout):
+    """A verify table's text and the witness lines printed after it."""
+    at = stdout.find("witness")
+    return (stdout, "") if at < 0 else (stdout[:at], stdout[at:])
 
 
 class TestSweep:
@@ -571,17 +585,16 @@ class TestTopLevel:
 if __name__ == "__main__":
     # regenerate the golden verify files: PYTHONPATH=src python tests/test_cli.py
     data = DATA.resolve()
-    for stem, (text, extra) in GOLDEN_VERIFY.items():
+    for stem in GOLDEN_VERIFY:
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)
-            Path("instance.txt").write_text(text)
-            args = ["verify", "--instance", "instance.txt"] + extra
+            args, code, cli.simulate_srpt = _golden_args(stem, Path(tmp))
             table = io.StringIO()
             with contextlib.redirect_stdout(table):
-                assert main(args) == 0
+                assert main(args) == code
             (data / (stem + ".stdout")).write_text(table.getvalue())
             for fmt in ("json", "csv"):
                 out = "report." + fmt
                 with contextlib.redirect_stdout(io.StringIO()):
-                    assert main(args + ["--format", fmt, "--out", out]) == 0
+                    assert main(args + ["--format", fmt, "--out", out]) == code
                 (data / (stem + "." + fmt)).write_bytes(Path(out).read_bytes())
