@@ -25,17 +25,22 @@ p/q in lowest terms, V = q * L: a job's remaining volume inside a service
 interval is line - p * T in the fast schedule and line - q * T in the
 reference, with line an integer, so every remaining volume at a grid time is
 an integer too (and an exact Fraction at any other T, with no division). The
-checks run on these integers. Fractions are built only for the fields of
-check records, report totals and the public point queries, which take and
-return times and volumes in their own units.
+checks run on these integers: each one decides, counts and ranks its records
+in one integer pass, and builds Fractions only for its failing records, its
+worst slack and the few records a report always holds. A report's full
+records are built when first read, by running the pass again (see _Part).
+The public point queries take and return times and volumes in their own
+units.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from math import lcm
+from threading import local
 from typing import NamedTuple
 
 from . import engine, oracle
@@ -156,8 +161,7 @@ class _TraceIndex:
         return self.alive_sets[bisect_right(self.breakpoints, T)]
 
 
-@dataclass(frozen=True)
-class _StateEval:
+class _StateEval(NamedTuple):
     """Volumes in units of 1/V."""
 
     rem_alg: dict  # jid in alive_alg -> remaining in the fast schedule
@@ -234,6 +238,23 @@ class PairContext:
         return out
 
 
+# per thread, `memo`: the per-trace results of the verify call running there
+_per_verify = local()
+
+
+def _once(fn, trace, *args):
+    """fn(trace, *args), computed once per trace and args while one verify
+    call runs, and every time outside one. fn is looked up by the caller at
+    call time, so a replaced module attribute is what runs."""
+    memo = getattr(_per_verify, "memo", None)
+    if memo is None:
+        return fn(trace, *args)
+    key = (fn, id(trace), args)
+    if key not in memo:
+        memo[key] = (trace, fn(trace, *args))  # holding the trace keeps its id unique
+    return memo[key][1]
+
+
 def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int = 1) -> PairContext:
     if srpt_trace.instance != ref_trace.instance:
         raise AnalysisError("traces cover different instances")
@@ -242,7 +263,7 @@ def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int =
     if not isinstance(k, int) or k < 1:
         raise AnalysisError("k must be an integer >= 1")
     for name, trace in (("fast", srpt_trace), ("reference", ref_trace)):
-        ok, violations = validate_trace(trace)
+        ok, violations = _once(validate_trace, trace)
         if not ok:
             raise AnalysisError(
                 "%s trace infeasible: %s" % (name, "; ".join(violations[:3]))
@@ -337,16 +358,86 @@ def _in_units(unit: int):
     return real
 
 
+class _Part:
+    """One report's share of a check's integer pass. A pass runs in one of
+    two modes: in full it keeps every record, otherwise only the failing
+    ones. Either way it counts the records and takes their worst slack, as an
+    int in the report's unit for the records it decides on integers (keep),
+    and as a Fraction for the few it builds whatever the mode (add)."""
+
+    __slots__ = ("full", "n", "worst", "exact", "records")
+
+    def __init__(self, full: bool):
+        self.full = full
+        self.n = 0
+        self.worst = None  # int; None while no kept record has a slack
+        self.exact = None
+        self.records = []
+
+    def keep(self, slack, passed: bool) -> bool:
+        """Count a record with this int slack (None for an informational
+        record); whether the caller must build it and append it."""
+        self.n += 1
+        if slack is not None and (self.worst is None or slack < self.worst):
+            self.worst = slack
+        return self.full or not passed
+
+    def add(self, rec: CheckRecord):
+        """Count a record that is built in either mode."""
+        self.n += 1
+        if rec.slack is not None and (self.exact is None or rec.slack < self.exact):
+            self.exact = rec.slack
+        if self.full or not rec.passed:
+            self.records.append(rec)
+
+    def result(self, unit):
+        """(record count, worst slack, records): the int worst is converted
+        once, times `unit`, the Rational value of one unit."""
+        slacks = [s for s in (self.exact, None if self.worst is None else self.worst * unit)
+                  if s is not None]
+        return self.n, min(slacks, default=None), self.records
+
+
+class _Records(Sequence):
+    """A report's records, built by `build()` on first read; their number
+    is known without building them."""
+
+    __slots__ = ("_n", "_build", "_items")
+
+    def __init__(self, n: int, build):
+        self._n = n
+        self._build = build
+        self._items = None
+
+    def __len__(self):
+        return self._n
+
+    def _built(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(self._build())
+            self._build = None
+        return self._items
+
+    def __getitem__(self, pos):
+        return self._built()[pos]
+
+    def __iter__(self):
+        return iter(self._built())
+
+
 @dataclass(frozen=True)
 class PotentialReport:
+    """One condition's outcome. The record count, the worst slack, the
+    verdict and the failing records come from the check's integer pass;
+    `records` holds every record, and the checks build theirs on first
+    read."""
+
     condition: str
-    records: tuple
+    n_events: int
     worst_slack: Rational | None
     verdict: bool
-
-    @property
-    def failures(self):
-        return tuple(r for r in self.records if not r.passed)
+    failures: tuple
+    records: Sequence = field(compare=False)
 
     @cached_property
     def aggregate(self) -> Rational:
@@ -354,14 +445,33 @@ class PotentialReport:
         return sum((r.delta for r in self.records if r.in_aggregate and r.delta), ZERO)
 
 
-def _mk_report(condition: str, records) -> PotentialReport:
-    records = tuple(records)
-    slacks = [r.slack for r in records if r.slack is not None]
+def _reports(conditions, run, ctx: PairContext, *args) -> list:
+    """One report per condition from the integer pass `run(ctx, *args, full)`,
+    which returns one (count, worst slack, records) per condition. The first
+    read of any report's records runs the pass again, in full, on a new
+    context of the same traces: a report holds the traces, not the context
+    and its state cache."""
+    fast, ref = ctx.srpt_trace, ctx.ref_trace
+    replay = cache(lambda: run(PairContext(fast, ref), *args, True))
+    return [
+        PotentialReport(cond, n, worst, not failing, tuple(failing),
+                        _Records(n, lambda pos=pos: replay()[pos][2]))
+        for pos, (cond, (n, worst, failing)) in enumerate(zip(conditions, run(ctx, *args, False)))
+    ]
+
+
+def _merged(condition: str, reports) -> PotentialReport:
+    """One report of all of `reports`: their summaries combined, their
+    records in order on first read."""
+    n = sum(rep.n_events for rep in reports)
+    slacks = [rep.worst_slack for rep in reports if rep.worst_slack is not None]
     return PotentialReport(
-        condition=condition,
-        records=records,
-        worst_slack=min(slacks) if slacks else None,
-        verdict=all(r.passed for r in records),
+        condition,
+        n,
+        min(slacks, default=None),
+        all(rep.verdict for rep in reports),
+        tuple(rec for rep in reports for rec in rep.failures),
+        _Records(n, lambda: [rec for rep in reports for rec in rep.records]),
     )
 
 
@@ -394,7 +504,7 @@ def report_to_json(report: PotentialReport, params: dict | None = None) -> dict:
     return {
         "check": report.condition,
         "params": {key: str(val) for key, val in (params or {}).items()},
-        "n_events": len(report.records),
+        "n_events": report.n_events,
         "worst_slack": None if report.worst_slack is None else str(report.worst_slack),
         "verdict": "pass" if report.verdict else "fail",
         "witnesses": [
@@ -419,10 +529,17 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     reference's backlog on the no-larger of those jobs never exceeds
     machines * size(i); and the fast backlog ahead of i equals its own
     restriction to jobs with remaining volume <= size(i)."""
+    [report] = _reports(("backlog-bound",), _backlog_pass, ctx)
+    return report
+
+
+def _backlog_pass(ctx: PairContext, full: bool) -> list:
+    """check_backlog_bound's integer pass; slacks in units of 1/V."""
     size = ctx.idx_alg.size
     release = ctx.idx_alg.release
     rank = ctx.finish_rank
     real = _in_units(ctx.V)
+    at = _in_units(ctx.L)
     bound = {j.id: ctx.machines * j.size for j in ctx.instance.jobs}
     bound_v = {i: ctx.machines * p for i, p in size.items()}
     gap_label = {i: "backlog gap job %d" % i for i in size}
@@ -430,10 +547,9 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     by_release = sorted(size, key=lambda j: (release[j], j))
     released = []  # ids released by T, ascending
     nxt = 0
-    records = []
-    worst = 0  # each identity record's slack is at most 0
+    part = _Part(full)
+    keep, records = part.keep, part.records
     for T in _check_grid(ctx):
-        t = Rational(T, ctx.L)
         while nxt < len(by_release) and release[by_release[nxt]] <= T:
             insort(released, by_release[nxt])
             nxt += 1
@@ -450,11 +566,11 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
         for i in released:
             gap = st.ahead_alg[i] - st.ahead_ref_small[i]
             slack = bound_v[i] - gap
-            records.append(CheckRecord(t, gap_label[i], real(gap), bound[i], real(slack), slack >= 0))
-            if slack < worst:
-                worst = slack
+            if keep(slack, slack >= 0):
+                records.append(CheckRecord(at(T), gap_label[i], real(gap), bound[i], real(slack), slack >= 0))
             if top[i] <= size[i]:
-                records.append(CheckRecord(t, identity_label[i], ZERO, ZERO, ZERO, True))
+                if keep(0, True):
+                    records.append(CheckRecord(at(T), identity_label[i], ZERO, ZERO, ZERO, True))
                 continue
             small = 0
             for j in alive_alg:
@@ -462,11 +578,9 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
                     small += st.rem_alg[j]
             delta = small - st.ahead_alg[i]
             slack = -abs(delta)
-            records.append(CheckRecord(t, identity_label[i], real(delta), ZERO, real(slack), slack == 0))
-            if slack < worst:
-                worst = slack
-    # the report of _mk_report, with the worst slack taken on the integers
-    return PotentialReport("backlog-bound", tuple(records), real(worst) if records else None, worst >= 0)
+            if keep(slack, slack == 0):
+                records.append(CheckRecord(at(T), identity_label[i], real(delta), ZERO, real(slack), slack == 0))
+    return [part.result(Rational(1, ctx.V))]
 
 
 def _boundaries(ctx: PairContext):
@@ -602,13 +716,23 @@ def check_power_flow_conditions(ctx: PairContext, k: int | None = None) -> Condi
 
 
 def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
+    prefix = "power-" if power else "flow-"
+    conditions = (prefix + "arrival", prefix + "completion", prefix + "running", "objective-bound")
+    arrival, completion, running, bound = _reports(conditions, _walk_pass, ctx, power, k)
+    return ConditionReports(arrival, completion, running, bound, k)
+
+
+def _walk_pass(ctx: PairContext, power: bool, k: int, full: bool) -> list:
+    """_condition_walk's integer pass. Arrival and running slacks are in
+    units of coef (see _walk_term), power completion slacks in units of
+    1/(L * s * (p - q))^k with s = (2q - p) * m * (p - q)."""
     m = ctx.machines
     eps = ctx.epsilon
-    L = ctx.L
+    L, p, q = ctx.L, ctx.p, ctx.q
     release = ctx.idx_alg.release
     size = {j.id: j.size for j in ctx.instance.jobs}
     bounds = _boundaries(ctx)
-    times = [Rational(T, L) for T in bounds]
+    at = _in_units(L)
 
     # Objective plus potential is a sum over alive jobs of a convex term of
     # the job's clamped age g. Between events each g is linear, so the sum is
@@ -616,20 +740,31 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     # is at most 0. Sums of terms and rises stay integers until a record
     # needs them.
     coef, term, rise = _walk_term(ctx, power, k)
+    # an arrival's bound is coef * cap, with cap = (2 * m * size)^k in units
+    # of 1/V
+    cap = {i: (2 * m * v) ** k for i, v in ctx.idx_alg.size.items()}
     if power:
         arrival_coefficient = _power_arrival_coefficient(eps, k)
+        # a completion's jump and owed-case bound in units of
+        # 1/(L * s * (p - q))^k: age^k * per_age - g * per_term and
+        # owed^k * per_owed
+        s = (2 * q - p) * m * (p - q)
+        per_age = (s * (p - q)) ** k
+        per_term = (q * (p - q)) ** k
+        per_owed = (q * (2 * q - p)) ** k
+        completion_unit = Rational(1, (L * s * (p - q)) ** k)
+    else:
+        completion_unit = None  # flow completion records carry no slack
     # clamped ages move at age_rate per time unit; the drained case
     # owed <= m * eps^2 * age reads owed * q <= drained * age in the units
-    age_rate = m * (ctx.p - ctx.q)
-    drained = age_rate * (ctx.p - ctx.q)
+    age_rate = m * (p - q)
+    drained = age_rate * (p - q)
 
     arrivals_at, comp_alg_at, comp_ref_at = (
         _ids_at(t) for t in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
     )
 
-    arrival_records = []
-    completion_records = []
-    running_records = []
+    arrival, completion, running, objective = (_Part(full) for _ in range(4))
     # each jump and drift is coef times a sum of terms, except that a
     # completion jump is age^k minus coef times a term
     ages_total = 0  # sum of age^k at the fast completions, in time units
@@ -641,7 +776,6 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     alive_ref = frozenset()
 
     for pos, T in enumerate(bounds):
-        t = times[pos]
         finished_ref = comp_ref_at.get(T, ())
         if finished_ref:
             alive_ref = alive_ref - frozenset(finished_ref)
@@ -652,15 +786,23 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
                 owed = st.ahead_ref_small[c]
                 age = T - release[c]
                 g = term(age * age_rate - owed)
-                jump = Rational(age ** k, L ** k) - coef * g
                 if not power:
-                    rec = _rec_info(t, "completion job %d" % c, jump)
-                elif owed * ctx.q <= drained * age:
-                    rec = _rec_le(t, "completion job %d (drained case)" % c, jump, ZERO)
+                    if completion.keep(None, True):
+                        jump = Rational(age ** k, L ** k) - coef * g
+                        completion.records.append(_rec_info(at(T), "completion job %d" % c, jump))
                 else:
-                    bound = Rational(owed, m * ctx.V) ** k / eps ** (2 * k)
-                    rec = _rec_le(t, "completion job %d (owed case)" % c, jump, bound)
-                completion_records.append(rec)
+                    is_drained = owed * q <= drained * age
+                    slack = g * per_term - age ** k * per_age
+                    if not is_drained:
+                        slack += owed ** k * per_owed
+                    if completion.keep(slack, slack >= 0):
+                        jump = Rational(age ** k, L ** k) - coef * g
+                        if is_drained:
+                            rec = _rec_le(at(T), "completion job %d (drained case)" % c, jump, ZERO)
+                        else:
+                            owed_bound = Rational(owed, m * ctx.V) ** k / eps ** (2 * k)
+                            rec = _rec_le(at(T), "completion job %d (owed case)" % c, jump, owed_bound)
+                        completion.records.append(rec)
                 ages_total += age ** k
                 completion_terms += g
             alive_alg = alive_alg - frozenset(finished_alg)
@@ -671,18 +813,20 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
             alive_ref = alive_ref | {a}
             st = ctx.state(T, alive_alg, alive_ref)
             g = term(_clamped_age(ctx, st, T, a))
-            bound = arrival_coefficient * size[a] ** k if power else 2 * size[a] / eps
             # the analysis assumes an arrival leaves every other job's term
             # alone; a shift is a failure, recorded as the change it makes to
             # the potential so that the identity below holds
             for i in sorted(prev_alive):
                 shift = term(_clamped_age(ctx, st, T, i)) - term(_clamped_age(ctx, before, T, i))
                 if shift != 0:
-                    arrival_records.append(
-                        _rec_eq(t, "arrival job %d shifts term of job %d" % (a, i), coef * shift)
-                    )
+                    if arrival.keep(-abs(shift), False):
+                        arrival.records.append(
+                            _rec_eq(at(T), "arrival job %d shifts term of job %d" % (a, i), coef * shift)
+                        )
                     jump_terms += shift
-            arrival_records.append(_rec_le(t, "arrival job %d" % a, coef * g, bound))
+            if arrival.keep(cap[a] - g, cap[a] >= g):
+                a_bound = arrival_coefficient * size[a] ** k if power else 2 * size[a] / eps
+                arrival.records.append(_rec_le(at(T), "arrival job %d" % a, coef * g, a_bound))
             jump_terms += g
         if pos + 1 == len(bounds):
             break
@@ -696,23 +840,24 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
             gb = _clamped_age(ctx, st_b, B, i)
             delta += term(gb) - term(ga)
             slope += rise(ga, gb)
-        running_records.append(
-            CheckRecord(
-                t,
-                "drift on [%s, %s]" % (t, times[pos + 1]),
-                coef * delta,
-                coef * (delta - slope),
-                coef * -slope,
-                slope <= 0,
+        if running.keep(-slope, slope <= 0):
+            running.records.append(
+                CheckRecord(
+                    at(T),
+                    "drift on [%s, %s]" % (at(T), at(B)),
+                    coef * delta,
+                    coef * (delta - slope),
+                    coef * -slope,
+                    slope <= 0,
+                )
             )
-        )
         drift_terms += delta
 
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")
 
-    alg_objective = flow_power(ctx.srpt_trace, k)
-    ref_objective = flow_power(ctx.ref_trace, k)
+    alg_objective = _once(flow_power, ctx.srpt_trace, k)
+    ref_objective = _once(flow_power, ctx.ref_trace, k)
 
     # the potential starts and ends at zero, so jumps plus drift must
     # reproduce the final objective exactly; any mismatch is a harness bug
@@ -726,12 +871,12 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
         )
 
     empty = frozenset()
-    for pos, label in ((0, "potential before first event"), (-1, "potential after final event")):
-        value = _potential(ctx, bounds[pos], empty, empty, power, k)
-        completion_records.append(_rec_eq(times[pos], label, value))
+    for T, label in ((bounds[0], "potential before first event"),
+                     (bounds[-1], "potential after final event")):
+        completion.add(_rec_eq(at(T), label, _potential(ctx, T, empty, empty, power, k)))
 
     if not power:
-        completion_records.append(
+        completion.add(
             _rec_le(
                 None,
                 "aggregate completion charge",
@@ -742,26 +887,20 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
         factor = total_flow_factor(eps)
     else:
         factor = power_flow_factor(eps, k)
-    bound_report = _mk_report(
-        "objective-bound",
-        [
-            _rec_le(
-                None,
-                "final objective vs reference (factor %s)" % factor,
-                alg_objective,
-                factor * ref_objective,
-            )
-        ],
+    objective.add(
+        _rec_le(
+            None,
+            "final objective vs reference (factor %s)" % factor,
+            alg_objective,
+            factor * ref_objective,
+        )
     )
-
-    prefix = "power-" if power else "flow-"
-    return ConditionReports(
-        arrival=_mk_report(prefix + "arrival", arrival_records),
-        completion=_mk_report(prefix + "completion", completion_records),
-        running=_mk_report(prefix + "running", running_records),
-        objective_bound=bound_report,
-        k=k,
-    )
+    return [
+        arrival.result(coef),
+        completion.result(completion_unit),
+        running.result(coef),
+        objective.result(None),
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -774,6 +913,13 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
     per-pair window inequality localizes the charge to reference flows."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
+    [report] = _reports(("completion-charge",), _charge_pass, ctx, k)
+    return report
+
+
+def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
+    """check_completion_charge's integer pass; window slacks in units of
+    1/(p * m * L)."""
     m = ctx.machines
     eps = ctx.epsilon
     release = ctx.idx_alg.release
@@ -801,10 +947,10 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
         for j in contributors[i]:
             charged_to[j].append(i)
 
-    records = []
+    part = _Part(full)
     total = Rational(sum(owed[i] ** k for i in jobs), (m * ctx.V) ** k)
-    records.append(
-        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * flow_power(ctx.ref_trace, k))
+    part.add(
+        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * _once(flow_power, ctx.ref_trace, k))
     )
 
     # both sides of the window bound, times (1 + eps) * m * V = p * m * L
@@ -818,18 +964,19 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
                 ctx.idx_ref.remaining(j, comp_ref[a]) for a in charged_to[j] if rank[a] > rank[i]
             )
             rhs = (comp_ref[j] - release[j]) * ctx.p * m - later_charges
-            records.append(
-                CheckRecord(
-                    t,
-                    "window bound pair (%d, %d)" % (i, j),
-                    Rational(lhs, unit),
-                    Rational(rhs, unit),
-                    Rational(rhs - lhs, unit),
-                    rhs >= lhs,
-                    False,
+            if part.keep(rhs - lhs, rhs >= lhs):
+                part.records.append(
+                    CheckRecord(
+                        t,
+                        "window bound pair (%d, %d)" % (i, j),
+                        Rational(lhs, unit),
+                        Rational(rhs, unit),
+                        Rational(rhs - lhs, unit),
+                        rhs >= lhs,
+                        False,
+                    )
                 )
-            )
-    return _mk_report("completion-charge", records)
+    return [part.result(Rational(1, unit))]
 
 
 # --------------------------------------------------------------------------
@@ -896,16 +1043,14 @@ def _check_report(check, ctx, k):
         return check_completion_charge(ctx, k=k)
     power = check == "power-flow-potential"
     walk = check_power_flow_conditions(ctx, k=k) if power else check_flow_conditions(ctx)
-    return _mk_report(check, (rec for rep in walk.reports for rec in rep.records))
+    return _merged(check, walk.reports)
 
 
-def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
-    """Audit `trace`, a schedule at speed 1+eps, and run every check of
-    VERIFY_CHECKS on it against each named unit-speed reference of REFERENCES
-    over its instance: backlog and flow at k = 1, power and charge at each k
-    of `ks`. For eps > 1/2 the latter are skipped, and every k must be 1.
-    Raises AnalysisError on eps <= 0, a k below 1 or an unknown reference."""
-    eps = trace.speed.epsilon
+def verify_domain(eps, ks, refs=REFERENCES) -> tuple:
+    """`verify`'s checks on its arguments, which need no trace. Returns the
+    sorted ks the power and charge checks run at (none for eps > 1/2) and
+    the notice that says why they do not. Raises AnalysisError on a k below
+    1, an unknown reference, eps <= 0, or a k above 1 with eps > 1/2."""
     ks = sorted(set(ks))
     if not ks or not all(isinstance(k, int) and k >= 1 for k in ks):
         raise AnalysisError("k values must be integers >= 1")
@@ -914,21 +1059,35 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
             raise AnalysisError("unknown reference %r" % name)
     if eps <= 0:
         raise AnalysisError("epsilon out of theorem range: verification needs speed > 1")
-    power_ks, notice = ks, None
-    if eps > MAX_POWER_EPS:
-        if any(k > 1 for k in ks):
-            raise AnalysisError("epsilon out of theorem range (k > 1 needs 0 < epsilon <= 1/2)")
-        power_ks = []
-        notice = "epsilon > 1/2: power-flow-potential and completion-charge checks skipped"
-    ok, violations = validate_trace(trace)
-    if not ok:
-        return VerifyReport(tuple(violations), (), notice)
-    rows = []
-    for name in refs:
-        ctxs, skipped = _reference_contexts(name, trace, sorted({1, *power_ks}))
-        for check in VERIFY_CHECKS:
-            check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
-            reason = skipped if check_ks else notice
-            reports = () if reason else tuple(_check_report(check, ctxs[k], k) for k in check_ks)
-            rows.append(VerifyRow(check, name, check_ks, reports, reason))
-    return VerifyReport((), tuple(rows), notice)
+    if eps <= MAX_POWER_EPS:
+        return ks, None
+    if any(k > 1 for k in ks):
+        raise AnalysisError("epsilon out of theorem range (k > 1 needs 0 < epsilon <= 1/2)")
+    return [], "epsilon > 1/2: power-flow-potential and completion-charge checks skipped"
+
+
+def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
+    """Audit `trace`, a schedule at speed 1+eps, and run every check of
+    VERIFY_CHECKS on it against each named unit-speed reference of REFERENCES
+    over its instance: backlog and flow at k = 1, power and charge at each k
+    of `ks`. For eps > 1/2 the latter are skipped, and every k must be 1.
+    Raises AnalysisError as verify_domain does. Each trace is validated,
+    and each flow_power taken, once per call."""
+    power_ks, notice = verify_domain(trace.speed.epsilon, ks, refs)
+    outer = getattr(_per_verify, "memo", None)
+    _per_verify.memo = {}
+    try:
+        ok, violations = _once(validate_trace, trace)
+        if not ok:
+            return VerifyReport(tuple(violations), (), notice)
+        rows = []
+        for name in refs:
+            ctxs, skipped = _reference_contexts(name, trace, sorted({1, *power_ks}))
+            for check in VERIFY_CHECKS:
+                check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
+                reason = skipped if check_ks else notice
+                reports = () if reason else tuple(_check_report(check, ctxs[k], k) for k in check_ks)
+                rows.append(VerifyRow(check, name, check_ks, reports, reason))
+        return VerifyReport((), tuple(rows), notice)
+    finally:
+        _per_verify.memo = outer

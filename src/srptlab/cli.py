@@ -23,6 +23,7 @@ from .analysis import (
     report_to_json,
     theorem_factor,
     verify,
+    verify_domain,
 )
 from .core import InstanceError, SpeedConfig, flow_power
 from .engine import simulate_srpt
@@ -217,6 +218,7 @@ def cmd_verify(args) -> int:
     speed = _speed_config(args.speed)
     ks = _k_list(args.k)
     refs = _ref_list(args.refs)
+    verify_domain(speed.epsilon, ks, refs)  # a bad domain exits 3 before simulating
     trace = simulate_srpt(instance, speed)
     report = verify(trace, ks, refs)
 

@@ -219,6 +219,9 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         slots.append((t, tuple(sorted(ran))))
         alive = sorted(nxt)
         t += 1
+    # the search's closures refer to each other, so the memo would otherwise
+    # live on until the cyclic garbage collector reaches them
+    memo.clear()
 
     # fold unit slots into segments, inserting idle stretches between them
     segments = []

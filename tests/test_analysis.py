@@ -7,6 +7,7 @@ computed by replaying the schedules by hand before the module existed.
 
 import hashlib
 import json
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from srptlab import (
     AnalysisError,
     ExecutionTrace,
     GenSpec,
+    PotentialReport,
     Segment,
     SpeedConfig,
     UNIT_SPEED,
@@ -39,7 +41,6 @@ from srptlab import (
 )
 from srptlab.analysis import (
     _check_grid,
-    _mk_report,
     _rec_le,
     alg_backlog,
     flow_potential,
@@ -502,6 +503,71 @@ def test_check_records_golden():
     assert failing == {"backlog-bound", "flow", "power", "charge"}
 
 
+# (seed, policy, speed, reference) -> the failing window bounds of
+# check_completion_charge at every k in 1-3: label, time, delta and bound
+FAILING_WINDOWS = {
+    (21, "lrpt", "3/2", "srpt"): [
+        ("window bound pair (1, 1)", "64/9", "10/9", "11/12"),
+        ("window bound pair (7, 1)", "73/9", "10/9", "11/12"),
+    ],
+    (36, "lrpt", "5/4", "fifo"): [("window bound pair (1, 1)", "91/15", "16/15", "31/30")],
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", FAILING_WINDOWS, ids=lambda case: "seed=%d" % case[0])
+def test_failing_window_bounds(case, k, monkeypatch):
+    seed, policy, speed, ref_name = case
+    inst = fractional_instance(seed)
+    fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), POTENTIAL_POLICIES[policy])
+    ref_policy = srpt_priority if ref_name == "srpt" else fifo_priority
+    report = check_completion_charge(make_context(fast, simulate_policy(inst, UNIT_SPEED, ref_policy)), k=k)
+    # reading the failures must not build the records, which needs states
+    states = []
+    monkeypatch.setattr(analysis.PairContext, "state", lambda *args: states.append(args))
+    witnesses = [(r.label, str(r.time), str(r.delta), str(r.bound)) for r in report.failures]
+    assert witnesses == FAILING_WINDOWS[case]
+    assert not report.verdict and report.worst_slack < 0 and states == []
+
+
+def every_report(ctx, ks):
+    """Every report of every check on ctx: the backlog bound, the flow
+    walk's four, and at each k the power walk's four and the charge."""
+    reports = [check_backlog_bound(ctx), *check_flow_conditions(ctx).reports]
+    for k in ks:
+        reports.extend(check_power_flow_conditions(ctx, k=k).reports)
+        reports.append(check_completion_charge(ctx, k=k))
+    return reports
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("speed", ["5/4", "3/2"])
+@pytest.mark.parametrize("policy", POTENTIAL_POLICIES)
+def test_summaries_agree_with_records(policy, speed, seed):
+    """A report's count, worst slack, verdict and failures come from its
+    check's integer pass, and its records from a second pass on first read:
+    both must describe the same records. A report keeps no context alive."""
+    inst = generate(GenSpec("uniform", 6, 1 + seed % 3, (1, 5), (0, 6), 100 + seed))
+    fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), POTENTIAL_POLICIES[policy])
+    refs = [simulate_srpt(inst, UNIT_SPEED), simulate_policy(inst, UNIT_SPEED, fifo_priority)]
+    refs += [brute_force_opt(inst, k=k).trace for k in (1, 2, 3)]
+    reports = []
+    for ref in refs:
+        ctx = make_context(fast, ref)
+        reports += every_report(ctx, (1, 2, 3))
+        alive = weakref.ref(ctx)
+        del ctx
+        assert alive() is None
+    # the verify rows merge each walk's four reports into one
+    reports += [rep for row in verify(fast, ks=(1, 2, 3)).rows for rep in row.reports]
+    for rep in reports:
+        records = tuple(rep.records)
+        assert rep.n_events == len(records)
+        assert rep.worst_slack == min((r.slack for r in records if r.slack is not None), default=None)
+        assert rep.verdict == all(r.passed for r in records)
+        assert rep.failures == tuple(r for r in records if not r.passed)
+
+
 _SIZES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2)])
 _RELEASES = st.integers(0, 6).map(lambda x: Fraction(x, 2))
 _SPEEDS = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
@@ -913,7 +979,8 @@ class TestReportExport:
         assert isinstance(doc["worst_slack"], str)
 
     def test_failing_report_carries_witnesses(self):
-        failing = _mk_report("demo", [_rec_le(rat(1), "too big", rat(2), rat(1))])
+        rec = _rec_le(rat(1), "too big", rat(2), rat(1))
+        failing = PotentialReport("demo", 1, rec.slack, False, (rec,), (rec,))
         assert not failing.verdict
         doc = report_to_json(failing)
         assert doc["verdict"] == "fail"

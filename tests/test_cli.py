@@ -122,14 +122,19 @@ class TestVerify:
         assert len(check_rows) == 8
         assert all("pass" in l for l in lines)
 
-    def test_unit_speed_rejected(self, e1_path, capsys):
+    # both are rejected before SRPT is simulated
+    def test_unit_speed_rejected(self, e1_path, monkeypatch, capsys):
+        simulated = []
+        monkeypatch.setattr(cli, "simulate_srpt", lambda *a: simulated.append(a))
         rc = main(["verify", "--instance", e1_path, "--speed", "1"])
-        assert rc == 3
+        assert rc == 3 and simulated == []
         assert "needs speed > 1" in capsys.readouterr().err
 
-    def test_large_eps_with_power_k_rejected(self, e1_path, capsys):
+    def test_large_eps_with_power_k_rejected(self, e1_path, monkeypatch, capsys):
+        simulated = []
+        monkeypatch.setattr(cli, "simulate_srpt", lambda *a: simulated.append(a))
         rc = main(["verify", "--instance", e1_path, "--speed", "2", "--k", "2"])
-        assert rc == 3
+        assert rc == 3 and simulated == []
         assert "theorem range" in capsys.readouterr().err
 
     def test_large_eps_flow_only_skips_power_checks(self, e1_path, capsys):
@@ -215,6 +220,24 @@ class TestVerify:
         monkeypatch.setattr(analysis, "make_context", counting)
         assert main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1,2"] + refs) == 0
         assert len(built) == contexts
+
+    def test_each_trace_validated_and_measured_once(self, e1_path, monkeypatch, capsys):
+        # 5 traces: SRPT at 3/2, the oracle's at k = 1 and 2, unit SRPT, FIFO
+        calls = []
+
+        def counting(fn):
+            def wrapper(trace, *args):
+                calls.append((fn.__name__, id(trace), args))
+                return fn(trace, *args)
+            return wrapper
+
+        for name in ("validate_trace", "flow_power"):
+            monkeypatch.setattr(analysis, name, counting(getattr(analysis, name)))
+        assert main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1,2"]) == 0
+        validated = [call for call in calls if call[0] == "validate_trace"]
+        assert len(validated) == len(set(validated)) == 5
+        measured = [call for call in calls if call[0] == "flow_power"]
+        assert len(measured) == len(set(measured)) == 8
 
 
 def _corrupted_srpt(instance, speed):
