@@ -17,18 +17,20 @@ in job-id order; a job is alive at t when release <= t < completion, so
 evaluation at event times is post-event.
 Between two consecutive event times every queried quantity is linear in t.
 
-Integer time base. Each context measures time in units of 1/L and volume in
-units of 1/V. L is twice the lcm of the denominators of every release, size,
-segment bound and completion in both traces, so every event time and every
-midpoint between two of them is an integer T = t * L. With the fast speed
-p/q in lowest terms, V = q * L: a job's remaining volume inside a service
-interval is line - p * T in the fast schedule and line - q * T in the
-reference, with line an integer, so every remaining volume at a grid time is
-an integer too (and an exact Fraction at any other T, with no division). The
-checks run on these integers: each one decides, counts and ranks its records
-in one integer pass, and builds Fractions only for its failing records, its
-worst slack and the few records a report always holds. A report's full
-records are built when first read, by running the pass again (see _Part).
+Integer time base (shared with the engine and validate_trace through
+core._unit and core._scaled). Each context measures time in units of 1/L and
+volume in units of 1/V. L is twice the lcm of the denominators of every
+release, size, segment bound, completion and event in both traces, so every
+event time and every midpoint between two of them is an integer T = t * L.
+With the fast speed p/q in lowest terms, V = q * L: a job's remaining volume
+inside a service interval is line - p * T in the fast schedule and
+line - q * T in the reference, with line an integer, so every remaining
+volume at a grid time is an integer too (and an exact Fraction at any other
+T, with no division). The checks run on these integers: each one decides,
+counts and ranks its records in one integer pass, and builds Fractions only
+for its failing records, its worst slack and the few records a report always
+holds. A report's full records are built when first read, by running the
+pass again (see _Part).
 The public point queries take and return times and volumes in their own
 units.
 """
@@ -39,12 +41,12 @@ from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import lcm
 from threading import local
 from typing import NamedTuple
 
 from . import engine, oracle
-from .core import UNIT_SPEED, ExecutionTrace, FlowSummary, flow_power, validate_trace
+from .core import (UNIT_SPEED, ExecutionTrace, FlowSummary, _scaled, _trace_values, _unit,
+                   flow_power, validate_trace)
 from .rationals import Rational, ZERO, kth_root_str
 
 # the power checks and the k >= 2 guarantees need 0 < eps <= MAX_POWER_EPS
@@ -69,24 +71,10 @@ def _ids_at(times: dict) -> dict:
 
 
 def _time_unit(*traces) -> int:
-    """L: twice the lcm of the denominators of every release, size, segment
-    bound and completion of the traces, so that each of them and each
+    """L: twice core._unit over every release, size, segment bound,
+    completion and event of the traces, so that each of them and each
     midpoint between two of them is a whole multiple of 1/L."""
-    dens = {1}
-    for trace in traces:
-        for j in trace.instance.jobs:
-            dens.add(j.release.denominator)
-            dens.add(j.size.denominator)
-        for seg in trace.segments:
-            dens.add(seg.start.denominator)
-            dens.add(seg.end.denominator)
-        dens.update(c.denominator for c in trace.completions)
-    return 2 * lcm(*dens)
-
-
-def _scaled(x, unit: int) -> int:
-    """x * unit for a rational x whose denominator divides unit."""
-    return x.numerator * (unit // x.denominator)
+    return 2 * _unit(x for trace in traces for x in _trace_values(trace))
 
 
 class _TraceIndex:

@@ -8,6 +8,7 @@ serialized byte-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .rationals import Rational, ZERO, rat
 
@@ -138,6 +139,30 @@ def make_instance(triples, machines: int) -> Instance:
     return validate_instance(Instance(jobs=build_jobs(triples), machines=machines))
 
 
+def _unit(values) -> int:
+    """The lcm of the denominators of the rationals in `values`: the least L
+    with x * L an integer for each of them. The engine, validate_trace and
+    the analysis contexts count time in such units, converting with _scaled."""
+    return lcm(*{x.denominator for x in values})
+
+
+def _scaled(x, unit: int) -> int:
+    """x * unit for a rational x whose denominator divides unit."""
+    return x.numerator * (unit // x.denominator)
+
+
+def _trace_values(trace: ExecutionTrace):
+    """Every release, size, segment bound, completion and event of a trace."""
+    for j in trace.instance.jobs:
+        yield j.release
+        yield j.size
+    for seg in trace.segments:
+        yield seg.start
+        yield seg.end
+    yield from trace.completions
+    yield from trace.events
+
+
 def events_of(instance: Instance, completions) -> tuple:
     times = {j.release for j in instance.jobs}
     times.update(completions)
@@ -148,9 +173,13 @@ def validate_trace(trace: ExecutionTrace):
     """Exact feasibility audit of a trace against its instance.
 
     Returns (ok, violations); each violation string pinpoints the segment
-    and job involved. No tolerances: every check is rational equality or
-    ordering. One pass over the segments accumulates every job's service,
-    so the audit is linear in the trace's size.
+    and job involved. No tolerances: every time is converted once to an
+    integer count of 1/L, with L the lcm of the denominators of every
+    release, size, segment bound, completion and event, and every check is
+    an integer equality or ordering; with speed p/q, a job's work is exact
+    when its service time * p equals its size * q. Fractions are built only
+    for the violation messages. One pass over the segments accumulates every
+    job's service, so the audit is linear in the trace's size.
     """
     violations = []
     inst = trace.instance
@@ -162,18 +191,24 @@ def validate_trace(trace: ExecutionTrace):
         violations.append("completions cover %d of %d jobs" % (len(trace.completions), n))
         return False, violations
 
+    L = _unit(_trace_values(trace))
+    release = {jid: _scaled(j.release, L) for jid, j in jobs.items()}
+    completion = [_scaled(c, L) for c in trace.completions]
+
     # segment structure: partition of [0, max completion], positive lengths;
-    # per job: service, end of its last segment, and its segment violations
-    service = dict.fromkeys(jobs, ZERO)
+    # per job: service in units of 1/L, end of its last segment, and its
+    # segment violations
+    service = dict.fromkeys(jobs, 0)
     last_end = dict.fromkeys(jobs)
-    job_violations = {jid: [] for jid in jobs}
-    prev_end = ZERO
+    job_violations = {}
+    prev, prev_end = 0, ZERO
     for idx, seg in enumerate(trace.segments):
-        if seg.start != prev_end:
+        start, end = _scaled(seg.start, L), _scaled(seg.end, L)
+        if start != prev:
             violations.append(
                 "segment %d: starts at %s, expected %s" % (idx, seg.start, prev_end)
             )
-        if seg.start >= seg.end:
+        if start >= end:
             violations.append("segment %d: empty or reversed interval" % idx)
         if len(seg.assignment) != m:
             violations.append("segment %d: %d machine slots, expected %d"
@@ -188,28 +223,26 @@ def validate_trace(trace: ExecutionTrace):
             violations.append(
                 "segment %d: parallel self-processing of job %d" % (idx, dup[0])
             )
-        length = seg.end - seg.start
+        length = end - start
         for jid in running & jobs.keys():
-            job = jobs[jid]
-            if seg.start < job.release:
-                job_violations[jid].append(
+            if start < release[jid]:
+                job_violations.setdefault(jid, []).append(
                     "segment %d: job %d runs before its release" % (idx, jid)
                 )
-            if seg.end > trace.completions[jid]:
-                job_violations[jid].append(
+            if end > completion[jid]:
+                job_violations.setdefault(jid, []).append(
                     "segment %d: job %d runs after its completion" % (idx, jid)
                 )
             service[jid] += length
             last_end[jid] = seg.end
-        prev_end = seg.end
+        prev, prev_end = end, seg.end
 
     if n:
-        horizon = max(trace.completions)
         if not trace.segments:
             violations.append("no segments but %d jobs" % n)
-        elif prev_end != horizon:
+        elif prev != max(completion):
             violations.append(
-                "segments end at %s, max completion is %s" % (prev_end, horizon)
+                "segments end at %s, max completion is %s" % (prev_end, max(trace.completions))
             )
     elif trace.segments:
         violations.append("segments present for an empty instance")
@@ -217,30 +250,26 @@ def validate_trace(trace: ExecutionTrace):
     # per-job: service only inside [release, completion], exact conservation,
     # completion time consistent with the last assigned segment
     speed = trace.speed.speed
+    p, q = speed.numerator, speed.denominator
     for jid, job in sorted(jobs.items()):
-        comp = trace.completions[jid]
-        violations.extend(job_violations[jid])
-        work = service[jid] * speed
-        if work < job.size:
-            violations.append(
-                "work deficit for job %d: %s of %s" % (jid, work, job.size)
-            )
-        elif work > job.size:
-            violations.append(
-                "work surplus for job %d: %s of %s" % (jid, work, job.size)
-            )
-        if comp < job.release:
+        violations.extend(job_violations.get(jid, ()))
+        work, size = service[jid] * p, _scaled(job.size, L) * q
+        if work != size:
+            violations.append("work %s for job %d: %s of %s" % (
+                "deficit" if work < size else "surplus", jid, Rational(work, L * q), job.size))
+        if completion[jid] < release[jid]:
             violations.append("job %d completes before release" % jid)
         if last_end[jid] is None:
             violations.append("job %d never scheduled" % jid)
-        elif last_end[jid] != comp:
+        elif _scaled(last_end[jid], L) != completion[jid]:
             violations.append(
                 "job %d: last service ends %s, completion says %s"
-                % (jid, last_end[jid], comp)
+                % (jid, last_end[jid], trace.completions[jid])
             )
 
-    expected_events = events_of(inst, trace.completions)
-    if tuple(trace.events) != expected_events:
+    expected = sorted({*release.values(), *completion})
+    if len(trace.events) != len(expected) or any(
+            _scaled(t, L) != e for t, e in zip(trace.events, expected)):
         violations.append("event list out of sync with arrivals and completions")
 
     return not violations, violations

@@ -4,9 +4,17 @@ speed-s machines, with migration allowed.
 The policy is re-evaluated only at events (arrivals and completions). Between
 events the machine assignment is frozen, which is lossless for SRPT: running
 jobs all shrink at the same rate while waiting jobs stand still, so the m
-smallest-remaining jobs stay the m smallest until the next event. Every time
-and every remaining volume is an exact Rational; completions happen when a
-remaining volume hits zero exactly, never within a tolerance.
+smallest-remaining jobs stay the m smallest until the next event.
+
+The loop runs on integer ticks. With speed p/q and L the lcm of the
+denominators of every release and size, time is counted in units of
+1/(p * L) and volume in units of 1/(q * L), so one time tick on a machine
+does exactly one volume tick of work: a step is the least of the running
+jobs' remaining volumes and the time to the next release, with no division,
+and a job completes when its remaining volume hits zero exactly. Each
+segment end becomes an exact Rational once, when its segment is recorded (an
+end at a release reuses the job's release), and the events are the segment
+ends.
 
 Coincident events are processed completions first, then arrivals, ties in
 job-id order throughout.
@@ -19,10 +27,11 @@ from .core import (
     Instance,
     Segment,
     SpeedConfig,
-    events_of,
+    _scaled,
+    _unit,
     validate_instance,
 )
-from .rationals import ZERO
+from .rationals import ZERO, Rational
 
 
 class EngineError(ValueError):
@@ -47,60 +56,65 @@ def simulate_policy(instance: Instance, speed: SpeedConfig, priority=srpt_priori
 
     `priority` maps (remaining, size, release, id) to a sort key; the
     min(m, alive) smallest keys hold machines 0.. in key order until the next
-    event. Starvation is impossible by construction: a machine never idles
-    while an unfinished job is available.
+    event. Its arguments are ints in the loop's ticks: remaining and size in
+    volume units of 1/(q * L), release in time units of 1/(p * L), for speed
+    p/q and L the lcm of the releases' and sizes' denominators. These are
+    the exact values times positive constants, so a key that orders by them
+    orders the same as on the exact values. Starvation is impossible by
+    construction: a machine never idles while an unfinished job is available.
     """
     inst = validate_instance(instance)
     if speed.speed <= 0:
         raise EngineError("speed must be positive")
     m = inst.machines
-    s = speed.speed
-    jobs = {j.id: j for j in inst.jobs}
+    jobs = inst.jobs  # in (release, id) order
+    L = _unit(x for j in jobs for x in (j.release, j.size))
+    tick = speed.speed.numerator * L  # time ticks per time unit
+    volume = speed.speed.denominator * L  # volume ticks per volume unit
+    release = [0] * inst.n  # by job id
+    size = [0] * inst.n
+    for j in jobs:
+        release[j.id], size[j.id] = _scaled(j.release, tick), _scaled(j.size, volume)
 
-    queue = sorted(inst.jobs, key=lambda j: (j.release, j.id))
     qi = 0
-    alive = {}  # jid -> remaining
-    now = ZERO
+    alive = {}  # jid -> remaining volume ticks
+    now, now_at = 0, ZERO  # the current tick and its Rational
     segments = []
     completions = [None] * inst.n
 
     while True:
-        while qi < len(queue) and queue[qi].release <= now:
-            alive[queue[qi].id] = queue[qi].size
+        while qi < len(jobs) and release[jobs[qi].id] <= now:
+            alive[jobs[qi].id] = size[jobs[qi].id]
             qi += 1
-        if not alive:
-            if qi == len(queue):
-                break
-            nxt = queue[qi].release
-            segments.append(Segment(start=now, end=nxt, assignment=(None,) * m))
-            now = nxt
-            continue
-        order = sorted(
-            alive.items(),
-            key=lambda kv: priority(kv[1], jobs[kv[0]].size, jobs[kv[0]].release, kv[0]),
-        )
-        running = [jid for jid, _ in order[:m]]
-        t_next = min(now + alive[jid] / s for jid in running)
-        if qi < len(queue):
-            t_next = min(t_next, queue[qi].release)
-        assignment = tuple(running) + (None,) * (m - len(running))
-        segments.append(Segment(start=now, end=t_next, assignment=assignment))
-        delta = (t_next - now) * s
+        if alive:
+            running = sorted(alive, key=lambda jid: priority(alive[jid], size[jid], release[jid], jid))[:m]
+            end = now + min(alive[jid] for jid in running)
+        elif qi < len(jobs):
+            running = []
+        else:
+            break
+        if qi < len(jobs) and (not running or release[jobs[qi].id] <= end):
+            # the step stops at the next release: reuse its Rational
+            end, end_at = release[jobs[qi].id], jobs[qi].release
+        else:
+            end_at = Rational(end, tick)
+        segments.append(Segment(now_at, end_at, tuple(running) + (None,) * (m - len(running))))
         for jid in running:
-            alive[jid] -= delta
-        now = t_next
-        for jid in sorted(running):
-            if alive[jid] == 0:
-                completions[jid] = now
+            alive[jid] -= end - now
+            if not alive[jid]:
+                completions[jid] = end_at
                 del alive[jid]
+        now, now_at = end, end_at
 
-    completions = tuple(completions)
+    # every segment ends at a release or a completion, and each of those
+    # after 0 ends a segment
+    events = tuple(seg.end for seg in segments)
     return ExecutionTrace(
         instance=inst,
         speed=speed,
         segments=tuple(segments),
-        completions=completions,
-        events=events_of(inst, completions),
+        completions=tuple(completions),
+        events=(ZERO,) + events if jobs and not release[jobs[0].id] else events,
     )
 
 

@@ -370,6 +370,110 @@ class TestValidateGolden:
         assert not all(cases[name][0] for name in mine)
 
 
+# moves by fractions whose denominators no seeded trace holds
+_FOREIGN_SHIFTS = (Rational(-1, 7), Rational(1, 7), Rational(-2, 11), Rational(3, 13))
+FOREIGN_KINDS = (
+    "end",  # one segment's end moved
+    "bound",  # one segment's end and the next one's start moved together
+    "completion",  # one completion moved, events left as they were
+    "completion-events",  # one completion moved and the events rebuilt
+    "event",  # one event time moved
+)
+
+
+def foreign_denominator_cases():
+    """Case name -> [ok, violations] of validate_trace on the SRPT, FIFO and
+    LRPT traces of 12 small integral instances, each with one time moved by
+    a multiple of 1/7, 1/11 or 1/13: a denominator found nowhere else in the
+    trace."""
+    cases = {}
+    for seed in range(12):
+        inst = random_integer_instance(seed)
+        speed = SpeedConfig.from_speed(("1", "3/2", "2")[seed % 3])
+        for pi, (policy, priority) in enumerate(POLICIES.items()):
+            trace = simulate_policy(inst, speed, priority)
+            for ki, kind in enumerate(FOREIGN_KINDS):
+                rng = XorShift64Star(7000 + 100 * seed + 10 * pi + ki)
+                shift = _FOREIGN_SHIFTS[rng.below(4)]
+                segs = list(trace.segments)
+                comps = list(trace.completions)
+                events = list(trace.events)
+                idx = rng.below(len(segs))
+                if kind in ("end", "bound"):
+                    if kind == "bound":
+                        idx = rng.below(len(segs) - 1) if len(segs) > 1 else 0
+                    seg = segs[idx]
+                    segs[idx] = Segment(seg.start, seg.end + shift, seg.assignment)
+                    if kind == "bound" and idx + 1 < len(segs):
+                        seg = segs[idx + 1]
+                        segs[idx + 1] = Segment(seg.start + shift, seg.end, seg.assignment)
+                elif kind.startswith("completion"):
+                    comps[rng.below(inst.n)] += shift
+                    if kind == "completion-events":
+                        events = events_of(inst, comps)
+                else:
+                    events[rng.below(len(events))] += shift
+                bad = replace(trace, segments=tuple(segs), completions=tuple(comps),
+                              events=tuple(events))
+                cases["seed=%d policy=%s kind=%s" % (seed, policy, kind)] = list(validate_trace(bad))
+    return cases
+
+
+class TestForeignDenominators:
+    """validate_trace on times whose denominators appear nowhere else in the
+    trace, against tests/data/validate_denominators.json and by hand."""
+
+    def test_golden(self):
+        golden = json.loads((DATA / "validate_denominators.json").read_text())
+        cases = foreign_denominator_cases()
+        assert list(cases) == list(golden)
+        for name, case in cases.items():
+            assert case == golden[name], name
+        for kind in FOREIGN_KINDS:
+            assert not all(case[0] for name, case in cases.items() if name.endswith(" kind=" + kind))
+
+    def _moved_bound(self, trace, shift):
+        segs = list(trace.segments)
+        segs[0] = Segment(segs[0].start, segs[0].end + shift, segs[0].assignment)
+        segs[1] = Segment(segs[1].start + shift, segs[1].end, segs[1].assignment)
+        return replace(trace, segments=tuple(segs))
+
+    def test_bound_moved_back(self, e1_fast_trace):
+        # job 1 runs on [0, 2/3 - 1/7] at speed 3/2: 11/14 of its unit size
+        assert validate_trace(self._moved_bound(e1_fast_trace, Rational(-1, 7))) == (False, [
+            "work deficit for job 1: 11/14 of 1",
+            "job 1: last service ends 11/21, completion says 2/3",
+        ])
+
+    def test_bound_moved_on(self, e1_fast_trace):
+        assert validate_trace(self._moved_bound(e1_fast_trace, Rational(1, 7))) == (False, [
+            "segment 0: job 1 runs after its completion",
+            "work surplus for job 1: 17/14 of 1",
+            "job 1: last service ends 17/21, completion says 2/3",
+        ])
+
+    def test_segment_end_moved(self, e1_fast_trace):
+        segs = list(e1_fast_trace.segments)
+        segs[-1] = Segment(segs[-1].start, segs[-1].end + Rational(1, 7), segs[-1].assignment)
+        assert validate_trace(replace(e1_fast_trace, segments=tuple(segs))) == (False, [
+            "segments end at 15/7, max completion is 2",
+            "segment 3: job 0 runs after its completion",
+            "work surplus for job 0: 45/14 of 3",
+            "job 0: last service ends 15/7, completion says 2",
+        ])
+
+    def test_completion_moved(self, e1_fast_trace):
+        comps = (e1_fast_trace.completions[0], e1_fast_trace.completions[1], Rational(38, 21))
+        bad = replace(e1_fast_trace, completions=comps, events=events_of(e1_fast_trace.instance, comps))
+        assert validate_trace(bad) == (False, ["job 2: last service ends 5/3, completion says 38/21"])
+
+    def test_event_moved(self, e1_fast_trace):
+        events = list(e1_fast_trace.events)
+        events[1] += Rational(1, 7)
+        assert validate_trace(replace(e1_fast_trace, events=tuple(events))) == (
+            False, ["event list out of sync with arrivals and completions"])
+
+
 def decimal_cases():
     """Seeded rationals covering the classes where rendering to 12
     significant digits can go wrong: exact ties at the last kept digit,
@@ -539,6 +643,9 @@ if __name__ == "__main__":
     # regenerate the golden files: PYTHONPATH=src python tests/test_core.py
     (DATA / "validate_violations.json").write_text(
         json.dumps(violation_cases(), indent=1) + "\n"
+    )
+    (DATA / "validate_denominators.json").write_text(
+        json.dumps(foreign_denominator_cases(), indent=1) + "\n"
     )
     decimals = [[q.numerator, q.denominator, decimal_str(q)] for q in decimal_cases()]
     (DATA / "decimal_str.json").write_text(

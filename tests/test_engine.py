@@ -1,6 +1,9 @@
 """Event-driven scheduler: exact completions, tie handling, policy plumbing."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,9 +20,10 @@ from srptlab import (
     srpt_priority,
     validate_trace,
 )
-from srptlab.core import Job
+from srptlab.core import Job, events_of
+from srptlab.formats import dump_json, trace_to_json
 from srptlab.rationals import rat
-from srptlab.workload import GenSpec, generate
+from srptlab.workload import FAMILIES, GenSpec, XorShift64Star, generate
 
 from helpers import random_integer_instance, rebuild_remaining, slot_srpt_completions
 
@@ -27,6 +31,9 @@ from helpers import random_integer_instance, rebuild_remaining, slot_srpt_comple
 def lifo_tie_priority(remaining, size, release, jid):
     # pathological tie-break: newer arrivals win; used to exhibit starvation
     return (remaining, -release, jid)
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def alive_ids(trace, t):
@@ -90,6 +97,25 @@ class TestPolicies:
         a = simulate_policy(e1_instance, SpeedConfig.from_speed("3/2"))
         b = simulate_srpt(e1_instance, SpeedConfig.from_speed("3/2"))
         assert a == b
+
+    def test_priority_sees_integer_ticks(self, e1_instance):
+        # speed p/q = 3/2 and L = 1: sizes and remaining volumes in units of
+        # 1/(q * L) = 1/2, releases in units of 1/(p * L) = 1/3
+        calls = []
+
+        def recording(remaining, size, release, jid):
+            calls.append((remaining, size, release, jid))
+            return srpt_priority(remaining, size, release, jid)
+
+        tr = simulate_policy(e1_instance, SpeedConfig.from_speed("3/2"), recording)
+        assert tr == simulate_srpt(e1_instance, SpeedConfig.from_speed("3/2"))
+        assert all(type(x) is int for call in calls for x in call)
+        assert sorted(calls) == sorted([
+            (6, 6, 0, 0), (2, 2, 0, 1),  # t = 0
+            (4, 6, 0, 0),  # t = 2/3: job 1 done
+            (3, 6, 0, 0), (2, 2, 3, 2),  # t = 1: job 2 arrives
+            (1, 6, 0, 0),  # t = 5/3: job 2 done
+        ])
 
     def test_bad_speed(self, e1_instance):
         with pytest.raises(EngineError, match="speed must be positive"):
@@ -198,3 +224,93 @@ class TestInvariants:
                 tr = simulate_policy(inst, SpeedConfig.from_speed(speed), prio)
                 ok, violations = validate_trace(tr)
                 assert ok, violations
+
+
+DIGEST_POLICIES = {
+    "srpt": srpt_priority,
+    "fifo": fifo_priority,
+    "lrpt": longest_remaining_priority,
+    "lifo-tie": lifo_tie_priority,
+}
+
+
+def digest_instances():
+    """Group name -> {instance name -> instance}: one seeded instance of
+    each family on m = 1-4 machines (n = 5-24), and six instances whose
+    releases and sizes have denominators 1, 2, 3, 5 and 7."""
+    groups = {}
+    for fi, family in enumerate(FAMILIES):
+        group = groups[family] = {}
+        for m in range(1, 5):
+            n = 5 + 6 * (m - 1) + fi
+            spec = GenSpec(family=family, n=n, machines=m, size_range=(1, 8),
+                           release_range=(0, n), seed=m)
+            group["m=%d n=%d" % (m, n)] = generate(spec)
+    group = groups["fractional"] = {}
+    for seed in range(6):
+        rng = XorShift64Star(seed)
+        n, m = 5 + 3 * seed, 1 + seed % 3
+        triples = [(i, Fraction(rng.below(3 * n), (1, 2, 3, 7)[rng.below(4)]),
+                    Fraction(1 + rng.below(9), (1, 3, 5, 7)[rng.below(4)])) for i in range(n)]
+        group["seed=%d m=%d n=%d" % (seed, m, n)] = make_instance(triples, machines=m)
+    return groups
+
+
+def digest_speeds(m):
+    """The speeds every digest instance on m machines runs at."""
+    return tuple(dict.fromkeys(rat(s) for s in ("1", "5/4", "3/2", "7/3", "2", 2 - Fraction(1, m))))
+
+
+def engine_traces():
+    """Case name -> trace of every engine digest case: each instance of
+    digest_instances() under each policy at each of its speeds, and the three
+    1,500-job traces of the trace-audit benchmark at seed 1."""
+    traces = {}
+    for group, instances in digest_instances().items():
+        for name, inst in instances.items():
+            for speed in digest_speeds(inst.machines):
+                for policy, priority in DIGEST_POLICIES.items():
+                    traces["%s %s speed=%s policy=%s" % (group, name, speed, policy)] = simulate_policy(
+                        inst, SpeedConfig.from_speed(speed), priority)
+    audit = generate(GenSpec(family="uniform", n=1500, machines=4, size_range=(1, 8),
+                             release_range=(0, 1500), seed=1))
+    for policy in ("srpt", "fifo", "lrpt"):
+        traces["trace-audit seed=1 policy=%s" % policy] = simulate_policy(
+            audit, SpeedConfig.from_speed("3/2"), DIGEST_POLICIES[policy])
+    return traces
+
+
+def trace_digest(trace):
+    return hashlib.sha256(dump_json(trace_to_json(trace)).encode()).hexdigest()
+
+
+class TestEngineDigests:
+    """Every engine digest case's trace, as its canonical JSON, against the
+    SHA-256 digests in tests/data/engine_digests.json."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads((DATA / "engine_digests.json").read_text())
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return engine_traces()
+
+    def test_same_cases(self, golden, traces):
+        assert list(traces) == list(golden)
+
+    @pytest.mark.parametrize("group", list(FAMILIES) + ["fractional", "trace-audit"])
+    def test_group(self, group, golden, traces):
+        mine = [name for name in traces if name.startswith(group + " ")]
+        assert mine
+        for name in mine:
+            trace = traces[name]
+            assert trace_digest(trace) == golden[name], name
+            assert trace.events == events_of(trace.instance, trace.completions), name
+
+
+if __name__ == "__main__":
+    # regenerate the golden file: PYTHONPATH=src python tests/test_engine.py
+    rows = ["%s: %s" % (json.dumps(name), json.dumps(trace_digest(trace)))
+            for name, trace in engine_traces().items()]
+    (DATA / "engine_digests.json").write_text("{\n" + ",\n".join(rows) + "\n}\n")

@@ -97,11 +97,12 @@ class TestFamilies:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_seed_changes_output(self, family):
-        if family == "starvation-stream":
-            pytest.skip("fixed adversarial layout ignores the seed")
         a = generate(spec_for(family, n=10, seed=1))
         b = generate(spec_for(family, n=10, seed=2))
-        assert a != b
+        if family == "starvation-stream":
+            assert a == b  # the fixed adversarial layout ignores the seed
+        else:
+            assert a != b
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("seed", range(5))
