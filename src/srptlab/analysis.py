@@ -18,21 +18,22 @@ evaluation at event times is post-event.
 Between two consecutive event times every queried quantity is linear in t.
 
 Integer time base (shared with the engine and validate_trace through
-core._unit and core._scaled). Each context measures time in units of 1/L and
-volume in units of 1/V. L is twice the lcm of the denominators of every
-release, size, segment bound, completion and event in both traces, so every
-event time and every midpoint between two of them is an integer T = t * L.
-With the fast speed p/q in lowest terms, V = q * L: a job's remaining volume
-inside a service interval is line - p * T in the fast schedule and
-line - q * T in the reference, with line an integer, so every remaining
-volume at a grid time is an integer too (and an exact Fraction at any other
-T, with no division). The checks run on these integers: each one decides,
-counts and ranks its records in one integer pass, and builds Fractions only
-for its failing records, its worst slack and the few records a report always
-holds. A report's full records are built when first read, by running the
-pass again (see _Part).
-The public point queries take and return times and volumes in their own
-units.
+core._unit and core._scaled). A fast trace and its references are indexed on
+one base (_indexes), and a context pairs two such indexes: time in units of
+1/L and volume in units of 1/V. L is twice the lcm of the denominators of
+every release, size, segment bound, completion and event in those traces, so
+every event time and every midpoint between two of them is an integer
+T = t * L. With the fast speed p/q in lowest terms, V = q * L: a job's
+remaining volume inside a service interval is line - p * T in the fast
+schedule and line - q * T in the reference, with line an integer, so every
+remaining volume at a grid time is an integer too (and an exact Fraction at
+any other T, with no division). The checks run on these integers: each one
+decides, counts and ranks its records in one integer pass, and builds
+Fractions only for its failing records, its worst slack and the few records
+a report always holds. A report's full records are built when first read, by
+running the pass again on a new context of the same indexes (see _Part).
+Record values are exact Fractions, whatever L is. The public point queries
+take and return times and volumes in their own units.
 """
 
 from __future__ import annotations
@@ -40,8 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from threading import local
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 from . import engine, oracle
@@ -70,11 +70,15 @@ def _ids_at(times: dict) -> dict:
     return out
 
 
-def _time_unit(*traces) -> int:
-    """L: twice core._unit over every release, size, segment bound,
-    completion and event of the traces, so that each of them and each
-    midpoint between two of them is a whole multiple of 1/L."""
-    return 2 * _unit(x for trace in traces for x in _trace_values(trace))
+def _indexes(fast: ExecutionTrace, *refs: ExecutionTrace) -> list:
+    """One _TraceIndex per trace, fast first, all on one time base: L is
+    twice core._unit over every release, size, segment bound, completion and
+    event of the traces, so that each of them and each midpoint between two
+    of them is a whole multiple of 1/L, and V = q * L for the fast speed p/q."""
+    traces = (fast, *refs)
+    L = 2 * _unit(x for trace in traces for x in _trace_values(trace))
+    V = fast.speed.speed.denominator * L
+    return [_TraceIndex(trace, L, V) for trace in traces]
 
 
 class _TraceIndex:
@@ -82,9 +86,12 @@ class _TraceIndex:
     Each job's service is kept as maximal intervals (sorted starts and ends);
     its remaining volume is a line in T inside one and a constant after one,
     so a remaining volume is one bisection. The alive set is precomputed once
-    per release or completion time."""
+    per release or completion time, and each k-th power flow is taken once."""
 
     def __init__(self, trace: ExecutionTrace, L: int, V: int):
+        self.trace = trace
+        self.L, self.V = L, V
+        self.power = cache(partial(flow_power, trace))  # k -> flow_power(trace, k), once per k
         # volume served per time unit; an integer because V / L is the fast
         # speed's denominator
         self.rate = rate = int(trace.speed.speed * (V // L))
@@ -159,27 +166,26 @@ class _StateEval(NamedTuple):
 
 
 class PairContext:
-    """A fast trace and a unit-speed reference over one instance, plus caches.
+    """The indexes of a fast trace and a unit-speed reference over one
+    instance, on one time base (see _indexes), plus a cache of states.
 
     epsilon is taken from the fast trace's speed config; it may be 0 for
     backlog-only comparisons, while the potential checks demand eps > 0 and
-    the power checks demand 0 < eps <= 1/2. L and V are the context's time
-    and volume units (see the module docstring), p / q its fast speed.
+    the power checks demand 0 < eps <= 1/2. L and V are the indexes' time
+    and volume units (see the module docstring), p / q the fast speed.
     """
 
-    def __init__(self, srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int = 1):
-        self.srpt_trace = srpt_trace
-        self.ref_trace = ref_trace
+    def __init__(self, idx_alg: _TraceIndex, idx_ref: _TraceIndex, k: int = 1):
+        self.idx_alg, self.idx_ref = idx_alg, idx_ref
+        self.srpt_trace = srpt_trace = idx_alg.trace
+        self.ref_trace = idx_ref.trace
         self.epsilon = srpt_trace.speed.epsilon
         self.k = k
         self.instance = srpt_trace.instance
         self.machines = srpt_trace.instance.machines
         speed = srpt_trace.speed.speed
         self.p, self.q = speed.numerator, speed.denominator
-        self.L = _time_unit(srpt_trace, ref_trace)
-        self.V = self.q * self.L
-        self.idx_alg = _TraceIndex(srpt_trace, self.L, self.V)
-        self.idx_ref = _TraceIndex(ref_trace, self.L, self.V)
+        self.L, self.V = idx_alg.L, idx_alg.V
         # total order on the fast schedule's completions: (time, id)
         order = sorted((c, jid) for jid, c in enumerate(srpt_trace.completions))
         self.by_rank = [jid for _, jid in order]
@@ -226,37 +232,23 @@ class PairContext:
         return out
 
 
-# per thread, `memo`: the per-trace results of the verify call running there
-_per_verify = local()
-
-
-def _once(fn, trace, *args):
-    """fn(trace, *args), computed once per trace and args while one verify
-    call runs, and every time outside one. fn is looked up by the caller at
-    call time, so a replaced module attribute is what runs."""
-    memo = getattr(_per_verify, "memo", None)
-    if memo is None:
-        return fn(trace, *args)
-    key = (fn, id(trace), args)
-    if key not in memo:
-        memo[key] = (trace, fn(trace, *args))  # holding the trace keeps its id unique
-    return memo[key][1]
+def _require_feasible(name: str, trace: ExecutionTrace):
+    ok, violations = validate_trace(trace)
+    if not ok:
+        raise AnalysisError("%s trace infeasible: %s" % (name, "; ".join(violations[:3])))
 
 
 def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int = 1) -> PairContext:
+    """Validate both traces and pair them on their own time base."""
     if srpt_trace.instance != ref_trace.instance:
         raise AnalysisError("traces cover different instances")
     if ref_trace.speed.speed != 1:
         raise AnalysisError("reference trace must run at unit speed")
     if not isinstance(k, int) or k < 1:
         raise AnalysisError("k must be an integer >= 1")
-    for name, trace in (("fast", srpt_trace), ("reference", ref_trace)):
-        ok, violations = _once(validate_trace, trace)
-        if not ok:
-            raise AnalysisError(
-                "%s trace infeasible: %s" % (name, "; ".join(violations[:3]))
-            )
-    return PairContext(srpt_trace, ref_trace, k)
+    _require_feasible("fast", srpt_trace)
+    _require_feasible("reference", ref_trace)
+    return PairContext(*_indexes(srpt_trace, ref_trace), k)
 
 
 # --------------------------------------------------------------------------
@@ -265,9 +257,8 @@ def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int =
 def remaining_at(trace: ExecutionTrace, jid: int, t) -> Rational:
     """Remaining volume of one job at time t: full size before release, 0 after
     completion, exactly interpolated through its service intervals between."""
-    L = _time_unit(trace)
-    V = trace.speed.speed.denominator * L
-    return Rational(_TraceIndex(trace, L, V).remaining(jid, t * L), V)
+    [idx] = _indexes(trace)
+    return Rational(idx.remaining(jid, t * idx.L), idx.V)
 
 
 def _state_at(ctx: PairContext, t) -> _StateEval:
@@ -437,10 +428,10 @@ def _reports(conditions, run, ctx: PairContext, *args) -> list:
     """One report per condition from the integer pass `run(ctx, *args, full)`,
     which returns one (count, worst slack, records) per condition. The first
     read of any report's records runs the pass again, in full, on a new
-    context of the same traces: a report holds the traces, not the context
-    and its state cache."""
-    fast, ref = ctx.srpt_trace, ctx.ref_trace
-    replay = cache(lambda: run(PairContext(fast, ref), *args, True))
+    context of the same two indexes: a report holds the indexes, not the
+    context and its state cache."""
+    idx_alg, idx_ref = ctx.idx_alg, ctx.idx_ref
+    replay = cache(lambda: run(PairContext(idx_alg, idx_ref), *args, True))
     return [
         PotentialReport(cond, n, worst, not failing, tuple(failing),
                         _Records(n, lambda pos=pos: replay()[pos][2]))
@@ -472,7 +463,6 @@ class ConditionReports:
     completion: PotentialReport
     running: PotentialReport
     objective_bound: PotentialReport
-    k: int
 
     @property
     def all_pass(self) -> bool:
@@ -707,13 +697,16 @@ def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
     prefix = "power-" if power else "flow-"
     conditions = (prefix + "arrival", prefix + "completion", prefix + "running", "objective-bound")
     arrival, completion, running, bound = _reports(conditions, _walk_pass, ctx, power, k)
-    return ConditionReports(arrival, completion, running, bound, k)
+    return ConditionReports(arrival, completion, running, bound)
 
 
 def _walk_pass(ctx: PairContext, power: bool, k: int, full: bool) -> list:
     """_condition_walk's integer pass. Arrival and running slacks are in
     units of coef (see _walk_term), power completion slacks in units of
-    1/(L * s * (p - q))^k with s = (2q - p) * m * (p - q)."""
+    1/(L * s * (p - q))^k with s = (2q - p) * m * (p - q). The potential is a
+    sum over alive jobs, and none is alive before the first event or after
+    the final one (the walk raises otherwise), so its records there are 0 by
+    definition and cannot fail."""
     m = ctx.machines
     eps = ctx.epsilon
     L, p, q = ctx.L, ctx.p, ctx.q
@@ -818,6 +811,9 @@ def _walk_pass(ctx: PairContext, power: bool, k: int, full: bool) -> list:
             jump_terms += g
         if pos + 1 == len(bounds):
             break
+        # after the events at T the walk's sets equal the indexes' alive
+        # sets; keying this interval's states by those objects keeps no copies
+        alive_alg, alive_ref = ctx.idx_alg.alive(T), ctx.idx_ref.alive(T)
         B = bounds[pos + 1]
         st_a = ctx.state(T, alive_alg, alive_ref)
         st_b = ctx.state(B, alive_alg, alive_ref)
@@ -844,8 +840,8 @@ def _walk_pass(ctx: PairContext, power: bool, k: int, full: bool) -> list:
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")
 
-    alg_objective = _once(flow_power, ctx.srpt_trace, k)
-    ref_objective = _once(flow_power, ctx.ref_trace, k)
+    alg_objective = ctx.idx_alg.power(k)
+    ref_objective = ctx.idx_ref.power(k)
 
     # the potential starts and ends at zero, so jumps plus drift must
     # reproduce the final objective exactly; any mismatch is a harness bug
@@ -858,10 +854,9 @@ def _walk_pass(ctx: PairContext, power: bool, k: int, full: bool) -> list:
             % (jump_total, drift_total, alg_objective)
         )
 
-    empty = frozenset()
     for T, label in ((bounds[0], "potential before first event"),
                      (bounds[-1], "potential after final event")):
-        completion.add(_rec_eq(at(T), label, _potential(ctx, T, empty, empty, power, k)))
+        completion.add(_rec_eq(at(T), label, ZERO))
 
     if not power:
         completion.add(
@@ -938,7 +933,7 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
     part = _Part(full)
     total = Rational(sum(owed[i] ** k for i in jobs), (m * ctx.V) ** k)
     part.add(
-        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * _once(flow_power, ctx.ref_trace, k))
+        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * ctx.idx_ref.power(k))
     )
 
     # both sides of the window bound, times (1 + eps) * m * V = p * m * L
@@ -1006,21 +1001,20 @@ class VerifyReport:
         return not self.violations and all(row.verdict != "fail" for row in self.rows)
 
 
-def _reference_contexts(name, trace, oracle_ks):
-    """Contexts pairing `trace` with reference `name`, keyed by objective
-    power: one context serves every power, except that the oracle's schedule
-    depends on the power. Returns (contexts, None) or (None, skip reason)."""
+def _reference_traces(name, trace, oracle_ks):
+    """Reference `name`'s schedules of `trace`'s instance, keyed by objective
+    power: one schedule serves every power, except that the oracle's depends
+    on the power. Returns (traces, None) or ({}, skip reason)."""
     if name == "oracle":
         try:
-            refs = {k: oracle.brute_force_opt(trace.instance, k=k).trace for k in oracle_ks}
+            return {k: oracle.brute_force_opt(trace.instance, k=k).trace for k in oracle_ks}, None
         except oracle.OracleError as exc:
-            return None, "oracle skipped: %s" % exc
-        return {k: make_context(trace, ref) for k, ref in refs.items()}, None
+            return {}, "oracle skipped: %s" % exc
     if name == "unit-srpt":
         ref = engine.simulate_srpt(trace.instance, UNIT_SPEED)
     else:
         ref = engine.simulate_policy(trace.instance, UNIT_SPEED, priority=engine.fifo_priority)
-    return dict.fromkeys(oracle_ks, make_context(trace, ref)), None
+    return dict.fromkeys(oracle_ks, ref), None
 
 
 def _check_report(check, ctx, k):
@@ -1059,23 +1053,27 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
     VERIFY_CHECKS on it against each named unit-speed reference of REFERENCES
     over its instance: backlog and flow at k = 1, power and charge at each k
     of `ks`. For eps > 1/2 the latter are skipped, and every k must be 1.
-    Raises AnalysisError as verify_domain does. Each trace is validated,
-    and each flow_power taken, once per call."""
+    Raises AnalysisError as verify_domain does. Each trace is validated and
+    indexed once, on one time base, and one reference's contexts (and their
+    state caches) are held at a time."""
     power_ks, notice = verify_domain(trace.speed.epsilon, ks, refs)
-    outer = getattr(_per_verify, "memo", None)
-    _per_verify.memo = {}
-    try:
-        ok, violations = _once(validate_trace, trace)
-        if not ok:
-            return VerifyReport(tuple(violations), (), notice)
-        rows = []
-        for name in refs:
-            ctxs, skipped = _reference_contexts(name, trace, sorted({1, *power_ks}))
-            for check in VERIFY_CHECKS:
-                check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
-                reason = skipped if check_ks else notice
-                reports = () if reason else tuple(_check_report(check, ctxs[k], k) for k in check_ks)
-                rows.append(VerifyRow(check, name, check_ks, reports, reason))
-        return VerifyReport((), tuple(rows), notice)
-    finally:
-        _per_verify.memo = outer
+    ok, violations = validate_trace(trace)
+    if not ok:
+        return VerifyReport(tuple(violations), (), notice)
+    oracle_ks = sorted({1, *power_ks})
+    schedules = [(name, *_reference_traces(name, trace, oracle_ks)) for name in refs]
+    distinct = {id(ref): ref for _, by_k, _ in schedules for ref in by_k.values()}
+    for ref in distinct.values():
+        _require_feasible("reference", ref)
+    fast, *indexes = _indexes(trace, *distinct.values())
+    index_of = dict(zip(distinct, indexes))
+    rows = []
+    for name, by_k, skipped in schedules:
+        pair = cache(partial(PairContext, fast))  # one context per schedule
+        ctxs = {k: pair(index_of[id(ref)]) for k, ref in by_k.items()}
+        for check in VERIFY_CHECKS:
+            check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
+            reason = skipped if check_ks else notice
+            reports = () if reason else tuple(_check_report(check, ctxs[k], k) for k in check_ks)
+            rows.append(VerifyRow(check, name, check_ks, reports, reason))
+    return VerifyReport((), tuple(rows), notice)

@@ -264,14 +264,15 @@ def _emit_verify(args, table, docs, report):
     if not args.out:
         return
     if args.format == "csv":
-        buf = ["instance,check,eps,k,reference,n_events,worst_slack,verdict"]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["instance", "check", "eps", "k", "reference", "n_events", "worst_slack", "verdict"])
         for doc in docs:
             params = doc["params"]
             fields = (params.get("eps", ""), params.get("k", "-"), params.get("reference", "-"))
             slack = doc["worst_slack"] or ""  # None for a note document
-            buf.append(",".join([args.instance, doc["check"], *fields, str(doc["n_events"]),
-                                 slack, doc["verdict"]]))
-        _write_text(args.out, "\n".join(buf) + "\n")
+            writer.writerow([args.instance, doc["check"], *fields, doc["n_events"], slack, doc["verdict"]])
+        _write_text(args.out, buf.getvalue())
     else:
         doc = {
             "instance": args.instance,

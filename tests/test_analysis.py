@@ -568,6 +568,26 @@ def test_summaries_agree_with_records(policy, speed, seed):
         assert rep.failures == tuple(r for r in records if not r.passed)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("speed", ["5/4", "3/2"])
+@pytest.mark.parametrize("policy", POTENTIAL_POLICIES)
+def test_records_do_not_depend_on_time_base(policy, speed, seed):
+    """verify indexes a fast trace and all its references on one time base.
+    A third trace with denominators 7 and 11 inflates the pair's L, and
+    every report of every check must come out as on the pair's own base."""
+    inst = fractional_instance(seed)
+    fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), POTENTIAL_POLICIES[policy])
+    ref = simulate_srpt(inst, UNIT_SPEED)
+    foreign = simulate_srpt(make_instance([(0, Fraction(1, 7), Fraction(1, 11))], machines=1), UNIT_SPEED)
+    own = make_context(fast, ref)
+    inflated = analysis.PairContext(*analysis._indexes(fast, ref, foreign)[:2])
+    assert inflated.L % (77 * own.L) == 0 and inflated.V == own.q * inflated.L
+    for a, b in zip(every_report(own, (1, 2, 3)), every_report(inflated, (1, 2, 3)), strict=True):
+        assert (a.condition, a.n_events, a.worst_slack, a.verdict, a.failures) == (
+            b.condition, b.n_events, b.worst_slack, b.verdict, b.failures)
+        assert tuple(a.records) == tuple(b.records)
+
+
 _SIZES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2)])
 _RELEASES = st.integers(0, 6).map(lambda x: Fraction(x, 2))
 _SPEEDS = st.sampled_from([Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)])
@@ -919,15 +939,17 @@ class TestCompletionCharge:
 
 class TestAccountingIdentity:
     @pytest.mark.parametrize("power", [False, True])
-    def test_mismatch_raises(self, e1_ctx, monkeypatch, power):
+    def test_mismatch_raises(self, e1_fast_trace, e1_unit_trace, monkeypatch, power):
         # jumps plus drift reproduce the true objective, so a walk measured
-        # against an objective one higher must raise
+        # against an objective one higher must raise; a trace index takes
+        # each objective once, so the context is built after the patch
         monkeypatch.setattr(analysis, "flow_power", lambda trace, k: flow_power(trace, k) + 1)
+        ctx = make_context(e1_fast_trace, e1_unit_trace)
         with pytest.raises(AnalysisError, match="potential accounting mismatch"):
             if power:
-                check_power_flow_conditions(e1_ctx, k=2)
+                check_power_flow_conditions(ctx, k=2)
             else:
-                check_flow_conditions(e1_ctx)
+                check_flow_conditions(ctx)
 
 
 class TestContextValidation:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, exit codes, and artifact determinism."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -177,6 +178,16 @@ class TestVerify:
         assert main(args) == 0
         assert out.read_bytes() == first
 
+    def test_csv_quotes_a_comma_in_the_instance_path(self, tmp_path):
+        path = tmp_path / "e1,copy.txt"
+        path.write_text(E1_TEXT)
+        out = tmp_path / "verify.csv"
+        args = ["verify", "--instance", str(path), "--speed", "3/2", "--format", "csv", "--out", str(out)]
+        assert main(args) == 0
+        rows = list(csv.reader(io.StringIO(out.read_text())))
+        assert rows[0] == "instance,check,eps,k,reference,n_events,worst_slack,verdict".split(",")
+        assert len(rows) > 1 and all(len(row) == 8 and row[0] == str(path) for row in rows[1:])
+
     def test_json_export_deterministic(self, e1_path, tmp_path):
         out = tmp_path / "verify.json"
         args = [
@@ -211,15 +222,30 @@ class TestVerify:
     )
     def test_one_context_per_reference(self, e1_path, refs, contexts, monkeypatch, capsys):
         built = []
-        make_context = analysis.make_context
+        init = analysis.PairContext.__init__
 
-        def counting(*args, **kwargs):
+        def counting(self, *args, **kwargs):
             built.append(None)
-            return make_context(*args, **kwargs)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(analysis, "make_context", counting)
+        monkeypatch.setattr(analysis.PairContext, "__init__", counting)
         assert main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1,2"] + refs) == 0
         assert len(built) == contexts
+
+    def test_one_index_per_trace(self, e1_path, monkeypatch, capsys):
+        # 5 traces: SRPT at 3/2, the oracle's at k = 1 and 2, unit SRPT, FIFO
+        indexed = []
+        init = analysis._TraceIndex.__init__
+
+        def counting(self, trace, L, V):
+            indexed.append((id(trace), L, V))
+            init(self, trace, L, V)
+
+        monkeypatch.setattr(analysis._TraceIndex, "__init__", counting)
+        assert main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1,2"]) == 0
+        assert len({trace for trace, _, _ in indexed}) == len(indexed) == 5
+        # all on one time base
+        assert len({(L, V) for _, L, V in indexed}) == 1
 
     def test_each_trace_validated_and_measured_once(self, e1_path, monkeypatch, capsys):
         # 5 traces: SRPT at 3/2, the oracle's at k = 1 and 2, unit SRPT, FIFO
