@@ -31,9 +31,13 @@ any other T, with no division). The checks run on these integers: each one
 decides, counts and ranks its records in one integer pass, and builds
 Fractions only for its failing records, its worst slack and the few records
 a report always holds. A report's full records are built when first read, by
-running the pass again on a new context of the same indexes (see _Part).
+running the pass again on its two traces, indexed anew (see _reports).
 Record values are exact Fractions, whatever L is. The public point queries
 take and return times and volumes in their own units.
+
+Both potentials are sums of terms of one per-job clamped age, so one walk of
+a context checks the flow potential and the power potential at every k
+(see _walk_pass). No check keeps a state it has passed.
 """
 
 from __future__ import annotations
@@ -160,14 +164,14 @@ class _StateEval(NamedTuple):
     """Volumes in units of 1/V."""
 
     rem_alg: dict  # jid in alive_alg -> remaining in the fast schedule
-    rem_ref: dict  # jid in alive_ref -> remaining in the reference
     ahead_alg: dict  # jid -> remaining fast volume on jobs finishing by jid
     ahead_ref_small: dict  # jid -> remaining reference volume on no-larger such jobs
 
 
 class PairContext:
     """The indexes of a fast trace and a unit-speed reference over one
-    instance, on one time base (see _indexes), plus a cache of states.
+    instance, on one time base (see _indexes). It caches nothing: each
+    check holds only the state it is at.
 
     epsilon is taken from the fast trace's speed config; it may be 0 for
     backlog-only comparisons, while the potential checks demand eps > 0 and
@@ -194,10 +198,9 @@ class PairContext:
         size = self.idx_alg.size
         rank_of = {p: r for r, p in enumerate(sorted(set(size.values())))}
         self.size_rank = {jid: rank_of[p] for jid, p in size.items()}
-        self._states = {}
 
     def state(self, T, alive_alg: frozenset, alive_ref: frozenset) -> _StateEval:
-        """Remaining volumes at scaled time T of the given alive sets (any
+        """Fast remaining volumes at scaled time T of the given alive sets (any
         subsets of the jobs, not only the alive sets at T) and, for every job
         i, the fast volume on alive jobs the fast schedule finishes no later
         than i, and the reference volume on alive reference jobs that it
@@ -205,10 +208,6 @@ class PairContext:
         of 1/V. One pass in finish order: the first is a running sum; for the
         second, reference jobs go into a list sorted by size rank whose prefix
         sums are updated from the insertion point."""
-        key = (T, alive_alg, alive_ref)
-        hit = self._states.get(key)
-        if hit is not None:
-            return hit
         rem_alg = {j: self.idx_alg.remaining(j, T) for j in alive_alg}
         rem_ref = {j: self.idx_ref.remaining(j, T) for j in alive_ref}
         size_rank = self.size_rank
@@ -227,9 +226,7 @@ class PairContext:
                 v = rem_ref[i]
                 sums[pos + 1:] = [sums[pos] + v] + [x + v for x in sums[pos + 1:]]
             ahead_ref_small[i] = sums[bisect_right(keys, size_rank[i])]
-        out = _StateEval(rem_alg, rem_ref, ahead_alg, ahead_ref_small)
-        self._states[key] = out
-        return out
+        return _StateEval(rem_alg, ahead_alg, ahead_ref_small)
 
 
 def _require_feasible(name: str, trace: ExecutionTrace):
@@ -427,11 +424,11 @@ class PotentialReport:
 def _reports(conditions, run, ctx: PairContext, *args) -> list:
     """One report per condition from the integer pass `run(ctx, *args, full)`,
     which returns one (count, worst slack, records) per condition. The first
-    read of any report's records runs the pass again, in full, on a new
-    context of the same two indexes: a report holds the indexes, not the
-    context and its state cache."""
-    idx_alg, idx_ref = ctx.idx_alg, ctx.idx_ref
-    replay = cache(lambda: run(PairContext(idx_alg, idx_ref), *args, True))
+    read of any report's records runs the pass again, in full, on the two
+    traces indexed anew on their own time base (records do not depend on
+    it): a report holds the traces, not the context or its indexes."""
+    fast, ref = ctx.srpt_trace, ctx.ref_trace
+    replay = cache(lambda: run(PairContext(*_indexes(fast, ref)), *args, True))
     return [
         PotentialReport(cond, n, worst, not failing, tuple(failing),
                         _Records(n, lambda pos=pos: replay()[pos][2]))
@@ -506,7 +503,18 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     alive jobs the fast schedule finishes no later than i) minus the
     reference's backlog on the no-larger of those jobs never exceeds
     machines * size(i); and the fast backlog ahead of i equals its own
-    restriction to jobs with remaining volume <= size(i)."""
+    restriction to jobs with remaining volume <= size(i).
+
+    The records at event times cover every t. Take consecutive event times
+    a < b. On [a, b) the alive sets are constant and every remaining volume
+    is linear, so each gap is linear there. At b a completion is
+    continuous, since its remaining volume reaches 0, and an arrival a' adds
+    size(a') to the fast backlog and the same or nothing to the reference
+    term, so it only raises gap(b). A gap's maximum on [a, b] is therefore
+    at a or b. The identity fails only while some job ahead of i has more
+    than size(i) left, and remaining volumes only fall on [a, b), so it
+    fails at a whenever it fails inside. So the midpoint records add no
+    failure of their own, though n_events and the witness lists count them."""
     [report] = _reports(("backlog-bound",), _backlog_pass, ctx)
     return report
 
@@ -683,207 +691,197 @@ def check_flow_conditions(ctx: PairContext) -> ConditionReports:
     """Arrival jumps, completion charges and between-event drift of the
     total-flow potential, plus the implied 4/eps objective bound."""
     _require_eps_positive(ctx)
-    return _condition_walk(ctx, power=False, k=1)
+    return _walks(ctx, ((False, 1),))[0]
 
 
 def check_power_flow_conditions(ctx: PairContext, k: int | None = None) -> ConditionReports:
     """Same walk for the k-th power potential (0 < eps <= 1/2)."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
-    return _condition_walk(ctx, power=True, k=k)
+    return _walks(ctx, ((True, k),))[0]
 
 
-def _condition_walk(ctx: PairContext, power: bool, k: int) -> ConditionReports:
-    prefix = "power-" if power else "flow-"
-    conditions = (prefix + "arrival", prefix + "completion", prefix + "running", "objective-bound")
-    arrival, completion, running, bound = _reports(conditions, _walk_pass, ctx, power, k)
-    return ConditionReports(arrival, completion, running, bound)
+def _walks(ctx: PairContext, modes: tuple) -> list:
+    """One ConditionReports per (power, k) of `modes`, all from one walk;
+    the caller checks eps for each mode."""
+    conditions = []
+    for power, _ in modes:
+        prefix = "power-" if power else "flow-"
+        conditions += (prefix + "arrival", prefix + "completion", prefix + "running", "objective-bound")
+    reports = _reports(conditions, _walk_pass, ctx, modes)
+    return [ConditionReports(*reports[pos:pos + 4]) for pos in range(0, len(reports), 4)]
 
 
-def _walk_pass(ctx: PairContext, power: bool, k: int, full: bool) -> list:
-    """_condition_walk's integer pass. Arrival and running slacks are in
-    units of coef (see _walk_term), power completion slacks in units of
-    1/(L * s * (p - q))^k with s = (2q - p) * m * (p - q). The potential is a
-    sum over alive jobs, and none is alive before the first event or after
-    the final one (the walk raises otherwise), so its records there are 0 by
-    definition and cannot fail."""
-    m = ctx.machines
-    eps = ctx.epsilon
-    L, p, q = ctx.L, ctx.p, ctx.q
+class _WalkMode:
+    """One (power, k) mode of a potential walk: its term (see _walk_term),
+    its four parts and its integer sums, fed each event's clamped ages by
+    _walk_pass. Arrival and running slacks are in units of coef, power
+    completion slacks in units of 1/(L * s * (p - q))^k with
+    s = (2q - p) * m * (p - q)."""
+
+    def __init__(self, ctx: PairContext, power: bool, k: int, full: bool):
+        m, eps, p, q = ctx.machines, ctx.epsilon, ctx.p, ctx.q
+        self.ctx, self.power, self.k = ctx, power, k
+        self.coef, self.term, self.rise = _walk_term(ctx, power, k)
+        # an arrival's bound is coef * cap, with cap = (2 * m * size)^k in
+        # units of 1/V, or coefficient * size^k
+        self.cap = {i: (2 * m * v) ** k for i, v in ctx.idx_alg.size.items()}
+        self.coefficient = _power_arrival_coefficient(eps, k) if power else 2 / eps
+        self.completion_unit = None  # flow completion records carry no slack
+        if power:
+            # a completion's jump and owed-case bound in units of
+            # 1/(L * s * (p - q))^k: age^k * per_age - g * per_term and
+            # owed^k * per_owed
+            s = (2 * q - p) * m * (p - q)
+            self.per_age, self.per_term = (s * (p - q)) ** k, (q * (p - q)) ** k
+            self.per_owed = (q * (2 * q - p)) ** k
+            self.completion_unit = Rational(1, (ctx.L * s * (p - q)) ** k)
+            # clamped ages move at m * (p - q) per time unit; the drained
+            # case owed <= m * eps^2 * age reads owed * q <= drained * age
+            self.drained = m * (p - q) ** 2
+        self.arrival, self.completion, self.running, self.objective = (_Part(full) for _ in range(4))
+        # each jump and drift is coef times a sum of terms, except that a
+        # completion jump is age^k minus coef times a term
+        self.ages_total = 0  # sum of age^k at the fast completions, in time units
+        self.jump_terms = 0  # terms of the arrival jumps and shifts
+        self.completion_terms = 0
+        self.drift_terms = 0
+
+    def complete(self, t, c: int, age: int, owed: int, g: int):
+        """The fast schedule finishes job c at t, at this age, while the
+        reference owes `owed` and c's clamped age is g."""
+        ctx, k, part = self.ctx, self.k, self.completion
+        g = self.term(g)
+        self.ages_total += age ** k
+        self.completion_terms += g
+        slack = None
+        if self.power:
+            drained = owed * ctx.q <= self.drained * age
+            slack = g * self.per_term - age ** k * self.per_age + (0 if drained else owed ** k * self.per_owed)
+        if not part.keep(slack, slack is None or slack >= 0):
+            return
+        jump = Rational(age ** k, ctx.L ** k) - self.coef * g
+        if not self.power:
+            rec = _rec_info(t, "completion job %d" % c, jump)
+        elif drained:
+            rec = _rec_le(t, "completion job %d (drained case)" % c, jump, ZERO)
+        else:
+            owed_bound = Rational(owed, ctx.machines * ctx.V) ** k / ctx.epsilon ** (2 * k)
+            rec = _rec_le(t, "completion job %d (owed case)" % c, jump, owed_bound)
+        part.records.append(rec)
+
+    def arrive(self, t, a: int, g: int, shifted: list):
+        """Job a arrives at t with clamped age g; `shifted` holds (job, age
+        before, age after) for each older job whose clamped age it moved."""
+        term, part = self.term, self.arrival
+        # the analysis assumes an arrival leaves every other job's term
+        # alone; a shift is a failure, recorded as the change it makes to
+        # the potential so that the accounting identity holds
+        for i, before, after in shifted:
+            shift = term(after) - term(before)
+            if shift != 0:
+                if part.keep(-abs(shift), False):
+                    label = "arrival job %d shifts term of job %d" % (a, i)
+                    part.records.append(_rec_eq(t, label, self.coef * shift))
+                self.jump_terms += shift
+        g = term(g)
+        self.jump_terms += g
+        if part.keep(self.cap[a] - g, self.cap[a] >= g):
+            bound = self.coefficient * Rational(self.ctx.idx_alg.size[a], self.ctx.V) ** self.k
+            part.records.append(_rec_le(t, "arrival job %d" % a, self.coef * g, bound))
+
+    def drift(self, t, b, ga: list, gb: list):
+        """The interval from t to b, over which the alive jobs' clamped ages
+        run linearly from ga to gb."""
+        delta = sum(map(self.term, gb)) - sum(map(self.term, ga))
+        slope = sum(map(self.rise, ga, gb))
+        self.drift_terms += delta
+        if self.running.keep(-slope, slope <= 0):
+            coef = self.coef
+            self.running.records.append(CheckRecord(
+                t, "drift on [%s, %s]" % (t, b), coef * delta, coef * (delta - slope), coef * -slope, slope <= 0
+            ))
+
+    def results(self, first, last) -> list:
+        """The four parts' (count, worst slack, records) of a walk from the
+        first event at `first` to the final one at `last`."""
+        ctx, k, coef, eps = self.ctx, self.k, self.coef, self.ctx.epsilon
+        alg_objective, ref_objective = ctx.idx_alg.power(k), ctx.idx_ref.power(k)
+        # the potential starts and ends at zero, so jumps plus drift must
+        # reproduce the final objective exactly; any mismatch is a harness bug
+        ages = Rational(self.ages_total, ctx.L ** k)
+        jump_total = ages + coef * (self.jump_terms - self.completion_terms)
+        drift_total = coef * self.drift_terms
+        if jump_total + drift_total != alg_objective:
+            raise AnalysisError("internal: potential accounting mismatch (%s + %s != %s)"
+                                % (jump_total, drift_total, alg_objective))
+        for t, label in ((first, "potential before first event"), (last, "potential after final event")):
+            self.completion.add(_rec_eq(t, label, ZERO))
+        if not self.power:
+            charge = ages - coef * self.completion_terms
+            self.completion.add(_rec_le(None, "aggregate completion charge", charge,
+                                        (1 + eps) / eps * ref_objective))
+        factor = power_flow_factor(eps, k) if self.power else total_flow_factor(eps)
+        label = "final objective vs reference (factor %s)" % factor
+        self.objective.add(_rec_le(None, label, alg_objective, factor * ref_objective))
+        return [self.arrival.result(coef), self.completion.result(self.completion_unit),
+                self.running.result(coef), self.objective.result(None)]
+
+
+def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
+    """_walks' integer pass: the four results of each mode, in order. The
+    potential is a sum over alive jobs, and none is alive before the first
+    event or after the final one (the walk raises otherwise), so its records
+    there are 0 by definition and cannot fail.
+
+    Objective plus potential is a sum over alive jobs of a convex term of
+    the job's clamped age. Between events each clamped age is linear, so the
+    sum is convex and never rises on [t, b] exactly when its left derivative
+    at b is at most 0. Sums of terms and rises stay integers until a record
+    needs them.
+
+    The walk holds only the state it is at, and works out each alive job's
+    clamped age once per state for all the modes. The state at the end T of
+    an interval also serves the events at T: a job that finishes at T has
+    nothing left at T, so that state gives T's completions their owed
+    volumes and clamped ages, and T's first arrival the ages before it. The
+    state after each arrival is the next arrival's state before, and the
+    state after the last event at T starts the next interval."""
+    walks = [_WalkMode(ctx, power, k, full) for power, k in modes]
     release = ctx.idx_alg.release
-    size = {j.id: j.size for j in ctx.instance.jobs}
     bounds = _boundaries(ctx)
-    at = _in_units(L)
-
-    # Objective plus potential is a sum over alive jobs of a convex term of
-    # the job's clamped age g. Between events each g is linear, so the sum is
-    # convex and never rises on [t, b] exactly when its left derivative at b
-    # is at most 0. Sums of terms and rises stay integers until a record
-    # needs them.
-    coef, term, rise = _walk_term(ctx, power, k)
-    # an arrival's bound is coef * cap, with cap = (2 * m * size)^k in units
-    # of 1/V
-    cap = {i: (2 * m * v) ** k for i, v in ctx.idx_alg.size.items()}
-    if power:
-        arrival_coefficient = _power_arrival_coefficient(eps, k)
-        # a completion's jump and owed-case bound in units of
-        # 1/(L * s * (p - q))^k: age^k * per_age - g * per_term and
-        # owed^k * per_owed
-        s = (2 * q - p) * m * (p - q)
-        per_age = (s * (p - q)) ** k
-        per_term = (q * (p - q)) ** k
-        per_owed = (q * (2 * q - p)) ** k
-        completion_unit = Rational(1, (L * s * (p - q)) ** k)
-    else:
-        completion_unit = None  # flow completion records carry no slack
-    # clamped ages move at age_rate per time unit; the drained case
-    # owed <= m * eps^2 * age reads owed * q <= drained * age in the units
-    age_rate = m * (p - q)
-    drained = age_rate * (p - q)
-
+    at = _in_units(ctx.L)
     arrivals_at, comp_alg_at, comp_ref_at = (
         _ids_at(t) for t in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
     )
-
-    arrival, completion, running, objective = (_Part(full) for _ in range(4))
-    # each jump and drift is coef times a sum of terms, except that a
-    # completion jump is age^k minus coef times a term
-    ages_total = 0  # sum of age^k at the fast completions, in time units
-    jump_terms = 0  # terms of the arrival jumps and shifts
-    completion_terms = 0
-    drift_terms = 0
-
-    alive_alg = frozenset()
-    alive_ref = frozenset()
-
+    alive_alg = alive_ref = frozenset()
+    ages = {}  # job in alive_alg -> its clamped age in the current state
     for pos, T in enumerate(bounds):
-        finished_ref = comp_ref_at.get(T, ())
-        if finished_ref:
-            alive_ref = alive_ref - frozenset(finished_ref)
-        finished_alg = sorted(comp_alg_at.get(T, ()))
-        if finished_alg:
-            st = ctx.state(T, alive_alg, alive_ref)
-            for c in finished_alg:
-                owed = st.ahead_ref_small[c]
-                age = T - release[c]
-                g = term(age * age_rate - owed)
-                if not power:
-                    if completion.keep(None, True):
-                        jump = Rational(age ** k, L ** k) - coef * g
-                        completion.records.append(_rec_info(at(T), "completion job %d" % c, jump))
-                else:
-                    is_drained = owed * q <= drained * age
-                    slack = g * per_term - age ** k * per_age
-                    if not is_drained:
-                        slack += owed ** k * per_owed
-                    if completion.keep(slack, slack >= 0):
-                        jump = Rational(age ** k, L ** k) - coef * g
-                        if is_drained:
-                            rec = _rec_le(at(T), "completion job %d (drained case)" % c, jump, ZERO)
-                        else:
-                            owed_bound = Rational(owed, m * ctx.V) ** k / eps ** (2 * k)
-                            rec = _rec_le(at(T), "completion job %d (owed case)" % c, jump, owed_bound)
-                        completion.records.append(rec)
-                ages_total += age ** k
-                completion_terms += g
-            alive_alg = alive_alg - frozenset(finished_alg)
+        if pos:  # the interval from the previous event to T ends
+            st = ctx.state(T, alive_alg, alive_ref) if alive_alg else None
+            now = {i: _clamped_age(ctx, st, T, i) for i in alive_alg}
+            ga, gb = [ages[i] for i in alive_alg], [now[i] for i in alive_alg]
+            for walk in walks:
+                walk.drift(at(bounds[pos - 1]), at(T), ga, gb)
+            ages = now
+        alive_ref -= frozenset(comp_ref_at.get(T, ()))
+        finished = sorted(comp_alg_at.get(T, ()))
+        for c in finished:
+            for walk in walks:
+                walk.complete(at(T), c, T - release[c], st.ahead_ref_small[c], ages[c])
+        alive_alg -= frozenset(finished)
         for a in sorted(arrivals_at.get(T, ())):
-            before = ctx.state(T, alive_alg, alive_ref) if alive_alg else None
-            prev_alive = alive_alg
-            alive_alg = alive_alg | {a}
-            alive_ref = alive_ref | {a}
+            before = alive_alg
+            alive_alg, alive_ref = alive_alg | {a}, alive_ref | {a}
             st = ctx.state(T, alive_alg, alive_ref)
-            g = term(_clamped_age(ctx, st, T, a))
-            # the analysis assumes an arrival leaves every other job's term
-            # alone; a shift is a failure, recorded as the change it makes to
-            # the potential so that the identity below holds
-            for i in sorted(prev_alive):
-                shift = term(_clamped_age(ctx, st, T, i)) - term(_clamped_age(ctx, before, T, i))
-                if shift != 0:
-                    if arrival.keep(-abs(shift), False):
-                        arrival.records.append(
-                            _rec_eq(at(T), "arrival job %d shifts term of job %d" % (a, i), coef * shift)
-                        )
-                    jump_terms += shift
-            if arrival.keep(cap[a] - g, cap[a] >= g):
-                a_bound = arrival_coefficient * size[a] ** k if power else 2 * size[a] / eps
-                arrival.records.append(_rec_le(at(T), "arrival job %d" % a, coef * g, a_bound))
-            jump_terms += g
-        if pos + 1 == len(bounds):
-            break
-        # after the events at T the walk's sets equal the indexes' alive
-        # sets; keying this interval's states by those objects keeps no copies
-        alive_alg, alive_ref = ctx.idx_alg.alive(T), ctx.idx_ref.alive(T)
-        B = bounds[pos + 1]
-        st_a = ctx.state(T, alive_alg, alive_ref)
-        st_b = ctx.state(B, alive_alg, alive_ref)
-        delta = 0
-        slope = 0
-        for i in alive_alg:
-            ga = _clamped_age(ctx, st_a, T, i)
-            gb = _clamped_age(ctx, st_b, B, i)
-            delta += term(gb) - term(ga)
-            slope += rise(ga, gb)
-        if running.keep(-slope, slope <= 0):
-            running.records.append(
-                CheckRecord(
-                    at(T),
-                    "drift on [%s, %s]" % (at(T), at(B)),
-                    coef * delta,
-                    coef * (delta - slope),
-                    coef * -slope,
-                    slope <= 0,
-                )
-            )
-        drift_terms += delta
-
+            now = {i: _clamped_age(ctx, st, T, i) for i in alive_alg}
+            shifted = [(i, ages[i], now[i]) for i in sorted(before) if now[i] != ages[i]]
+            for walk in walks:
+                walk.arrive(at(T), a, now[a], shifted)
+            ages = now
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")
-
-    alg_objective = ctx.idx_alg.power(k)
-    ref_objective = ctx.idx_ref.power(k)
-
-    # the potential starts and ends at zero, so jumps plus drift must
-    # reproduce the final objective exactly; any mismatch is a harness bug
-    ages = Rational(ages_total, L ** k)
-    jump_total = ages + coef * (jump_terms - completion_terms)
-    drift_total = coef * drift_terms
-    if jump_total + drift_total != alg_objective:
-        raise AnalysisError(
-            "internal: potential accounting mismatch (%s + %s != %s)"
-            % (jump_total, drift_total, alg_objective)
-        )
-
-    for T, label in ((bounds[0], "potential before first event"),
-                     (bounds[-1], "potential after final event")):
-        completion.add(_rec_eq(at(T), label, ZERO))
-
-    if not power:
-        completion.add(
-            _rec_le(
-                None,
-                "aggregate completion charge",
-                ages - coef * completion_terms,
-                (1 + eps) / eps * ref_objective,
-            )
-        )
-        factor = total_flow_factor(eps)
-    else:
-        factor = power_flow_factor(eps, k)
-    objective.add(
-        _rec_le(
-            None,
-            "final objective vs reference (factor %s)" % factor,
-            alg_objective,
-            factor * ref_objective,
-        )
-    )
-    return [
-        arrival.result(coef),
-        completion.result(completion_unit),
-        running.result(coef),
-        objective.result(None),
-    ]
+    return [result for walk in walks for result in walk.results(at(bounds[0]), at(bounds[-1]))]
 
 
 # --------------------------------------------------------------------------
@@ -912,23 +910,19 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
     comp_ref = ctx.idx_ref.completion
     jobs = sorted(rank)
 
-    owed = {}
-    rem_ref = {}  # i -> reference remaining volumes when the fast schedule finishes i
+    # i -> its contributors, by id: the no-larger reference jobs alive when
+    # the fast schedule finishes i that it finishes no later than i, each
+    # with its reference remaining volume then
     contributors = {}
-    for i in jobs:
-        T = comp_alg[i]
-        alive_ref = ctx.idx_ref.alive(T)
-        st = ctx.state(T, ctx.idx_alg.alive(T), alive_ref)
-        owed[i] = st.ahead_ref_small[i]
-        rem_ref[i] = st.rem_ref
-        contributors[i] = sorted(
-            j for j in alive_ref if rank[j] <= rank[i] and size[j] <= size[i]
-        )
-
     charged_to = {j: [] for j in jobs}
     for i in jobs:
-        for j in contributors[i]:
+        T = comp_alg[i]
+        alive = sorted(j for j in ctx.idx_ref.alive(T) if rank[j] <= rank[i] and size[j] <= size[i])
+        contributors[i] = {j: ctx.idx_ref.remaining(j, T) for j in alive}
+        for j in alive:
             charged_to[j].append(i)
+    # PairContext.state's ahead_ref_small[i] at i's fast completion
+    owed = {i: sum(rem.values()) for i, rem in contributors.items()}
 
     part = _Part(full)
     total = Rational(sum(owed[i] ** k for i in jobs), (m * ctx.V) ** k)
@@ -941,7 +935,7 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
     for i in jobs:
         t = ctx.srpt_trace.completions[i]
         for j in contributors[i]:
-            earlier = sum(rem_ref[i][a] for a in contributors[i] if release[a] < release[j])
+            earlier = sum(v for a, v in contributors[i].items() if release[a] < release[j])
             lhs = owed[i] - earlier
             later_charges = sum(
                 ctx.idx_ref.remaining(j, comp_ref[a]) for a in charged_to[j] if rank[a] > rank[i]
@@ -1017,17 +1011,6 @@ def _reference_traces(name, trace, oracle_ks):
     return dict.fromkeys(oracle_ks, ref), None
 
 
-def _check_report(check, ctx, k):
-    """One check's report under its own name; a walk's four are merged."""
-    if check == "backlog-bound":
-        return check_backlog_bound(ctx)
-    if check == "completion-charge":
-        return check_completion_charge(ctx, k=k)
-    power = check == "power-flow-potential"
-    walk = check_power_flow_conditions(ctx, k=k) if power else check_flow_conditions(ctx)
-    return _merged(check, walk.reports)
-
-
 def verify_domain(eps, ks, refs=REFERENCES) -> tuple:
     """`verify`'s checks on its arguments, which need no trace. Returns the
     sorted ks the power and charge checks run at (none for eps > 1/2) and
@@ -1054,8 +1037,9 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
     over its instance: backlog and flow at k = 1, power and charge at each k
     of `ks`. For eps > 1/2 the latter are skipped, and every k must be 1.
     Raises AnalysisError as verify_domain does. Each trace is validated and
-    indexed once, on one time base, and one reference's contexts (and their
-    state caches) are held at a time."""
+    indexed once, on one time base, and one reference's contexts are held at
+    a time. Each context is walked once, for every potential it is checked
+    against: flow on the k = 1 schedule and power at each k on its own."""
     power_ks, notice = verify_domain(trace.speed.epsilon, ks, refs)
     ok, violations = validate_trace(trace)
     if not ok:
@@ -1071,9 +1055,23 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
     for name, by_k, skipped in schedules:
         pair = cache(partial(PairContext, fast))  # one context per schedule
         ctxs = {k: pair(index_of[id(ref)]) for k, ref in by_k.items()}
+        modes = {}  # context -> the (power, k) modes of its one walk
+        for power, k in [(False, 1), *((True, k) for k in power_ks)] if ctxs else ():
+            modes.setdefault(ctxs[k], []).append((power, k))
+        walks = {}
+        for ctx, ctx_modes in modes.items():
+            walks.update(zip(ctx_modes, _walks(ctx, tuple(ctx_modes))))
         for check in VERIFY_CHECKS:
             check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
             reason = skipped if check_ks else notice
-            reports = () if reason else tuple(_check_report(check, ctxs[k], k) for k in check_ks)
+            if reason:
+                reports = ()
+            elif check == "backlog-bound":
+                reports = (check_backlog_bound(ctxs[1]),)
+            elif check == "completion-charge":
+                reports = tuple(check_completion_charge(ctxs[k], k=k) for k in check_ks)
+            else:
+                power = check == "power-flow-potential"
+                reports = tuple(_merged(check, walks[power, k].reports) for k in check_ks)
             rows.append(VerifyRow(check, name, check_ks, reports, reason))
     return VerifyReport((), tuple(rows), notice)

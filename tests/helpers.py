@@ -123,7 +123,7 @@ def reference_state(ctx, t, alive_alg, alive_ref):
             if rank[j] <= ri and size[j] <= si:
                 acc += rem_ref[j]
         ahead_ref_small[i] = acc
-    return _StateEval(rem_alg, rem_ref, ahead_alg, ahead_ref_small)
+    return _StateEval(rem_alg, ahead_alg, ahead_ref_small)
 
 
 def potential_by_definition(ctx, t, k=None):

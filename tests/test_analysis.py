@@ -7,7 +7,9 @@ computed by replaying the schedules by hand before the module existed.
 
 import hashlib
 import json
+import tracemalloc
 import weakref
+from bisect import bisect_left
 from fractions import Fraction
 from pathlib import Path
 
@@ -239,6 +241,18 @@ class TestFlowConditions:
     def test_requires_positive_eps(self, e1_unit_ctx):
         with pytest.raises(AnalysisError, match="epsilon must be positive"):
             check_flow_conditions(e1_unit_ctx)
+
+    def test_arrival_jump_over_bound_is_a_witness(self):
+        # jobs 1 (size 3), 5 (size 1) and 6 arrive at 0 on one machine. LRPT
+        # at 5/4 finishes job 1 before job 5, so job 5's gap carries job 1's
+        # volume: its arrival jump is (3 + 1)/eps = 16 against 2 * 1/eps = 8
+        inst = generate(GenSpec("uniform", 8, 1, (1, 6), (0, 8), 0))
+        fast = simulate_policy(inst, SpeedConfig.from_speed(rat("5/4")), longest_remaining_priority)
+        reports = check_flow_conditions(make_context(fast, simulate_srpt(inst, UNIT_SPEED)))
+        [row] = [row for row in verify(fast, refs=("unit-srpt",)).rows if row.check == "flow-potential"]
+        for failures in (reports.arrival.failures, row.reports[0].failures):
+            first = failures[0]
+            assert (first.label, first.time, first.delta, first.bound) == ("arrival job 5", 0, 16, 8)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("eps", ("1/4", "1/2", "1"))
@@ -522,12 +536,13 @@ def test_failing_window_bounds(case, k, monkeypatch):
     fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), POTENTIAL_POLICIES[policy])
     ref_policy = srpt_priority if ref_name == "srpt" else fifo_priority
     report = check_completion_charge(make_context(fast, simulate_policy(inst, UNIT_SPEED, ref_policy)), k=k)
-    # reading the failures must not build the records, which needs states
-    states = []
-    monkeypatch.setattr(analysis.PairContext, "state", lambda *args: states.append(args))
+    # reading the failures must not build the records, which indexes the
+    # report's traces anew
+    indexed = []
+    monkeypatch.setattr(analysis, "_indexes", lambda *args: indexed.append(args))
     witnesses = [(r.label, str(r.time), str(r.delta), str(r.bound)) for r in report.failures]
     assert witnesses == FAILING_WINDOWS[case]
-    assert not report.verdict and report.worst_slack < 0 and states == []
+    assert not report.verdict and report.worst_slack < 0 and indexed == []
 
 
 def every_report(ctx, ks):
@@ -540,13 +555,26 @@ def every_report(ctx, ks):
     return reports
 
 
+def fused_walk_reports(ctx, ks):
+    """every_report's walk reports, in its order, from one walk of the flow
+    potential and the power potential at every k, as verify runs it."""
+    walks = analysis._walks(ctx, ((False, 1), *((True, k) for k in ks)))
+    return [rep for walk in walks for rep in walk.reports]
+
+
+def report_key(rep):
+    """Everything a report says: its summary and every record."""
+    return (rep.condition, rep.n_events, rep.worst_slack, rep.verdict, rep.failures, tuple(rep.records))
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("speed", ["5/4", "3/2"])
 @pytest.mark.parametrize("policy", POTENTIAL_POLICIES)
 def test_summaries_agree_with_records(policy, speed, seed):
     """A report's count, worst slack, verdict and failures come from its
     check's integer pass, and its records from a second pass on first read:
-    both must describe the same records. A report keeps no context alive."""
+    both must describe the same records. A report keeps no context alive.
+    A walk of several potentials reports each as a walk of it alone."""
     inst = generate(GenSpec("uniform", 6, 1 + seed % 3, (1, 5), (0, 6), 100 + seed))
     fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), POTENTIAL_POLICIES[policy])
     refs = [simulate_srpt(inst, UNIT_SPEED), simulate_policy(inst, UNIT_SPEED, fifo_priority)]
@@ -554,7 +582,11 @@ def test_summaries_agree_with_records(policy, speed, seed):
     reports = []
     for ref in refs:
         ctx = make_context(fast, ref)
-        reports += every_report(ctx, (1, 2, 3))
+        one_mode = every_report(ctx, (1, 2, 3))
+        fused = fused_walk_reports(ctx, (1, 2, 3))
+        walked = [rep for rep in one_mode if rep.condition not in ("backlog-bound", "completion-charge")]
+        assert list(map(report_key, walked)) == list(map(report_key, fused))
+        reports += one_mode + fused
         alive = weakref.ref(ctx)
         del ctx
         assert alive() is None
@@ -583,9 +615,7 @@ def test_records_do_not_depend_on_time_base(policy, speed, seed):
     inflated = analysis.PairContext(*analysis._indexes(fast, ref, foreign)[:2])
     assert inflated.L % (77 * own.L) == 0 and inflated.V == own.q * inflated.L
     for a, b in zip(every_report(own, (1, 2, 3)), every_report(inflated, (1, 2, 3)), strict=True):
-        assert (a.condition, a.n_events, a.worst_slack, a.verdict, a.failures) == (
-            b.condition, b.n_events, b.worst_slack, b.verdict, b.failures)
-        assert tuple(a.records) == tuple(b.records)
+        assert report_key(a) == report_key(b)
 
 
 _SIZES = st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(2)])
@@ -638,6 +668,17 @@ class TestStateDefinition:
             alive_ref = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
             assert ctx.state(t * ctx.L, alive_alg, alive_ref) == reference_state(
                 ctx, t, alive_alg, alive_ref)
+
+    @given(ctx=trace_pairs())
+    def test_backlog_midpoints_fail_only_with_an_event(self, ctx):
+        # check_backlog_bound's event-time records cover every t, so a label
+        # that fails at a midpoint fails at an event time next to it too
+        bounds = analysis._boundaries(ctx)
+        failing = {(r.time * ctx.L, r.label) for r in check_backlog_bound(ctx).failures}
+        for T, label in failing:
+            pos = bisect_left(bounds, T)
+            if bounds[pos] != T:
+                assert (bounds[pos - 1], label) in failing or (bounds[pos], label) in failing
 
     @given(ctx=trace_pairs())
     def test_remaining_and_alive_match_definition(self, ctx):
@@ -1081,6 +1122,19 @@ class TestVerify:
         assert all(row.skipped.startswith("oracle skipped: ") for row in oracle_rows)
         assert [row.verdict for row in unit_rows] == ["pass"] * 4
         assert report.passed
+
+    def test_memory_is_not_held_per_state(self):
+        # the walks hold only the state they are at and a report holds its
+        # traces, so verify's peak stays a few times the size of its inputs
+        inst = generate(GenSpec("uniform", 200, 2, (1, 8), (0, 400), 1))
+        fast = simulate_srpt(inst, SpeedConfig.from_speed("3/2"))
+        tracemalloc.start()
+        try:
+            verify(fast, ks=(1, 2), refs=("unit-srpt", "fifo"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
 
     def test_unknown_reference(self, e1_fast_trace):
         with pytest.raises(AnalysisError, match="unknown reference 'lrpt'"):
