@@ -930,17 +930,22 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
         _rec_le(None, "aggregate charge", total, (1 + eps) ** k * ctx.idx_ref.power(k))
     )
 
-    # both sides of the window bound, times (1 + eps) * m * V = p * m * L
+    # both sides of the window bound, times (1 + eps) * m * V = p * m * L.
+    # earlier[i][j]: what i's contributors released before j owe; later[j][i]:
+    # what j owes at the reference completions of the jobs charged to j that
+    # the fast schedule finishes after i
+    earlier = {i: _sums_before(rem, release.__getitem__) for i, rem in contributors.items()}
+    later = {
+        j: _sums_before({a: ctx.idx_ref.remaining(j, comp_ref[a]) for a in charged_to[j]},
+                        lambda a: -rank[a])
+        for j in jobs
+    }
     unit = ctx.p * m * ctx.L
     for i in jobs:
         t = ctx.srpt_trace.completions[i]
         for j in contributors[i]:
-            earlier = sum(v for a, v in contributors[i].items() if release[a] < release[j])
-            lhs = owed[i] - earlier
-            later_charges = sum(
-                ctx.idx_ref.remaining(j, comp_ref[a]) for a in charged_to[j] if rank[a] > rank[i]
-            )
-            rhs = (comp_ref[j] - release[j]) * ctx.p * m - later_charges
+            lhs = owed[i] - earlier[i][j]
+            rhs = (comp_ref[j] - release[j]) * ctx.p * m - later[j][i]
             if part.keep(rhs - lhs, rhs >= lhs):
                 part.records.append(
                     CheckRecord(
@@ -954,6 +959,20 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
                     )
                 )
     return [part.result(Rational(1, unit))]
+
+
+def _sums_before(values: dict, key) -> dict:
+    """{x: the sum of values[y] over the y with key(y) < key(x)} for every x
+    in `values`, in one sorted pass: x with equal keys share one sum."""
+    sums = {}
+    total = pending = 0
+    last = None
+    for x in sorted(values, key=key):
+        if key(x) != last:
+            total, pending, last = total + pending, 0, key(x)
+        sums[x] = total
+        pending += values[x]
+    return sums
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from .analysis import (
     MAX_POWER_EPS,
@@ -528,7 +529,10 @@ def cmd_sweep(args) -> int:
 # --------------------------------------------------------------------------
 # parser wiring
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="srptlab",
         description="Exact SRPT scheduling simulator and analysis verifier.",

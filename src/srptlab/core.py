@@ -120,7 +120,8 @@ def validate_instance(instance: Instance) -> Instance:
     """
     if not isinstance(instance.machines, int) or instance.machines < 1:
         raise InstanceError("machines must be >= 1")
-    jobs = sorted(instance.jobs, key=lambda j: (j.release, j.id))
+    L = _unit(j.release for j in instance.jobs)
+    jobs = sorted(instance.jobs, key=lambda j: (_scaled(j.release, L), j.id))
     seen = set()
     for j in jobs:
         if j.id in seen:
@@ -164,9 +165,13 @@ def _trace_values(trace: ExecutionTrace):
 
 
 def events_of(instance: Instance, completions) -> tuple:
-    times = {j.release for j in instance.jobs}
-    times.update(completions)
-    return tuple(sorted(times))
+    """The distinct release and completion times in increasing order, sorted
+    on integer ticks; of equal times the first one given is kept."""
+    times = [j.release for j in instance.jobs]
+    times.extend(completions)
+    L = _unit(times)
+    by_tick = {_scaled(t, L): t for t in reversed(times)}
+    return tuple(by_tick[tick] for tick in sorted(by_tick))
 
 
 def validate_trace(trace: ExecutionTrace):

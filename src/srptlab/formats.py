@@ -16,6 +16,7 @@ trace exactly; all rationals travel as lowest-term strings.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
     ExecutionTrace,
@@ -91,11 +92,31 @@ def instance_to_json(instance: Instance) -> dict:
 
 
 def instance_from_json(data: dict) -> Instance:
+    return _instance_from_json(data, _parser())
+
+
+def _instance_from_json(data: dict, parse) -> Instance:
     jobs = tuple(
-        Job(id=int(j["id"]), release=rat(j["release"]), size=rat(j["size"]))
+        Job(id=int(j["id"]), release=parse(j["release"]), size=parse(j["size"]))
         for j in data["jobs"]
     )
     return validate_instance(Instance(jobs=jobs, machines=int(data["machines"])))
+
+
+def _parser():
+    """rat() for one document: each distinct string is parsed once, since
+    releases and sizes repeat and each segment's end is the next's start."""
+    parsed = {}
+
+    def parse(text):
+        if text.__class__ is not str:  # lists are unhashable, and 1.0 == 1
+            return rat(text)
+        q = parsed.get(text)
+        if q is None:
+            q = parsed[text] = rat(text)
+        return q
+
+    return parse
 
 
 def trace_to_json(trace: ExecutionTrace) -> dict:
@@ -123,26 +144,22 @@ def trace_to_json(trace: ExecutionTrace) -> dict:
 
 
 def trace_from_json(data: dict) -> ExecutionTrace:
+    parse = _parser()
     try:
-        instance = instance_from_json(data["instance"])
-        speed = SpeedConfig(speed=rat(data["speed"]["speed"]))
-        if speed.epsilon != rat(data["speed"]["epsilon"]):
+        instance = _instance_from_json(data["instance"], parse)
+        speed = SpeedConfig(speed=parse(data["speed"]["speed"]))
+        if speed.epsilon != parse(data["speed"]["epsilon"]):
             raise ValueError("speed must equal 1 + epsilon exactly")
-        m = instance.machines
+        machines = [str(machine) for machine in range(instance.machines)]
         segments = []
         for seg in data["segments"]:
-            assignment = tuple(
-                seg["assignment"].get(str(machine)) for machine in range(m)
-            )
-            assignment = tuple(
-                None if jid is None else int(jid) for jid in assignment
-            )
+            slots = map(seg["assignment"].get, machines)
+            assignment = tuple([None if jid is None else int(jid) for jid in slots])
             segments.append(
-                Segment(start=rat(seg["start"]), end=rat(seg["end"]), assignment=assignment)
+                Segment(start=parse(seg["start"]), end=parse(seg["end"]), assignment=assignment)
             )
-        completions = tuple(
-            rat(data["completions"][str(jid)]) for jid in range(instance.n)
-        )
+        table = data["completions"]
+        completions = tuple(parse(table[str(jid)]) for jid in range(instance.n))
     except (KeyError, ValueError, RationalParseError, InstanceError) as exc:
         raise TraceError("malformed trace document: %s" % exc) from None
     return ExecutionTrace(
@@ -155,5 +172,56 @@ def trace_from_json(data: dict) -> ExecutionTrace:
 
 
 def dump_json(doc) -> str:
-    """Canonical JSON rendering used for every artifact this package writes."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON rendering used for every artifact this package writes.
+
+    The text is exactly json.dumps(doc, sort_keys=True, indent=2) plus a
+    final newline. An indent sends the standard library to its pure-Python
+    encoder, so _emit writes the same bytes itself: one str.join per
+    container, strings through the C string encoder.
+    """
+    return _emit(doc, "\n") + "\n"
+
+
+_CONSTANT = {None: "null", True: "true", False: "false"}.__getitem__
+# renderers of the plain leaves, by exact type
+_LEAF = {str: _quote, int: int.__repr__, bool: _CONSTANT, type(None): _CONSTANT}
+
+
+def _emit(obj, newline: str) -> str:
+    """The JSON text of obj; `newline` is a newline plus its depth's indent.
+
+    Lists and tuples render as arrays, dicts with sorted keys. Any other
+    value that is not a plain leaf (a float, a subclass of a leaf type, or a
+    value json cannot serialize) goes to json.dumps, which renders or
+    rejects it exactly as the indented encoder would.
+    """
+    leaf = _LEAF.get(obj.__class__)
+    if leaf is not None:
+        return leaf(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        parts = []
+        for key in sorted(obj):
+            value = obj[key]
+            leaf = _LEAF.get(value.__class__)
+            parts.append((_quote(key) if key.__class__ is str else _key(key)) + ": "
+                         + (leaf(value) if leaf is not None else _emit(value, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = ("," + inner).join([_emit(x, inner) for x in obj])
+        return "[" + inner + body + newline + "]"
+    return json.dumps(obj)
+
+
+def _key(key) -> str:
+    """A quoted object key; json renders bool, None and number keys as text."""
+    if isinstance(key, str):
+        return _quote(key)
+    if key is None or isinstance(key, (int, float)):
+        return _quote(json.dumps(key))
+    raise TypeError("keys must be str, int, float, bool or None, not %s"
+                    % key.__class__.__name__)

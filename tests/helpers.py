@@ -126,6 +126,43 @@ def reference_state(ctx, t, alive_alg, alive_ref):
     return _StateEval(rem_alg, ahead_alg, ahead_ref_small)
 
 
+def window_bounds_by_definition(ctx):
+    """check_completion_charge's window bound records from their definition,
+    each pair's two sums taken term by term: [(label, time, delta, bound)]
+    in (i, j) id order. When the fast schedule finishes i at t, its
+    contributors are the reference jobs alive at t that it finishes no
+    later than i and that are no larger than i, each owing its reference
+    remaining volume at t. Pair (i, j) owes what i's contributors owe less
+    what those released before j owe; its bound is j's reference flow less
+    what j owes at the reference completion of each job charged to it that
+    the fast schedule finishes after i. Owed volumes count divided by
+    (1 + eps) * m."""
+    fast, ref = ctx.srpt_trace, ctx.ref_trace
+    rank = ctx.finish_rank
+    job = {j.id: j for j in ctx.instance.jobs}
+    scale = (1 + ctx.epsilon) * ctx.machines
+    contributors = {}
+    for i in sorted(rank):
+        t = fast.completions[i]
+        contributors[i] = {
+            j: rebuild_remaining(ref, j, t) for j in sorted(alive_by_definition(ref, t))
+            if rank[j] <= rank[i] and job[j].size <= job[i].size
+        }
+    rows = []
+    for i, owed in contributors.items():
+        for j in owed:
+            earlier = sum(v for a, v in owed.items() if job[a].release < job[j].release)
+            later = sum(rebuild_remaining(ref, j, ref.completions[a])
+                        for a in contributors if j in contributors[a] and rank[a] > rank[i])
+            rows.append((
+                "window bound pair (%d, %d)" % (i, j),
+                fast.completions[i],
+                (sum(owed.values()) - earlier) / scale,
+                ref.completions[j] - job[j].release - later / scale,
+            ))
+    return rows
+
+
 def potential_by_definition(ctx, t, k=None):
     """flow_potential(ctx, t) (k None) or power_flow_potential(ctx, t, k)
     from the definition: over the jobs alive at t in the fast schedule, the

@@ -61,6 +61,7 @@ from helpers import (
     random_integer_instance,
     rebuild_remaining,
     reference_state,
+    window_bounds_by_definition,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -961,6 +962,31 @@ class TestCompletionCharge:
             "window bound pair (0, 1)": (rat("10/3"), rat("10/9"), 5),
         }
         assert records_by_label(report, "aggregate charge")[0].delta == rat("11/3")
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_bounds_match_definition(self, seed):
+        # many equal releases, so contributors tie on release; FIFO and LRPT
+        # references, and an LRPT fast schedule, charge each job many times
+        inst = generate(GenSpec(family="uniform", n=16, machines=1 + seed % 3,
+                                size_range=(1, 5), release_range=(0, 6), seed=seed))
+        speed = SpeedConfig.from_speed("3/2")
+        pairs = [
+            (simulate_srpt(inst, speed), simulate_policy(inst, UNIT_SPEED, fifo_priority)),
+            (simulate_srpt(inst, speed),
+             simulate_policy(inst, UNIT_SPEED, longest_remaining_priority)),
+            (simulate_policy(inst, speed, longest_remaining_priority),
+             simulate_policy(inst, UNIT_SPEED, fifo_priority)),
+        ]
+        for fast, ref in pairs:
+            ctx = make_context(fast, ref)
+            expected = window_bounds_by_definition(ctx)
+            assert len(expected) > inst.n
+            for k in (1, 2):
+                report = check_completion_charge(ctx, k=k)
+                got = [(r.label, r.time, r.delta, r.bound)
+                       for r in records_by_label(report, "window bound pair")]
+                assert got == expected
+                assert report.n_events == len(expected) + 1
 
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_oracle_reference_random(self, k):

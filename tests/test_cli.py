@@ -630,6 +630,27 @@ class TestTopLevel:
             main(["simulate", "--nope"])
         assert exc.value.code == 2
 
+    def test_calls_in_one_process(self, e1_path, capsys):
+        # one parser serves every call in a process, a failed parse included
+        runs = [
+            ["simulate", "--instance", e1_path, "--speed", "1"],
+            ["gen", "--family", "starvation-stream", "--n", "4", "--seed", "0"],
+            ["verify", "--instance", e1_path, "--speed", "3/2", "--refs", "unit-srpt"],
+        ]
+        outputs = []
+        for args in runs + [["simulate", "--nope"]] + runs:
+            try:
+                assert main(args) == 0
+            except SystemExit as exc:
+                assert exc.code == 2
+            outputs.append(capsys.readouterr())
+        assert outputs[:3] == outputs[4:]
+        assert "total flow: 5" in outputs[0].out
+        assert outputs[1].out == "m 1\njob 0 0 1\njob 1 0 1\njob 2 1 1\njob 3 2 1\n"
+        assert "unit-srpt" in outputs[2].out and not outputs[2].err
+        assert "required: --instance" in outputs[3].err
+        assert cli._build_parser() is cli._build_parser()
+
 
 if __name__ == "__main__":
     # regenerate the golden verify files: PYTHONPATH=src python tests/test_cli.py

@@ -12,6 +12,7 @@ from srptlab import (
     ExecutionTrace,
     Instance,
     InstanceError,
+    Job,
     ParseError,
     Segment,
     SpeedConfig,
@@ -52,6 +53,7 @@ DATA = Path(__file__).parent / "data"
 rationals = st.fractions(
     min_value=0, max_value=50, max_denominator=12
 ).map(lambda f: Rational(f.numerator, f.denominator))
+FEW_TIMES = [Rational(a, b) for a in range(5) for b in (1, 2, 3, 7)]
 positive_rationals = st.fractions(
     min_value="1/12", max_value=50, max_denominator=12
 ).map(lambda f: Rational(f.numerator, f.denominator))
@@ -142,6 +144,20 @@ class TestInstanceValidation:
     def test_events_of(self):
         inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 1, 1)], machines=2)
         assert events_of(inst, (rat(3), rat(1), rat(2))) == (0, 1, 2, 3)
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(FEW_TIMES), positive_rationals), max_size=8),
+        st.lists(st.sampled_from(FEW_TIMES), max_size=8),
+        st.randoms(use_true_random=False),
+    )
+    def test_integer_sorts_match_fraction_sorts(self, pairs, completions, rng):
+        # few distinct times, so equal releases with different ids are common
+        jobs = [Job(id=i, release=r, size=p) for i, (r, p) in enumerate(pairs)]
+        rng.shuffle(jobs)
+        inst = validate_instance(Instance(jobs=tuple(jobs), machines=1))
+        assert inst.jobs == tuple(sorted(jobs, key=lambda j: (j.release, j.id)))
+        expected = tuple(sorted({j.release for j in jobs} | set(completions)))
+        assert events_of(inst, completions) == expected
 
 
 class TestSpeedConfig:
@@ -628,6 +644,101 @@ class TestJsonFormat:
         inst = random_integer_instance(seed)
         tr = simulate_srpt(inst, SpeedConfig.from_speed("3/2"))
         assert trace_from_json(trace_to_json(tr)) == tr
+
+    @pytest.mark.parametrize("den", (3, 7, 11))
+    @pytest.mark.parametrize("policy", (srpt_priority, fifo_priority, longest_remaining_priority))
+    def test_fractional_trace_roundtrip(self, den, policy):
+        # releases, sizes and speed all over `den`: segment bounds and
+        # completions land on many distinct fractions, some repeated
+        triples = [(i, Rational(i * 2 // 3, den), Rational(1 + i % 4, den) + i % 2)
+                   for i in range(9)]
+        inst = make_instance(triples, machines=2)
+        tr = simulate_policy(inst, SpeedConfig.from_speed(Rational(den + 1, den)), policy)
+        assert any(t.denominator > 1 for t in tr.completions)
+        back = trace_from_json(json.loads(dump_json(trace_to_json(tr))))
+        assert back == tr
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.pop("segments"), "'segments'"),
+        (lambda d: d["completions"].pop("2"), "'2'"),
+        (lambda d: d["segments"][0].update(end="1/0"), "denominator must be positive in '1/0'"),
+        (lambda d: d["instance"]["jobs"][1].update(release="x"), "bad rational 'x'"),
+        (lambda d: d["completions"].update({"0": "x"}), "bad rational 'x'"),
+        (lambda d: d["segments"][0].update(start=[0]), "expected rational string, got [0]"),
+        (lambda d: d["instance"]["jobs"][1].update(id=0), "duplicate id 0"),
+        (lambda d: d["instance"]["jobs"][2].update(id=5), "job ids must be dense 0..n-1"),
+        (lambda d: d.update(speed={"speed": "2", "epsilon": "1/2"}),
+         "speed must equal 1 + epsilon exactly"),
+    ])
+    def test_malformed_trace_text(self, e1_fast_trace, mutate, message):
+        doc = json.loads(dump_json(trace_to_json(e1_fast_trace)))
+        mutate(doc)
+        with pytest.raises(TraceError) as exc:
+            trace_from_json(doc)
+        assert str(exc.value) == "malformed trace document: " + message
+
+
+def _stdlib_json(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600\ud800'),
+)
+# one key type per dict: sort_keys cannot order str keys among others
+_json_docs = st.recursive(_json_leaves, lambda kids: st.one_of(
+    st.lists(kids, max_size=4),
+    st.lists(kids, max_size=4).map(tuple),
+    st.dictionaries(st.text(), kids, max_size=4),
+    st.dictionaries(st.integers() | st.booleans(), kids, max_size=4),
+    st.dictionaries(st.floats(allow_nan=False), kids, max_size=3),
+    st.dictionaries(st.none(), kids, max_size=1),
+), max_leaves=24)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not json"
+
+
+class TestDumpJson:
+    """dump_json writes the bytes of the standard library's indented encoder."""
+
+    @given(_json_docs)
+    def test_matches_stdlib(self, doc):
+        assert dump_json(doc) == _stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 0.1],
+        {float("nan"): 1, 2.5: [], -0.0: {}},
+        [_Int(3), _Float(1.5), {_Int(4): _Float(2.0)}],
+        {"k": ("a", ("b",), ()), "": {"": []}, "\u00e9": "\x00\"\\"},
+        {True: None, 0: False, 7: 7},
+        [[[[[[]]]]], {"a": {"b": {"c": {}}}}],
+        "top level string", 5, None, True, 2.0,
+    ])
+    def test_leaves_and_containers(self, doc):
+        assert dump_json(doc) == _stdlib_json(doc)
+
+    @pytest.mark.parametrize("doc", [
+        object(),
+        [Rational(1, 2)],
+        {"a": {"b": object()}},
+        {(1, 2): 1},
+        {"a": 1, 2: 3},
+        {Rational(1, 2): 1},
+    ])
+    def test_rejects_what_stdlib_rejects(self, doc):
+        with pytest.raises(TypeError):
+            _stdlib_json(doc)
+        with pytest.raises(TypeError):
+            dump_json(doc)
 
 
 class TestExports:
