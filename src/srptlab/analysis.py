@@ -190,42 +190,29 @@ class PairContext:
         speed = srpt_trace.speed.speed
         self.p, self.q = speed.numerator, speed.denominator
         self.L, self.V = idx_alg.L, idx_alg.V
-        # total order on the fast schedule's completions: (time, id)
+        # the fast schedule's finish order: (completion, id)
         order = sorted((c, jid) for jid, c in enumerate(srpt_trace.completions))
-        self.by_rank = [jid for _, jid in order]
-        self.finish_rank = {jid: pos for pos, jid in enumerate(self.by_rank)}
-        # sizes as integers in size order, equal sizes sharing one
-        size = self.idx_alg.size
-        rank_of = {p: r for r, p in enumerate(sorted(set(size.values())))}
-        self.size_rank = {jid: rank_of[p] for jid, p in size.items()}
+        self.finish_rank = {jid: pos for pos, (_, jid) in enumerate(order)}
 
-    def state(self, T, alive_alg: frozenset, alive_ref: frozenset) -> _StateEval:
+    def state(self, T, alive_alg: frozenset, alive_ref: frozenset, *, ids=None) -> _StateEval:
         """Fast remaining volumes at scaled time T of the given alive sets (any
         subsets of the jobs, not only the alive sets at T) and, for every job
-        i, the fast volume on alive jobs the fast schedule finishes no later
-        than i, and the reference volume on alive reference jobs that it
-        finishes no later than i and that are no larger than i, all in units
-        of 1/V. One pass in finish order: the first is a running sum; for the
-        second, reference jobs go into a list sorted by size rank whose prefix
-        sums are updated from the insertion point."""
+        i of `ids` (by default alive_alg; any job ids will do), the fast volume
+        on those alive jobs the fast schedule finishes no later than i, and
+        the reference volume on those alive reference jobs that it finishes no
+        later than i and that are no larger than i, all in units of 1/V. Each
+        i is one scan of both alive sets, so a state costs
+        O(|ids| * (|alive_alg| + |alive_ref|)), whatever the number of jobs."""
+        rank, size = self.finish_rank, self.idx_alg.size
         rem_alg = {j: self.idx_alg.remaining(j, T) for j in alive_alg}
-        rem_ref = {j: self.idx_ref.remaining(j, T) for j in alive_ref}
-        size_rank = self.size_rank
+        alg = [(rank[j], v) for j, v in rem_alg.items()]
+        ref = [(rank[j], size[j], self.idx_ref.remaining(j, T)) for j in alive_ref]
         ahead_alg = {}
         ahead_ref_small = {}
-        acc = 0
-        keys = []  # size ranks of the reference jobs passed so far, sorted
-        sums = [0]  # sums[q]: their remaining volume over keys[:q]
-        for i in self.by_rank:
-            if i in rem_alg:
-                acc += rem_alg[i]
-            ahead_alg[i] = acc
-            if i in rem_ref:
-                pos = bisect_right(keys, size_rank[i])
-                keys.insert(pos, size_rank[i])
-                v = rem_ref[i]
-                sums[pos + 1:] = [sums[pos] + v] + [x + v for x in sums[pos + 1:]]
-            ahead_ref_small[i] = sums[bisect_right(keys, size_rank[i])]
+        for i in alive_alg if ids is None else ids:
+            r, p = rank[i], size[i]
+            ahead_alg[i] = sum(v for rj, v in alg if rj <= r)
+            ahead_ref_small[i] = sum(v for rj, pj, v in ref if rj <= r and pj <= p)
         return _StateEval(rem_alg, ahead_alg, ahead_ref_small)
 
 
@@ -258,21 +245,21 @@ def remaining_at(trace: ExecutionTrace, jid: int, t) -> Rational:
     return Rational(idx.remaining(jid, t * idx.L), idx.V)
 
 
-def _state_at(ctx: PairContext, t) -> _StateEval:
+def _state_at(ctx: PairContext, jid: int, t) -> _StateEval:
     T = t * ctx.L
-    return ctx.state(T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T))
+    return ctx.state(T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T), ids=(jid,))
 
 
 def alg_backlog(ctx: PairContext, jid: int, t) -> Rational:
     """Remaining fast-schedule volume, at t, of jobs the fast schedule
     finishes no later than job jid (jid included while alive)."""
-    return Rational(_state_at(ctx, t).ahead_alg[jid], ctx.V)
+    return Rational(_state_at(ctx, jid, t).ahead_alg[jid], ctx.V)
 
 
 def ref_backlog_smaller(ctx: PairContext, jid: int, t) -> Rational:
     """Remaining reference volume, at t, of jobs no larger than jid that the
     fast schedule finishes no later than jid."""
-    return Rational(_state_at(ctx, t).ahead_ref_small[jid], ctx.V)
+    return Rational(_state_at(ctx, jid, t).ahead_ref_small[jid], ctx.V)
 
 
 def objectives(trace: ExecutionTrace, ks=(1, 2, 3)) -> FlowSummary:
@@ -357,6 +344,14 @@ class _Part:
         if slack is not None and (self.worst is None or slack < self.worst):
             self.worst = slack
         return self.full or not passed
+
+    def tally(self, n: int, slack: int):
+        """Count n passing records, built in neither mode, whose least int
+        slack is `slack`."""
+        if n:
+            self.n += n
+            if self.worst is None or slack < self.worst:
+                self.worst = slack
 
     def add(self, rec: CheckRecord):
         """Count a record that is built in either mode."""
@@ -514,13 +509,22 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     at a or b. The identity fails only while some job ahead of i has more
     than size(i) left, and remaining volumes only fall on [a, b), so it
     fails at a whenever it fails inside. So the midpoint records add no
-    failure of their own, though n_events and the witness lists count them."""
+    failure of their own, though n_events and the witness lists count them.
+
+    Only a job the fast schedule still holds can fail. Once it has finished
+    i, it has finished every job it finishes no later than i, so the fast
+    backlog ahead of i is 0: i's gap is at most 0, its slack at least
+    machines * size(i), and the identity holds with slack 0. The check
+    counts those two records at each grid time without building them, so a
+    grid time costs one state of the fast alive jobs, not of all n."""
     [report] = _reports(("backlog-bound",), _backlog_pass, ctx)
     return report
 
 
 def _backlog_pass(ctx: PairContext, full: bool) -> list:
-    """check_backlog_bound's integer pass; slacks in units of 1/V."""
+    """check_backlog_bound's integer pass; slacks in units of 1/V. In full it
+    builds both records of every released job; otherwise it looks only at
+    the jobs alive in the fast schedule, since no other record can fail."""
     size = ctx.idx_alg.size
     release = ctx.idx_alg.release
     rank = ctx.finish_rank
@@ -540,28 +544,18 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
             insort(released, by_release[nxt])
             nxt += 1
         alive_alg = ctx.idx_alg.alive(T)
-        st = ctx.state(T, alive_alg, ctx.idx_ref.alive(T))
-        # largest fast remaining volume ahead of each job: when it is at most
-        # size(i), the restriction is the whole backlog and the identity holds
-        top = {}
-        most = 0
-        for j in ctx.by_rank:
-            if j in st.rem_alg and st.rem_alg[j] > most:
-                most = st.rem_alg[j]
-            top[j] = most
-        for i in released:
+        ids = released
+        if not full:  # a finished job's two records pass, the least slack 0
+            part.tally(2 * (nxt - len(alive_alg)), 0)
+            ids = sorted(alive_alg)
+        st = ctx.state(T, alive_alg, ctx.idx_ref.alive(T), ids=ids)
+        for i in ids:
             gap = st.ahead_alg[i] - st.ahead_ref_small[i]
             slack = bound_v[i] - gap
             if keep(slack, slack >= 0):
                 records.append(CheckRecord(at(T), gap_label[i], real(gap), bound[i], real(slack), slack >= 0))
-            if top[i] <= size[i]:
-                if keep(0, True):
-                    records.append(CheckRecord(at(T), identity_label[i], ZERO, ZERO, ZERO, True))
-                continue
-            small = 0
-            for j in alive_alg:
-                if rank[j] <= rank[i] and st.rem_alg[j] <= size[i]:
-                    small += st.rem_alg[j]
+            r, p = rank[i], size[i]
+            small = sum(v for j, v in st.rem_alg.items() if rank[j] <= r and v <= p)
             delta = small - st.ahead_alg[i]
             slack = -abs(delta)
             if keep(slack, slack == 0):
@@ -715,13 +709,14 @@ def _walks(ctx: PairContext, modes: tuple) -> list:
 class _WalkMode:
     """One (power, k) mode of a potential walk: its term (see _walk_term),
     its four parts and its integer sums, fed each event's clamped ages by
-    _walk_pass. Arrival and running slacks are in units of coef, power
-    completion slacks in units of 1/(L * s * (p - q))^k with
+    _walk_pass at integer times T. Arrival and running slacks are in units
+    of coef, power completion slacks in units of 1/(L * s * (p - q))^k with
     s = (2q - p) * m * (p - q)."""
 
     def __init__(self, ctx: PairContext, power: bool, k: int, full: bool):
         m, eps, p, q = ctx.machines, ctx.epsilon, ctx.p, ctx.q
         self.ctx, self.power, self.k = ctx, power, k
+        self.at = _in_units(ctx.L)  # a record's time, built only for a record
         self.coef, self.term, self.rise = _walk_term(ctx, power, k)
         # an arrival's bound is coef * cap, with cap = (2 * m * size)^k in
         # units of 1/V, or coefficient * size^k
@@ -747,8 +742,8 @@ class _WalkMode:
         self.completion_terms = 0
         self.drift_terms = 0
 
-    def complete(self, t, c: int, age: int, owed: int, g: int):
-        """The fast schedule finishes job c at t, at this age, while the
+    def complete(self, T: int, c: int, age: int, owed: int, g: int):
+        """The fast schedule finishes job c at T, at this age, while the
         reference owes `owed` and c's clamped age is g."""
         ctx, k, part = self.ctx, self.k, self.completion
         g = self.term(g)
@@ -761,6 +756,7 @@ class _WalkMode:
         if not part.keep(slack, slack is None or slack >= 0):
             return
         jump = Rational(age ** k, ctx.L ** k) - self.coef * g
+        t = self.at(T)
         if not self.power:
             rec = _rec_info(t, "completion job %d" % c, jump)
         elif drained:
@@ -770,8 +766,8 @@ class _WalkMode:
             rec = _rec_le(t, "completion job %d (owed case)" % c, jump, owed_bound)
         part.records.append(rec)
 
-    def arrive(self, t, a: int, g: int, shifted: list):
-        """Job a arrives at t with clamped age g; `shifted` holds (job, age
+    def arrive(self, T: int, a: int, g: int, shifted: list):
+        """Job a arrives at T with clamped age g; `shifted` holds (job, age
         before, age after) for each older job whose clamped age it moved."""
         term, part = self.term, self.arrival
         # the analysis assumes an arrival leaves every other job's term
@@ -782,29 +778,29 @@ class _WalkMode:
             if shift != 0:
                 if part.keep(-abs(shift), False):
                     label = "arrival job %d shifts term of job %d" % (a, i)
-                    part.records.append(_rec_eq(t, label, self.coef * shift))
+                    part.records.append(_rec_eq(self.at(T), label, self.coef * shift))
                 self.jump_terms += shift
         g = term(g)
         self.jump_terms += g
         if part.keep(self.cap[a] - g, self.cap[a] >= g):
             bound = self.coefficient * Rational(self.ctx.idx_alg.size[a], self.ctx.V) ** self.k
-            part.records.append(_rec_le(t, "arrival job %d" % a, self.coef * g, bound))
+            part.records.append(_rec_le(self.at(T), "arrival job %d" % a, self.coef * g, bound))
 
-    def drift(self, t, b, ga: list, gb: list):
-        """The interval from t to b, over which the alive jobs' clamped ages
+    def drift(self, T: int, B: int, ga: list, gb: list):
+        """The interval from T to B, over which the alive jobs' clamped ages
         run linearly from ga to gb."""
         delta = sum(map(self.term, gb)) - sum(map(self.term, ga))
         slope = sum(map(self.rise, ga, gb))
         self.drift_terms += delta
         if self.running.keep(-slope, slope <= 0):
-            coef = self.coef
+            coef, t, b = self.coef, self.at(T), self.at(B)
             self.running.records.append(CheckRecord(
                 t, "drift on [%s, %s]" % (t, b), coef * delta, coef * (delta - slope), coef * -slope, slope <= 0
             ))
 
-    def results(self, first, last) -> list:
+    def results(self, first: int, last: int) -> list:
         """The four parts' (count, worst slack, records) of a walk from the
-        first event at `first` to the final one at `last`."""
+        first event at time `first` to the final one at `last`."""
         ctx, k, coef, eps = self.ctx, self.k, self.coef, self.ctx.epsilon
         alg_objective, ref_objective = ctx.idx_alg.power(k), ctx.idx_ref.power(k)
         # the potential starts and ends at zero, so jumps plus drift must
@@ -815,8 +811,8 @@ class _WalkMode:
         if jump_total + drift_total != alg_objective:
             raise AnalysisError("internal: potential accounting mismatch (%s + %s != %s)"
                                 % (jump_total, drift_total, alg_objective))
-        for t, label in ((first, "potential before first event"), (last, "potential after final event")):
-            self.completion.add(_rec_eq(t, label, ZERO))
+        for T, label in ((first, "potential before first event"), (last, "potential after final event")):
+            self.completion.add(_rec_eq(self.at(T), label, ZERO))
         if not self.power:
             charge = ages - coef * self.completion_terms
             self.completion.add(_rec_le(None, "aggregate completion charge", charge,
@@ -850,7 +846,6 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
     walks = [_WalkMode(ctx, power, k, full) for power, k in modes]
     release = ctx.idx_alg.release
     bounds = _boundaries(ctx)
-    at = _in_units(ctx.L)
     arrivals_at, comp_alg_at, comp_ref_at = (
         _ids_at(t) for t in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
     )
@@ -862,13 +857,13 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
             now = {i: _clamped_age(ctx, st, T, i) for i in alive_alg}
             ga, gb = [ages[i] for i in alive_alg], [now[i] for i in alive_alg]
             for walk in walks:
-                walk.drift(at(bounds[pos - 1]), at(T), ga, gb)
+                walk.drift(bounds[pos - 1], T, ga, gb)
             ages = now
         alive_ref -= frozenset(comp_ref_at.get(T, ()))
         finished = sorted(comp_alg_at.get(T, ()))
         for c in finished:
             for walk in walks:
-                walk.complete(at(T), c, T - release[c], st.ahead_ref_small[c], ages[c])
+                walk.complete(T, c, T - release[c], st.ahead_ref_small[c], ages[c])
         alive_alg -= frozenset(finished)
         for a in sorted(arrivals_at.get(T, ())):
             before = alive_alg
@@ -877,11 +872,11 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
             now = {i: _clamped_age(ctx, st, T, i) for i in alive_alg}
             shifted = [(i, ages[i], now[i]) for i in sorted(before) if now[i] != ages[i]]
             for walk in walks:
-                walk.arrive(at(T), a, now[a], shifted)
+                walk.arrive(T, a, now[a], shifted)
             ages = now
     if alive_alg or alive_ref:  # pragma: no cover - both traces end completed
         raise AnalysisError("internal: jobs alive after the final event")
-    return [result for walk in walks for result in walk.results(at(bounds[0]), at(bounds[-1]))]
+    return [result for walk in walks for result in walk.results(bounds[0], bounds[-1])]
 
 
 # --------------------------------------------------------------------------

@@ -127,9 +127,10 @@ def validate_instance(instance: Instance) -> Instance:
         if j.id in seen:
             raise InstanceError("duplicate id %d" % j.id)
         seen.add(j.id)
-        if j.size <= 0:
+        # a rational's sign is its numerator's
+        if j.size.numerator <= 0:
             raise InstanceError("non-positive size for job %d" % j.id)
-        if j.release < 0:
+        if j.release.numerator < 0:
             raise InstanceError("negative release for job %d" % j.id)
     if seen and (min(seen) != 0 or max(seen) != len(seen) - 1):
         raise InstanceError("job ids must be dense 0..n-1")

@@ -654,21 +654,24 @@ class TestStateDefinition:
     @given(ctx=trace_pairs(), data=st.data())
     def test_state_matches_definition(self, ctx, data):
         # state takes time in units of 1/ctx.L and returns volumes in units
-        # of 1/ctx.V, as reference_state does
+        # of 1/ctx.V, as reference_state does; asked for every job id, it
+        # must give every job's backlogs, and by default those of alive_alg
         jobs = sorted(j.id for j in ctx.instance.jobs)
         grid = grid_times(ctx) + [grid_times(ctx)[-1] + 1]
-        for t in grid:
-            alive_alg = ctx.idx_alg.alive(t * ctx.L)
-            alive_ref = ctx.idx_ref.alive(t * ctx.L)
-            assert ctx.state(t * ctx.L, alive_alg, alive_ref) == reference_state(
-                ctx, t, alive_alg, alive_ref)
+        probes = [(t, ctx.idx_alg.alive(t * ctx.L), ctx.idx_ref.alive(t * ctx.L)) for t in grid]
         # the walks pass pre-event and pre-arrival sets; any subset must do
         for _ in range(4):
             t = data.draw(st.sampled_from(grid) | st.fractions(-1, grid[-1] + 1, max_denominator=12))
             alive_alg = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
             alive_ref = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
-            assert ctx.state(t * ctx.L, alive_alg, alive_ref) == reference_state(
-                ctx, t, alive_alg, alive_ref)
+            probes.append((t, alive_alg, alive_ref))
+        for t, alive_alg, alive_ref in probes:
+            every = ctx.state(t * ctx.L, alive_alg, alive_ref, ids=jobs)
+            assert every == reference_state(ctx, t, alive_alg, alive_ref)
+            default = ctx.state(t * ctx.L, alive_alg, alive_ref)
+            assert default.rem_alg == every.rem_alg
+            assert default.ahead_alg == {i: every.ahead_alg[i] for i in alive_alg}
+            assert default.ahead_ref_small == {i: every.ahead_ref_small[i] for i in alive_alg}
 
     @given(ctx=trace_pairs())
     def test_backlog_midpoints_fail_only_with_an_event(self, ctx):
@@ -680,6 +683,36 @@ class TestStateDefinition:
             pos = bisect_left(bounds, T)
             if bounds[pos] != T:
                 assert (bounds[pos - 1], label) in failing or (bounds[pos], label) in failing
+
+    @given(ctx=trace_pairs())
+    def test_backlog_summary_matches_full_records(self, ctx):
+        # the summary pass looks only at the fast schedule's alive jobs and
+        # counts each finished one's two records without building them; the
+        # full pass builds every record
+        report = check_backlog_bound(ctx)
+        records = tuple(report.records)
+        assert report.n_events == len(records)
+        assert report.worst_slack == min(r.slack for r in records)
+        assert report.verdict == all(r.passed for r in records)
+        assert report.failures == tuple(r for r in records if not r.passed)
+
+    def test_backlog_summary_asks_only_for_alive_jobs(self, monkeypatch):
+        # uniform, n = 200, m = 2, sizes 1-8, releases 0-400: the summary
+        # pass asks state for the fast schedule's alive jobs at each grid
+        # time and for no other job, yet counts two records per released
+        # job, as many as the full pass builds
+        inst = generate(GenSpec("uniform", 200, 2, (1, 8), (0, 400), 1))
+        ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed("3/2")),
+                           simulate_srpt(inst, UNIT_SPEED))
+        asked = []
+        state = ctx.state
+        monkeypatch.setattr(ctx, "state", lambda *args, ids: asked.append(len(ids)) or state(*args, ids=ids))
+        report = check_backlog_bound(ctx)
+        grid = grid_times(ctx)
+        assert asked == [len(alive_by_definition(ctx.srpt_trace, t)) for t in grid]
+        released = sum(j.release <= t for t in grid for j in inst.jobs)
+        assert report.n_events == 2 * released
+        assert len(tuple(report.records)) == 2 * released
 
     @given(ctx=trace_pairs())
     def test_remaining_and_alive_match_definition(self, ctx):

@@ -129,6 +129,14 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="negative release for job 0"):
             make_instance([(0, -1, 1)], machines=1)
 
+    def test_negative_fractional_release(self):
+        with pytest.raises(InstanceError, match="negative release for job 1"):
+            make_instance([(0, 0, 1), (1, "-1/3", "1/2")], machines=1)
+
+    def test_negative_fractional_size(self):
+        with pytest.raises(InstanceError, match="non-positive size for job 0"):
+            make_instance([(0, "1/2", "-2/7")], machines=1)
+
     def test_sparse_ids(self):
         with pytest.raises(InstanceError, match="dense"):
             make_instance([(0, 0, 1), (2, 0, 1)], machines=1)
