@@ -104,8 +104,14 @@ class FlowSummary:
 
 def flow_power(trace: ExecutionTrace, k: int) -> Rational:
     """The trace's k-th power flow objective: the sum over jobs of
-    (completion - release)^k, exact."""
-    return sum(((trace.completions[j.id] - j.release) ** k for j in trace.instance.jobs), ZERO)
+    (completion - release)^k, exact. Each flow is summed as an integer
+    count of 1/L, with L the lcm of the denominators of the releases and
+    completions, so one Rational is built for the total."""
+    jobs = trace.instance.jobs
+    completions = trace.completions
+    L = _unit([j.release for j in jobs] + [completions[j.id] for j in jobs])
+    total = sum((_scaled(completions[j.id], L) - _scaled(j.release, L)) ** k for j in jobs)
+    return Rational(total, L ** k)
 
 
 def build_jobs(triples) -> tuple:

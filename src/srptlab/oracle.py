@@ -25,6 +25,26 @@ same least sum of completion times, and one search key serves them all:
 no optimum is lost, and the objective is the search value minus the sum of
 releases. Arrivals still enter at their true release times.
 
+At k = 1 the search does not branch once no job is left to arrive (t at
+or after the last release): it closes the state with SPT dealt round
+robin (_spt_completions). The remaining works, ascending, go to machines
+0, 1, ..., m - 1, 0, ... in turn; each machine runs its jobs back to back
+from t, and the value is the sum of their completion times. It is the
+search's own value. No schedule does better: McNaughton (1959) shows that
+with every job present, preemption does not lower the sum of completion
+times on identical machines, so his lower bound for non-preemptive
+schedules, which SPT round robin meets, holds for every preemptive
+schedule. And SPT round robin is in the searched class: it is list
+scheduling in SPT order (each job goes to a machine that is free first),
+so no machine idles while a job waits, and from an integer t with integer
+works every job starts and finishes at an integer time. These states get
+no memo entry, and as the values are unchanged the replay picks the same
+actions and the witness traces do not move. For k >= 2 the payment of a
+job grows with its age, so an older job can be worth finishing first: on
+one machine, a job released at 0 with 2 units left at t = 10 and a 1-unit
+job released at 10 pay 12^2 + 3^2 = 153 when the older one runs first and
+1^2 + 13^2 = 170 in SPT order.
+
 The witness trace replays the search from the start. In each slot it tries
 the actions over the alive jobs' true (remaining, release) classes, in
 _actions order, and keeps the first one whose tagged payment plus the
@@ -112,6 +132,19 @@ def _actions(counts, q):
     return tuple(out)
 
 
+def _spt_completions(t, works, m):
+    """Sum of the completion times of SPT dealt round robin from time t:
+    the i-th of the ascending `works` goes to machine i mod m, and each
+    machine runs its jobs back to back. A job finishes at t plus the load
+    its machine has reached with it."""
+    loads = [0] * m
+    total = len(works) * t
+    for i, w in enumerate(works):
+        loads[i % m] += w
+        total += loads[i % m]
+    return total
+
+
 def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     """Minimum k-th power flow over integral-slot schedules, with a witness trace."""
     if not isinstance(k, int) or k < 1:
@@ -169,8 +202,11 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         return best, chosen
 
     memo = {}  # (t, ms) -> least objective still to pay
+    last_release = releases[-1]
 
     def value(t, ms):
+        if k == 1 and t >= last_release:
+            return _spt_completions(t, [rem for rem, _ in ms], m)
         state = (t, ms)
         best = memo.get(state)
         if best is not None:
@@ -194,7 +230,7 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     alive = jobs_at[t]
     slots = []  # (t, tuple of chosen jids sorted)
     completions = [None] * inst.n
-    while alive or t < releases[-1]:
+    while alive or t < last_release:
         if not alive:
             t = releases[bisect_right(releases, t)]
             alive = jobs_at[t]

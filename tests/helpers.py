@@ -18,6 +18,8 @@ constant).  Hence per-quantum re-evaluation picks the same jobs.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 
 from srptlab import ExecutionTrace, Segment, make_instance
 from srptlab.analysis import _StateEval
@@ -60,6 +62,35 @@ def slot_srpt_completions(instance, speed_num, speed_den):
                 done[jid] = t + q
         t += q
     return done
+
+
+def least_total_completion(t, works, m):
+    """Least sum of completion times of jobs with integer remaining `works`,
+    none still to arrive, over the unit-slot schedules from integer time t
+    that run min(m, alive) distinct jobs in each slot. Plain memoized search
+    over every choice of jobs for every slot, with no closed form."""
+    return _least_total_completion(t, tuple(sorted(works)), m)
+
+
+@cache
+def _least_total_completion(t, works, m):
+    if not works:
+        return 0
+    best = None
+    for chosen in combinations(range(len(works)), min(m, len(works))):
+        paid = 0
+        rest = []
+        for i, w in enumerate(works):
+            if i not in chosen:
+                rest.append(w)
+            elif w == 1:
+                paid += t + 1
+            else:
+                rest.append(w - 1)
+        cand = paid + _least_total_completion(t + 1, tuple(sorted(rest)), m)
+        if best is None or cand < best:
+            best = cand
+    return best
 
 
 def random_integer_instance(seed, max_jobs=6, max_machines=3, max_size=5, max_release=8):

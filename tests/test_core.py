@@ -35,6 +35,7 @@ from srptlab import (
     validate_instance,
     validate_trace,
 )
+from srptlab.core import flow_power
 from srptlab.formats import instance_from_json
 from srptlab.rationals import (
     Rational,
@@ -331,6 +332,31 @@ class TestValidateTrace:
             tr = simulate_srpt(inst, SpeedConfig.from_speed(speed))
             ok, violations = validate_trace(tr)
             assert ok, violations
+
+
+# releases and sizes over the denominators 2, 3, 7 and 11
+_FOREIGN_DENOMINATORS = st.sampled_from((2, 3, 7, 11))
+_FOREIGN_RELEASES = st.builds(Rational, st.integers(0, 30), _FOREIGN_DENOMINATORS)
+_FOREIGN_SIZES = st.builds(Rational, st.integers(1, 30), _FOREIGN_DENOMINATORS)
+
+
+class TestFlowPower:
+    @given(
+        st.lists(st.tuples(_FOREIGN_RELEASES, _FOREIGN_SIZES), max_size=7),
+        st.integers(1, 3),
+        st.sampled_from([srpt_priority, fifo_priority, longest_remaining_priority]),
+        st.sampled_from(["1", "5/4", "3/2", "7/3"]),
+        st.integers(1, 4),
+    )
+    def test_matches_per_job_sum(self, pairs, machines, priority, speed, k):
+        inst = make_instance([(i, r, p) for i, (r, p) in enumerate(pairs)], machines=machines)
+        trace = simulate_policy(inst, SpeedConfig.from_speed(speed), priority)
+        expected = sum(((trace.completions[j.id] - j.release) ** k for j in inst.jobs), Rational(0))
+        assert flow_power(trace, k) == expected
+
+    def test_empty_instance(self):
+        trace = simulate_srpt(make_instance([], machines=2), UNIT_SPEED)
+        assert [flow_power(trace, k) for k in (1, 2, 3)] == [0, 0, 0]
 
 
 def hand_trace(triples, machines, segments, completions):

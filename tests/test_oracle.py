@@ -1,7 +1,7 @@
 """Brute-force reference scheduler: exactness, determinism, corroboration."""
 
 import json
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
@@ -19,11 +19,12 @@ from srptlab import (
     trace_to_json,
     validate_trace,
 )
-from srptlab.oracle import _actions, single_machine_relaxation_lb
+from srptlab import oracle
+from srptlab.oracle import _actions, _spt_completions, single_machine_relaxation_lb
 from srptlab.rationals import rat
 from srptlab.workload import GenSpec, generate
 
-from helpers import random_integer_instance, rebuild_remaining
+from helpers import least_total_completion, random_integer_instance, rebuild_remaining
 
 DATA = Path(__file__).parent / "data"
 
@@ -218,6 +219,61 @@ class TestActions:
                     {t for t in product(*(range(c + 1) for c in counts)) if sum(t) == q}
                 )
                 assert list(_actions(counts, q)) == reference, (counts, q)
+
+
+class TestSptTail:
+    """The k = 1 search closes every state at or after the last release with
+    SPT dealt round robin (McNaughton 1959)."""
+
+    def test_hand_computed(self):
+        # machine 0 runs works 1 then 3 and finishes them at 6 and 9,
+        # machine 1 runs 2 then 4 and finishes them at 7 and 11
+        assert _spt_completions(5, [1, 2, 3, 4], 2) == 6 + 7 + 9 + 11 == 33
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_matches_slot_search(self, m):
+        # every multiset of at most 6 works of size 1-4
+        for n in range(7):
+            for works in combinations_with_replacement(range(1, 5), n):
+                for t in (0, 5):
+                    assert _spt_completions(t, list(works), m) == least_total_completion(t, works, m)
+
+    @pytest.fixture
+    def tail_calls(self, monkeypatch):
+        calls = []
+
+        def counted(t, works, m):
+            calls.append((t, list(works), m))
+            return _spt_completions(t, works, m)
+
+        monkeypatch.setattr(oracle, "_spt_completions", counted)
+        return calls
+
+    def test_used_at_k1(self, tail_calls):
+        # every job is released at 0, so the root state is closed at once:
+        # works 1, 2 finish at 1, 3 on one machine and 2, 3 at 2, 5 on the other
+        inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 0, 2), (3, 0, 2)], machines=2)
+        assert brute_force_opt(inst, k=1).objective == 11
+        assert tail_calls[0] == (0, [1, 2, 2, 3], 2)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_never_used_at_higher_k(self, tail_calls, k):
+        for seed in range(20):
+            brute_force_opt(random_integer_instance(seed), k=k)
+        brute_force_opt(make_instance([(0, 0, 3), (1, 0, 1), (2, 0, 2)], machines=2), k=k)
+        assert tail_calls == []
+
+    def test_spt_tail_is_not_optimal_at_k2(self):
+        # at t = 10 the 2 units left of job 0 (age 10) and job 1 (size 1,
+        # age 0) are all the work; running job 0 first pays 12^2 + 3^2 = 153,
+        # SPT's order pays 1^2 + 13^2 = 170
+        inst = make_instance([(0, 0, 12), (1, 10, 1)], machines=1)
+        res = brute_force_opt(inst, k=2)
+        assert res.objective == 153
+        assert res.trace.completions == (12, 13)
+        spt = brute_force_opt(inst, k=1).trace
+        assert spt.completions == (13, 11)
+        assert objectives(spt, ks=(2,)).kth_power_flow[2] == 170
 
 
 class TestRelaxationBound:
