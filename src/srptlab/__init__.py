@@ -49,7 +49,6 @@ from .engine import (
 from .formats import (
     ParseError,
     dump_json,
-    instance_to_json,
     parse_instance,
     serialize_instance,
     trace_from_json,
@@ -61,7 +60,7 @@ from .oracle import (
     brute_force_opt,
 )
 from .rationals import Rational, RationalParseError, decimal_str, kth_root_str, rat
-from .workload import FAMILIES, GenSpec, WorkloadError, XorShift64Star, generate
+from .workload import FAMILIES, GenSpec, WorkloadError, generate
 
 __version__ = "0.1.0"
 
@@ -90,7 +89,6 @@ __all__ = [
     "UNIT_SPEED",
     "VerifyReport",
     "WorkloadError",
-    "XorShift64Star",
     "brute_force_opt",
     "check_backlog_bound",
     "check_completion_charge",
@@ -101,7 +99,6 @@ __all__ = [
     "events_of",
     "fifo_priority",
     "generate",
-    "instance_to_json",
     "kth_root_str",
     "longest_remaining_priority",
     "make_context",

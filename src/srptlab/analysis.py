@@ -37,12 +37,15 @@ take and return times and volumes in their own units.
 
 Both potentials are sums of terms of one per-job clamped age, so one walk of
 a context checks the flow potential and the power potential at every k
-(see _walk_pass). No check keeps a state it has passed.
+(see _walk_pass). No check keeps a state it has passed. An index keeps only
+who arrives and who finishes at each time, O(n) in all, and every pass runs
+forward in time and advances its alive sets through those two event maps
+(_TraceIndex.advance); only the point queries find an alive set by a scan.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -89,8 +92,10 @@ class _TraceIndex:
     """Per-trace query cache in integer units: times in 1/L, volumes in 1/V.
     Each job's service is kept as maximal intervals (sorted starts and ends);
     its remaining volume is a line in T inside one and a constant after one,
-    so a remaining volume is one bisection. The alive set is precomputed once
-    per release or completion time, and each k-th power flow is taken once."""
+    so a remaining volume is one bisection. Membership is kept only as two
+    event maps, released_at and finished_at (time -> the ids that arrive or
+    finish then), through which every pass advances its alive sets, so an
+    index holds O(n). Each k-th power flow is taken once."""
 
     def __init__(self, trace: ExecutionTrace, L: int, V: int):
         self.trace = trace
@@ -127,18 +132,9 @@ class _TraceIndex:
                 line.append(rem + rate * a)
                 rem -= rate * (b - a)
                 left.append(rem)
-        # membership changes only at a release or a completion, so the
-        # alive set at breakpoint p holds on [breakpoints[p], next one)
-        released = _ids_at(self.release)
-        finished = _ids_at(self.completion)
-        self.breakpoints = sorted(set(released) | set(finished))
-        alive = frozenset()
-        self.alive_sets = [alive]  # before the first breakpoint
-        for t in self.breakpoints:
-            alive = (alive - frozenset(finished.get(t, ()))) | frozenset(
-                j for j in released.get(t, ()) if self.completion[j] > t
-            )
-            self.alive_sets.append(alive)
+        # membership changes only at a release or a completion
+        self.released_at = _ids_at(self.release)
+        self.finished_at = _ids_at(self.completion)
 
     def remaining(self, jid: int, T):
         """Remaining volume at scaled time T: an int at an integer T, an
@@ -154,10 +150,21 @@ class _TraceIndex:
             return self.line[jid][pos - 1] - self.rate * T
         return self.left[jid][pos - 1]
 
+    def advance(self, alive: frozenset, T) -> frozenset:
+        """The alive set at T from `alive`, the set just before T: T's
+        finished jobs leave and its released jobs join. The same object when
+        nothing happens at T. A job of positive size finishes after its
+        release, so no job released at T also finishes at T."""
+        finished, released = self.finished_at.get(T), self.released_at.get(T)
+        if finished is None and released is None:
+            return alive
+        return alive.difference(finished or ()).union(released or ())
+
     def alive(self, T) -> frozenset:
-        """Jobs with release <= T < completion; the same object for every T
-        between two breakpoints."""
-        return self.alive_sets[bisect_right(self.breakpoints, T)]
+        """Jobs with release <= T < completion, by one scan: for the point
+        queries, while the passes advance their sets through the event maps."""
+        completion = self.completion
+        return frozenset(j for j, r in self.release.items() if r <= T < completion[j])
 
 
 class _StateEval(NamedTuple):
@@ -458,12 +465,7 @@ class ConditionReports:
 
     @property
     def all_pass(self) -> bool:
-        return (
-            self.arrival.verdict
-            and self.completion.verdict
-            and self.running.verdict
-            and self.objective_bound.verdict
-        )
+        return all(rep.verdict for rep in self.reports)
 
     @property
     def reports(self):
@@ -526,7 +528,6 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
     builds both records of every released job; otherwise it looks only at
     the jobs alive in the fast schedule, since no other record can fail."""
     size = ctx.idx_alg.size
-    release = ctx.idx_alg.release
     rank = ctx.finish_rank
     real = _in_units(ctx.V)
     at = _in_units(ctx.L)
@@ -534,21 +535,21 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
     bound_v = {i: ctx.machines * p for i, p in size.items()}
     gap_label = {i: "backlog gap job %d" % i for i in size}
     identity_label = {i: "small-volume identity job %d" % i for i in size}
-    by_release = sorted(size, key=lambda j: (release[j], j))
     released = []  # ids released by T, ascending
-    nxt = 0
+    alive_alg = alive_ref = frozenset()
     part = _Part(full)
     keep, records = part.keep, part.records
     for T in _check_grid(ctx):
-        while nxt < len(by_release) and release[by_release[nxt]] <= T:
-            insort(released, by_release[nxt])
-            nxt += 1
-        alive_alg = ctx.idx_alg.alive(T)
+        if T in ctx.idx_alg.released_at:
+            released.extend(ctx.idx_alg.released_at[T])
+            released.sort()
+        alive_alg = ctx.idx_alg.advance(alive_alg, T)
+        alive_ref = ctx.idx_ref.advance(alive_ref, T)
         ids = released
         if not full:  # a finished job's two records pass, the least slack 0
-            part.tally(2 * (nxt - len(alive_alg)), 0)
+            part.tally(2 * (len(released) - len(alive_alg)), 0)
             ids = sorted(alive_alg)
-        st = ctx.state(T, alive_alg, ctx.idx_ref.alive(T), ids=ids)
+        st = ctx.state(T, alive_alg, alive_ref, ids=ids)
         for i in ids:
             gap = st.ahead_alg[i] - st.ahead_ref_small[i]
             slack = bound_v[i] - gap
@@ -846,9 +847,6 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
     walks = [_WalkMode(ctx, power, k, full) for power, k in modes]
     release = ctx.idx_alg.release
     bounds = _boundaries(ctx)
-    arrivals_at, comp_alg_at, comp_ref_at = (
-        _ids_at(t) for t in (release, ctx.idx_alg.completion, ctx.idx_ref.completion)
-    )
     alive_alg = alive_ref = frozenset()
     ages = {}  # job in alive_alg -> its clamped age in the current state
     for pos, T in enumerate(bounds):
@@ -859,13 +857,13 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
             for walk in walks:
                 walk.drift(bounds[pos - 1], T, ga, gb)
             ages = now
-        alive_ref -= frozenset(comp_ref_at.get(T, ()))
-        finished = sorted(comp_alg_at.get(T, ()))
+        alive_ref -= frozenset(ctx.idx_ref.finished_at.get(T, ()))
+        finished = sorted(ctx.idx_alg.finished_at.get(T, ()))
         for c in finished:
             for walk in walks:
                 walk.complete(T, c, T - release[c], st.ahead_ref_small[c], ages[c])
         alive_alg -= frozenset(finished)
-        for a in sorted(arrivals_at.get(T, ())):
+        for a in sorted(ctx.idx_alg.released_at.get(T, ())):
             before = alive_alg
             alive_alg, alive_ref = alive_alg | {a}, alive_ref | {a}
             st = ctx.state(T, alive_alg, alive_ref)
@@ -901,7 +899,6 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
     release = ctx.idx_alg.release
     size = ctx.idx_alg.size
     rank = ctx.finish_rank
-    comp_alg = ctx.idx_alg.completion
     comp_ref = ctx.idx_ref.completion
     jobs = sorted(rank)
 
@@ -910,12 +907,14 @@ def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
     # with its reference remaining volume then
     contributors = {}
     charged_to = {j: [] for j in jobs}
-    for i in jobs:
-        T = comp_alg[i]
-        alive = sorted(j for j in ctx.idx_ref.alive(T) if rank[j] <= rank[i] and size[j] <= size[i])
-        contributors[i] = {j: ctx.idx_ref.remaining(j, T) for j in alive}
-        for j in alive:
-            charged_to[j].append(i)
+    alive_ref = frozenset()
+    for T in _boundaries(ctx):
+        alive_ref = ctx.idx_ref.advance(alive_ref, T)
+        for i in ctx.idx_alg.finished_at.get(T, ()):
+            alive = sorted(j for j in alive_ref if rank[j] <= rank[i] and size[j] <= size[i])
+            contributors[i] = {j: ctx.idx_ref.remaining(j, T) for j in alive}
+            for j in alive:
+                charged_to[j].append(i)
     # PairContext.state's ahead_ref_small[i] at i's fast completion
     owed = {i: sum(rem.values()) for i, rem in contributors.items()}
 

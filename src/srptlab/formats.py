@@ -30,6 +30,7 @@ from .core import (
     validate_instance,
 )
 from .rationals import RationalParseError, rat
+from .workload import is_int
 
 
 class ParseError(ValueError):
@@ -95,12 +96,23 @@ def instance_from_json(data: dict) -> Instance:
     return _instance_from_json(data, _parser())
 
 
+_SLOT_TYPES = frozenset((int, type(None)))
+
+
+def _exact_int(x, what: str) -> int:
+    """x itself when it is an int and not a bool; JSON's 2.7, "2" and true
+    are not machine counts or job ids."""
+    if not is_int(x):
+        raise TraceError("%s must be an integer, got %r" % (what, x))
+    return x
+
+
 def _instance_from_json(data: dict, parse) -> Instance:
     jobs = tuple(
-        Job(id=int(j["id"]), release=parse(j["release"]), size=parse(j["size"]))
+        Job(id=_exact_int(j["id"], "job id"), release=parse(j["release"]), size=parse(j["size"]))
         for j in data["jobs"]
     )
-    return validate_instance(Instance(jobs=jobs, machines=int(data["machines"])))
+    return validate_instance(Instance(jobs=jobs, machines=_exact_int(data["machines"], "machines")))
 
 
 def _parser():
@@ -153,8 +165,10 @@ def trace_from_json(data: dict) -> ExecutionTrace:
         machines = [str(machine) for machine in range(instance.machines)]
         segments = []
         for seg in data["segments"]:
-            slots = map(seg["assignment"].get, machines)
-            assignment = tuple([None if jid is None else int(jid) for jid in slots])
+            assignment = tuple(map(seg["assignment"].get, machines))
+            if not _SLOT_TYPES.issuperset(map(type, assignment)):  # one C pass when all are plain
+                assignment = tuple([None if jid is None else _exact_int(jid, "assigned job id")
+                                    for jid in assignment])
             segments.append(
                 Segment(start=parse(seg["start"]), end=parse(seg["end"]), assignment=assignment)
             )

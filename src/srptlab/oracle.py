@@ -259,21 +259,20 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     # live on until the cyclic garbage collector reaches them
     memo.clear()
 
-    # fold unit slots into segments, inserting idle stretches between them
-    segments = []
-    cursor = ZERO
+    # fold unit slots into [start, end, assignment] runs on int times,
+    # inserting idle stretches between them; each bound becomes a Rational once
+    runs = []
+    cursor = 0
     for start, ids in slots:
-        s = Rational(start)
-        if s > cursor:
-            segments.append(Segment(start=cursor, end=s, assignment=(None,) * m))
+        if start > cursor:
+            runs.append([cursor, start, (None,) * m])
         assignment = tuple(ids) + (None,) * (m - len(ids))
-        if segments and segments[-1].assignment == assignment and segments[-1].end == s:
-            segments[-1] = Segment(
-                start=segments[-1].start, end=s + 1, assignment=assignment
-            )
+        if runs and runs[-1][2] == assignment and runs[-1][1] == start:
+            runs[-1][1] = start + 1
         else:
-            segments.append(Segment(start=s, end=s + 1, assignment=assignment))
-        cursor = s + 1
+            runs.append([start, start + 1, assignment])
+        cursor = start + 1
+    segments = [Segment(start=Rational(a), end=Rational(b), assignment=ids) for a, b, ids in runs]
 
     completions = tuple(completions)
     trace = ExecutionTrace(

@@ -26,9 +26,10 @@ def rat(text) -> Rational:
     """Parse '<int>' or '<int>/<posint>' into a Rational.
 
     Also accepts ints and Rationals unchanged, so callers can be sloppy about
-    whether a value came from a file or was built in code.
+    whether a value came from a file or was built in code; a bool is not a
+    number here (JSON's true must not read as 1).
     """
-    if isinstance(text, int):
+    if isinstance(text, int) and not isinstance(text, bool):
         return Rational(text)
     if isinstance(text, Rational):
         return text

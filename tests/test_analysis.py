@@ -715,6 +715,38 @@ class TestStateDefinition:
         assert len(tuple(report.records)) == 2 * released
 
     @given(ctx=trace_pairs())
+    def test_advanced_alive_sets_match_definition(self, ctx):
+        # the backlog pass advances both alive sets from the empty set along
+        # the check grid; at every grid time they are the sets by definition,
+        # and a time with no event leaves the set as it was
+        for trace, idx in ((ctx.srpt_trace, ctx.idx_alg), (ctx.ref_trace, ctx.idx_ref)):
+            alive = frozenset()
+            for T in _check_grid(ctx):
+                before, alive = alive, idx.advance(alive, T)
+                assert alive == alive_by_definition(trace, Fraction(T, ctx.L)), T
+                if T not in idx.released_at and T not in idx.finished_at:
+                    assert alive is before
+
+    @given(ctx=trace_pairs())
+    def test_charge_contributors_match_definition(self, ctx):
+        # the charge pass advances the reference's alive set and takes each
+        # fast completion at its own time; its window pairs are each job's
+        # contributors by definition, in job-id order: the reference jobs
+        # alive then that are no larger and that the fast schedule finishes
+        # no later
+        [(_, _, records)] = analysis._charge_pass(ctx, 1, True)
+        windows = [(r.label, r.time, r.delta, r.bound) for r in records if r.label.startswith("window")]
+        rank, size = ctx.finish_rank, {j.id: j.size for j in ctx.instance.jobs}
+        pairs = []
+        for i in sorted(rank):
+            t = ctx.srpt_trace.completions[i]
+            pairs += [("window bound pair (%d, %d)" % (i, j), t)
+                      for j in sorted(alive_by_definition(ctx.ref_trace, t))
+                      if rank[j] <= rank[i] and size[j] <= size[i]]
+        assert [w[:2] for w in windows] == pairs
+        assert windows == window_bounds_by_definition(ctx)
+
+    @given(ctx=trace_pairs())
     def test_remaining_and_alive_match_definition(self, ctx):
         for trace, idx in ((ctx.srpt_trace, ctx.idx_alg), (ctx.ref_trace, ctx.idx_ref)):
             for t in probe_times(trace):
@@ -1194,6 +1226,23 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
+
+    def test_index_memory_is_linear(self):
+        # an index keeps its event maps, not one alive set per event time:
+        # quadrupling n (uniform, m = 2, sizes 1-8, releases 0-2n, seed 1)
+        # must not grow the three indexes verify builds by more than 5 times
+        def traced_peak(n):
+            inst = generate(GenSpec("uniform", n, 2, (1, 8), (0, 2 * n), 1))
+            traces = (simulate_srpt(inst, SpeedConfig.from_speed("3/2")), simulate_srpt(inst, UNIT_SPEED),
+                      simulate_policy(inst, UNIT_SPEED, fifo_priority))
+            tracemalloc.start()
+            try:
+                analysis._indexes(*traces)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(2000) < 5 * traced_peak(500)
 
     def test_unknown_reference(self, e1_fast_trace):
         with pytest.raises(AnalysisError, match="unknown reference 'lrpt'"):

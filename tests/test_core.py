@@ -21,7 +21,6 @@ from srptlab import (
     dump_json,
     events_of,
     fifo_priority,
-    instance_to_json,
     longest_remaining_priority,
     make_instance,
     objectives,
@@ -36,7 +35,7 @@ from srptlab import (
     validate_trace,
 )
 from srptlab.core import flow_power
-from srptlab.formats import instance_from_json
+from srptlab.formats import instance_from_json, instance_to_json
 from srptlab.rationals import (
     Rational,
     RationalParseError,
@@ -78,6 +77,12 @@ class TestRational:
     @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1/2/3", None, 2.5])
     def test_parse_rejects(self, bad):
         with pytest.raises(RationalParseError):
+            rat(bad)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_parse_rejects_booleans(self, bad):
+        # bool is an int subclass, and Fraction(True) is 1
+        with pytest.raises(RationalParseError, match="expected rational string, got %s" % bad):
             rat(bad)
 
     def test_exactness(self):
@@ -652,6 +657,19 @@ class TestJsonFormat:
         doc = instance_to_json(e1_instance)
         assert instance_from_json(doc) == e1_instance
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("machines", 2.7, "machines must be an integer, got 2.7"),
+        ("machines", False, "machines must be an integer, got False"),
+        ("id", 0.9, "job id must be an integer, got 0.9"),
+        ("id", True, "job id must be an integer, got True"),
+    ])
+    def test_instance_rejects_inexact_integers(self, e1_instance, field, value, message):
+        doc = instance_to_json(e1_instance)
+        (doc if field == "machines" else doc["jobs"][0])[field] = value
+        with pytest.raises(TraceError) as exc:
+            instance_from_json(doc)
+        assert str(exc.value) == message
+
     def test_trace_roundtrip(self, e1_fast_trace):
         doc = trace_to_json(e1_fast_trace)
         assert trace_from_json(doc) == e1_fast_trace
@@ -703,6 +721,20 @@ class TestJsonFormat:
         (lambda d: d["instance"]["jobs"][2].update(id=5), "job ids must be dense 0..n-1"),
         (lambda d: d.update(speed={"speed": "2", "epsilon": "1/2"}),
          "speed must equal 1 + epsilon exactly"),
+        # numbers that are not exact integers, and JSON booleans, are refused
+        # rather than truncated or read as 1 and 0
+        (lambda d: d["instance"].update(machines=2.7), "machines must be an integer, got 2.7"),
+        (lambda d: d["instance"].update(machines=True), "machines must be an integer, got True"),
+        (lambda d: d["instance"].update(machines="2"), "machines must be an integer, got '2'"),
+        (lambda d: d["instance"]["jobs"][0].update(id=0.9), "job id must be an integer, got 0.9"),
+        (lambda d: d["instance"]["jobs"][1].update(id=True), "job id must be an integer, got True"),
+        (lambda d: d["instance"]["jobs"][1].update(release=True), "expected rational string, got True"),
+        (lambda d: d["instance"]["jobs"][2].update(size=False), "expected rational string, got False"),
+        (lambda d: d["completions"].update({"0": True}), "expected rational string, got True"),
+        (lambda d: d["segments"][0]["assignment"].update({"0": True}),
+         "assigned job id must be an integer, got True"),
+        (lambda d: d["segments"][0]["assignment"].update({"0": 1.0}),
+         "assigned job id must be an integer, got 1.0"),
     ])
     def test_malformed_trace_text(self, e1_fast_trace, mutate, message):
         doc = json.loads(dump_json(trace_to_json(e1_fast_trace)))
