@@ -38,9 +38,11 @@ take and return times and volumes in their own units.
 Both potentials are sums of terms of one per-job clamped age, so one walk of
 a context checks the flow potential and the power potential at every k
 (see _walk_pass). No check keeps a state it has passed. An index keeps only
-who arrives and who finishes at each time, O(n) in all, and every pass runs
-forward in time and advances its alive sets through those two event maps
-(_TraceIndex.advance); only the point queries find an alive set by a scan.
+who arrives and who finishes at each time, O(n) in all. The backlog pass and
+the walk run forward in time and advance their alive sets through those two
+event maps (_TraceIndex.advance); the charge pass runs backward through the
+completions (see check_completion_charge). Only the point queries find an
+alive set by a scan.
 """
 
 from __future__ import annotations
@@ -94,8 +96,8 @@ class _TraceIndex:
     its remaining volume is a line in T inside one and a constant after one,
     so a remaining volume is one bisection. Membership is kept only as two
     event maps, released_at and finished_at (time -> the ids that arrive or
-    finish then), through which every pass advances its alive sets, so an
-    index holds O(n). Each k-th power flow is taken once."""
+    finish then), from which every pass reads who is alive, so an index
+    holds O(n). Each k-th power flow is taken once."""
 
     def __init__(self, trace: ExecutionTrace, L: int, V: int):
         self.trace = trace
@@ -353,8 +355,8 @@ class _Part:
         return self.full or not passed
 
     def tally(self, n: int, slack: int):
-        """Count n passing records, built in neither mode, whose least int
-        slack is `slack`."""
+        """Count n records, decided by the caller, whose least int slack is
+        `slack`: passing ones built in neither mode, or shared ones."""
         if n:
             self.n += n
             if self.worst is None or slack < self.worst:
@@ -565,10 +567,10 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
 
 
 def _boundaries(ctx: PairContext):
-    """0 and every event time of both traces, in time units."""
+    """0 and every arrival and completion time of both traces, in time units."""
     times = {0}
-    for trace in (ctx.srpt_trace, ctx.ref_trace):
-        times.update(_scaled(t, ctx.L) for t in trace.events)
+    for idx in (ctx.idx_alg, ctx.idx_ref):
+        times.update(idx.released_at, idx.finished_at)
     return sorted(times)
 
 
@@ -884,75 +886,69 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
     """When the fast schedule finishes job i, the reference still owes volume
     on no-larger jobs the fast schedule already finished. The aggregate of
     (owed/m)^k is bounded by (1+eps)^k times the reference objective, and a
-    per-pair window inequality localizes the charge to reference flows."""
+    per-pair window inequality localizes the charge to reference flows.
+
+    Only a held job, one the fast schedule has finished and the reference
+    has not, can owe: a job finished no later than i is released by then,
+    so it is alive in the reference exactly while the reference holds it.
+    The pass sweeps the event times backward, keeping the held set, and
+    takes the fast completions in reverse finish order. Pair (i, j)'s bound
+    subtracts what j owes at the reference completions of the jobs charged
+    to j that the fast schedule finishes after i: in that order all of them
+    come before i, so the sum is a running total per job."""
     k = ctx.k if k is None else k
     _require_eps_power(ctx, k)
-    [report] = _reports(("completion-charge",), _charge_pass, ctx, k)
+    [report] = _reports(("completion-charge",), _charge_pass, ctx, (k,))
     return report
 
 
-def _charge_pass(ctx: PairContext, k: int, full: bool) -> list:
-    """check_completion_charge's integer pass; window slacks in units of
-    1/(p * m * L)."""
+def _charge_pass(ctx: PairContext, ks: tuple, full: bool) -> list:
+    """check_completion_charge's integer pass at every k of `ks`: one result
+    per k, its aggregate record followed by the window records, which do
+    not depend on k; window slacks in units of 1/(p * m * L). Beyond O(n)
+    it holds one job's contributors at a time and the records it keeps."""
     m = ctx.machines
-    eps = ctx.epsilon
-    release = ctx.idx_alg.release
-    size = ctx.idx_alg.size
-    rank = ctx.finish_rank
-    comp_ref = ctx.idx_ref.completion
-    jobs = sorted(rank)
-
-    # i -> its contributors, by id: the no-larger reference jobs alive when
-    # the fast schedule finishes i that it finishes no later than i, each
-    # with its reference remaining volume then
-    contributors = {}
-    charged_to = {j: [] for j in jobs}
-    alive_ref = frozenset()
-    for T in _boundaries(ctx):
-        alive_ref = ctx.idx_ref.advance(alive_ref, T)
-        for i in ctx.idx_alg.finished_at.get(T, ()):
-            alive = sorted(j for j in alive_ref if rank[j] <= rank[i] and size[j] <= size[i])
-            contributors[i] = {j: ctx.idx_ref.remaining(j, T) for j in alive}
-            for j in alive:
-                charged_to[j].append(i)
-    # PairContext.state's ahead_ref_small[i] at i's fast completion
-    owed = {i: sum(rem.values()) for i, rem in contributors.items()}
-
-    part = _Part(full)
-    total = Rational(sum(owed[i] ** k for i in jobs), (m * ctx.V) ** k)
-    part.add(
-        _rec_le(None, "aggregate charge", total, (1 + eps) ** k * ctx.idx_ref.power(k))
-    )
-
-    # both sides of the window bound, times (1 + eps) * m * V = p * m * L.
-    # earlier[i][j]: what i's contributors released before j owe; later[j][i]:
-    # what j owes at the reference completions of the jobs charged to j that
-    # the fast schedule finishes after i
-    earlier = {i: _sums_before(rem, release.__getitem__) for i, rem in contributors.items()}
-    later = {
-        j: _sums_before({a: ctx.idx_ref.remaining(j, comp_ref[a]) for a in charged_to[j]},
-                        lambda a: -rank[a])
-        for j in jobs
-    }
+    release, size = ctx.idx_alg.release, ctx.idx_alg.size
+    comp_alg, comp_ref = ctx.idx_alg.completion, ctx.idx_ref.completion
+    remaining = ctx.idx_ref.remaining
     unit = ctx.p * m * ctx.L
-    for i in jobs:
-        t = ctx.srpt_trace.completions[i]
-        for j in contributors[i]:
-            lhs = owed[i] - earlier[i][j]
-            rhs = (comp_ref[j] - release[j]) * ctx.p * m - later[j][i]
-            if part.keep(rhs - lhs, rhs >= lhs):
-                part.records.append(
-                    CheckRecord(
-                        t,
-                        "window bound pair (%d, %d)" % (i, j),
-                        Rational(lhs, unit),
-                        Rational(rhs, unit),
-                        Rational(rhs - lhs, unit),
-                        rhs >= lhs,
-                        False,
-                    )
-                )
-    return [part.result(Rational(1, unit))]
+    windows = _Part(full)
+    kept = []  # (i, a kept window record of i)
+    powers = [0] * len(ks)  # the sum of owed^k at each k
+    held = set()  # finished by the job at hand in the fast schedule, not by T in the reference
+    # later[j]: what j owes at the reference completions of the jobs charged
+    # to j that the fast schedule finishes after the job at hand
+    later = dict.fromkeys(release, 0)
+    for T in reversed(_boundaries(ctx)):
+        for i in sorted(ctx.idx_alg.finished_at.get(T, ()), reverse=True):
+            # i's contributors, each with its reference remaining volume at T
+            rem = {j: remaining(j, T) for j in sorted(j for j in held if size[j] <= size[i])}
+            owed = sum(rem.values())  # PairContext.state's ahead_ref_small[i] at T
+            powers = [total + owed ** k for total, k in zip(powers, ks)]
+            # both sides of the window bound, times (1 + eps) * m * V = p * m * L;
+            # earlier[j]: what i's contributors released before j owe
+            earlier = _sums_before(rem, release.__getitem__)
+            for j in rem:
+                lhs = owed - earlier[j]
+                rhs = (comp_ref[j] - release[j]) * ctx.p * m - later[j]
+                if windows.keep(rhs - lhs, rhs >= lhs):
+                    kept.append((i, CheckRecord(
+                        ctx.srpt_trace.completions[i], "window bound pair (%d, %d)" % (i, j),
+                        Rational(lhs, unit), Rational(rhs, unit), Rational(rhs - lhs, unit), rhs >= lhs, False,
+                    )))
+                later[j] += remaining(j, comp_ref[i])
+            held.discard(i)
+        held.update(j for j in ctx.idx_ref.finished_at.get(T, ()) if comp_alg[j] < T)
+    kept.sort(key=lambda pair: pair[0])  # stable: each i's pairs stay in id order
+    results = []
+    for k, total in zip(ks, powers):
+        part = _Part(full)
+        part.add(_rec_le(None, "aggregate charge", Rational(total, (m * ctx.V) ** k),
+                         (1 + ctx.epsilon) ** k * ctx.idx_ref.power(k)))
+        part.tally(windows.n, windows.worst)
+        part.records += [rec for _, rec in kept]
+        results.append(part.result(Rational(1, unit)))
+    return results
 
 
 def _sums_before(values: dict, key) -> dict:
@@ -1052,7 +1048,8 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
     Raises AnalysisError as verify_domain does. Each trace is validated and
     indexed once, on one time base, and one reference's contexts are held at
     a time. Each context is walked once, for every potential it is checked
-    against: flow on the k = 1 schedule and power at each k on its own."""
+    against (flow on the k = 1 schedule and power at each k on its own), and
+    charged once, at every power k it is checked at."""
     power_ks, notice = verify_domain(trace.speed.epsilon, ks, refs)
     ok, violations = validate_trace(trace)
     if not ok:
@@ -1071,9 +1068,12 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
         modes = {}  # context -> the (power, k) modes of its one walk
         for power, k in [(False, 1), *((True, k) for k in power_ks)] if ctxs else ():
             modes.setdefault(ctxs[k], []).append((power, k))
-        walks = {}
+        walks, charges = {}, {}
         for ctx, ctx_modes in modes.items():
             walks.update(zip(ctx_modes, _walks(ctx, tuple(ctx_modes))))
+            ks = tuple(k for power, k in ctx_modes if power)
+            if ks:  # one charge pass at every power k of this context
+                charges.update(zip(ks, _reports(("completion-charge",) * len(ks), _charge_pass, ctx, ks)))
         for check in VERIFY_CHECKS:
             check_ks = (1,) if check in ("backlog-bound", "flow-potential") else tuple(power_ks)
             reason = skipped if check_ks else notice
@@ -1082,7 +1082,7 @@ def verify(trace: ExecutionTrace, ks=(1,), refs=REFERENCES) -> VerifyReport:
             elif check == "backlog-bound":
                 reports = (check_backlog_bound(ctxs[1]),)
             elif check == "completion-charge":
-                reports = tuple(check_completion_charge(ctxs[k], k=k) for k in check_ks)
+                reports = tuple(charges[k] for k in check_ks)
             else:
                 power = check == "power-flow-potential"
                 reports = tuple(_merged(check, walks[power, k].reports) for k in check_ks)

@@ -93,10 +93,19 @@ def instance_to_json(instance: Instance) -> dict:
 
 
 def instance_from_json(data: dict) -> Instance:
-    return _instance_from_json(data, _parser())
+    try:
+        return _instance_from_json(data, _parser())
+    except TraceError:
+        raise
+    except _MALFORMED as exc:
+        raise TraceError("malformed instance document: %s" % exc) from None
 
 
 _SLOT_TYPES = frozenset((int, type(None)))
+# what reading a document raises when a key is missing, a value is bad or a
+# container has the wrong type; ValueError covers RationalParseError,
+# InstanceError and TraceError
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
 def _exact_int(x, what: str) -> int:
@@ -174,7 +183,7 @@ def trace_from_json(data: dict) -> ExecutionTrace:
             )
         table = data["completions"]
         completions = tuple(parse(table[str(jid)]) for jid in range(instance.n))
-    except (KeyError, ValueError, RationalParseError, InstanceError) as exc:
+    except _MALFORMED as exc:
         raise TraceError("malformed trace document: %s" % exc) from None
     return ExecutionTrace(
         instance=instance,

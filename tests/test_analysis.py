@@ -575,7 +575,8 @@ def test_summaries_agree_with_records(policy, speed, seed):
     """A report's count, worst slack, verdict and failures come from its
     check's integer pass, and its records from a second pass on first read:
     both must describe the same records. A report keeps no context alive.
-    A walk of several potentials reports each as a walk of it alone."""
+    A walk of several potentials reports each as a walk of it alone, and a
+    charge pass at several ks each k as a pass at it alone."""
     inst = generate(GenSpec("uniform", 6, 1 + seed % 3, (1, 5), (0, 6), 100 + seed))
     fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), POTENTIAL_POLICIES[policy])
     refs = [simulate_srpt(inst, UNIT_SPEED), simulate_policy(inst, UNIT_SPEED, fifo_priority)]
@@ -587,6 +588,9 @@ def test_summaries_agree_with_records(policy, speed, seed):
         fused = fused_walk_reports(ctx, (1, 2, 3))
         walked = [rep for rep in one_mode if rep.condition not in ("backlog-bound", "completion-charge")]
         assert list(map(report_key, walked)) == list(map(report_key, fused))
+        for full in (False, True):
+            one_k = [analysis._charge_pass(ctx, (k,), full)[0] for k in (1, 2, 3)]
+            assert analysis._charge_pass(ctx, (1, 2, 3), full) == one_k
         reports += one_mode + fused
         alive = weakref.ref(ctx)
         del ctx
@@ -729,12 +733,13 @@ class TestStateDefinition:
 
     @given(ctx=trace_pairs())
     def test_charge_contributors_match_definition(self, ctx):
-        # the charge pass advances the reference's alive set and takes each
-        # fast completion at its own time; its window pairs are each job's
-        # contributors by definition, in job-id order: the reference jobs
-        # alive then that are no larger and that the fast schedule finishes
-        # no later
-        [(_, _, records)] = analysis._charge_pass(ctx, 1, True)
+        # the charge pass sweeps the event times backward, keeping the jobs
+        # the fast schedule has finished and the reference has not, and takes
+        # the fast completions in reverse finish order; its window pairs are
+        # each job's contributors by definition, in job-id order: the
+        # reference jobs alive then that are no larger and that the fast
+        # schedule finishes no later
+        [(_, _, records)] = analysis._charge_pass(ctx, (1,), True)
         windows = [(r.label, r.time, r.delta, r.bound) for r in records if r.label.startswith("window")]
         rank, size = ctx.finish_rank, {j.id: j.size for j in ctx.instance.jobs}
         pairs = []
@@ -1243,6 +1248,44 @@ class TestVerify:
                 tracemalloc.stop()
 
         assert traced_peak(2000) < 5 * traced_peak(500)
+
+    def test_charge_memory_is_linear(self):
+        # the charge pass holds one job's contributors at a time: against
+        # FIFO, whose queues grow with n, quadrupling n (uniform, m = 2,
+        # sizes 1-8, releases 0-2n, seed 1) must not grow its peak by more
+        # than 5 times
+        def traced_peak(n):
+            inst = generate(GenSpec("uniform", n, 2, (1, 8), (0, 2 * n), 1))
+            ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed("3/2")),
+                               simulate_policy(inst, UNIT_SPEED, fifo_priority))
+            tracemalloc.start()
+            try:
+                check_completion_charge(ctx, k=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(2000) < 5 * traced_peak(500)
+
+    @pytest.mark.parametrize("refs, passes", [
+        (("unit-srpt", "fifo"), [(1, 2), (1, 2)]),
+        (("oracle", "unit-srpt", "fifo"), [(1,), (2,), (1, 2), (1, 2)]),
+    ], ids=["unit-srpt,fifo", "with-oracle"])
+    def test_one_charge_pass_per_context(self, e1_fast_trace, monkeypatch, refs, passes):
+        # one charge pass per context at every power k it is checked at;
+        # the oracle has one schedule, so one context, per k
+        calls = []
+        charge_pass = analysis._charge_pass
+
+        def counted(ctx, ks, full):
+            calls.append(ks)
+            return charge_pass(ctx, ks, full)
+
+        monkeypatch.setattr(analysis, "_charge_pass", counted)
+        report = verify(e1_fast_trace, ks=(1, 2), refs=refs)
+        charged = [row for row in report.rows if row.check == "completion-charge"]
+        assert [(row.reference, len(row.reports)) for row in charged] == [(ref, 2) for ref in refs]
+        assert calls == passes
 
     def test_unknown_reference(self, e1_fast_trace):
         with pytest.raises(AnalysisError, match="unknown reference 'lrpt'"):

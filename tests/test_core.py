@@ -670,6 +670,25 @@ class TestJsonFormat:
             instance_from_json(doc)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bad, message", [
+        (lambda d: {"machines": 2}, "'jobs'"),
+        (lambda d: dict(d, jobs=[dict(d["jobs"][0], size="0")]), "non-positive size for job 0"),
+        (lambda d: dict(d, jobs=[dict(d["jobs"][0], release="x")]), "bad rational 'x'"),
+        (lambda d: dict(d, machines=0), "machines must be >= 1"),
+        (lambda d: dict(d, jobs=5), "'int' object is not iterable"),
+        (lambda d: dict(d, jobs=[None]), "'NoneType' object is not subscriptable"),
+        (lambda d: [d], "list indices must be integers or slices, not str"),
+    ])
+    def test_malformed_instance_document(self, e1_instance, bad, message):
+        with pytest.raises(TraceError) as exc:
+            instance_from_json(bad(instance_to_json(e1_instance)))
+        assert str(exc.value) == "malformed instance document: " + message
+
+    def test_malformed_trace_document_type(self, e1_fast_trace):
+        with pytest.raises(TraceError) as exc:
+            trace_from_json([trace_to_json(e1_fast_trace)])
+        assert str(exc.value) == "malformed trace document: list indices must be integers or slices, not str"
+
     def test_trace_roundtrip(self, e1_fast_trace):
         doc = trace_to_json(e1_fast_trace)
         assert trace_from_json(doc) == e1_fast_trace
@@ -735,6 +754,15 @@ class TestJsonFormat:
          "assigned job id must be an integer, got True"),
         (lambda d: d["segments"][0]["assignment"].update({"0": 1.0}),
          "assigned job id must be an integer, got 1.0"),
+        # an invalid instance, and containers of the wrong type, are
+        # malformed documents too
+        (lambda d: d["instance"]["jobs"][1].update(size="0"), "non-positive size for job 1"),
+        (lambda d: d["instance"].update(jobs=5), "'int' object is not iterable"),
+        (lambda d: d["instance"].update(jobs=[5]), "'int' object is not subscriptable"),
+        (lambda d: d.update(segments=None), "'NoneType' object is not iterable"),
+        (lambda d: d.update(speed="1"), "string indices must be integers, not 'str'"),
+        (lambda d: d["segments"][0].update(assignment=[0, 1]), "'list' object has no attribute 'get'"),
+        (lambda d: d.update(completions=["1", "2", "3"]), "list indices must be integers or slices, not str"),
     ])
     def test_malformed_trace_text(self, e1_fast_trace, mutate, message):
         doc = json.loads(dump_json(trace_to_json(e1_fast_trace)))
