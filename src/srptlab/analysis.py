@@ -26,14 +26,13 @@ every event time and every midpoint between two of them is an integer
 T = t * L. With the fast speed p/q in lowest terms, V = q * L: a job's
 remaining volume inside a service interval is line - p * T in the fast
 schedule and line - q * T in the reference, with line an integer, so every
-remaining volume at a grid time is an integer too (and an exact Fraction at
-any other T, with no division). The checks run on these integers: each one
-decides, counts and ranks its records in one integer pass, and builds
-Fractions only for its failing records, its worst slack and the few records
-a report always holds. A report's full records are built when first read, by
-running the pass again on its two traces, indexed anew (see _reports).
-Record values are exact Fractions, whatever L is. The public point queries
-take and return times and volumes in their own units.
+remaining volume at a grid time is an integer too. The checks ask only at
+grid times, and run on these integers: each one decides, counts and ranks
+its records in one integer pass, and builds Fractions only for its failing
+records, its worst slack and the few records a report always holds. A
+report's full records are built when first read, by running the pass again
+on its two traces, indexed anew (see _reports). Record values are exact
+Fractions, whatever L is.
 
 Both potentials are sums of terms of one per-job clamped age, so one walk of
 a context checks the flow potential and the power potential at every k
@@ -41,8 +40,7 @@ a context checks the flow potential and the power potential at every k
 who arrives and who finishes at each time, O(n) in all. The backlog pass and
 the walk run forward in time and advance their alive sets through those two
 event maps (_TraceIndex.advance); the charge pass runs backward through the
-completions (see check_completion_charge). Only the point queries find an
-alive set by a scan.
+completions (see check_completion_charge).
 """
 
 from __future__ import annotations
@@ -139,8 +137,7 @@ class _TraceIndex:
         self.finished_at = _ids_at(self.completion)
 
     def remaining(self, jid: int, T):
-        """Remaining volume at scaled time T: an int at an integer T, an
-        exact Fraction at a Fraction T."""
+        """Remaining volume at integer scaled time T."""
         if T <= self.release[jid]:
             return self.size[jid]
         if T >= self.completion[jid]:
@@ -161,12 +158,6 @@ class _TraceIndex:
         if finished is None and released is None:
             return alive
         return alive.difference(finished or ()).union(released or ())
-
-    def alive(self, T) -> frozenset:
-        """Jobs with release <= T < completion, by one scan: for the point
-        queries, while the passes advance their sets through the event maps."""
-        completion = self.completion
-        return frozenset(j for j, r in self.release.items() if r <= T < completion[j])
 
 
 class _StateEval(NamedTuple):
@@ -204,13 +195,13 @@ class PairContext:
         self.finish_rank = {jid: pos for pos, (_, jid) in enumerate(order)}
 
     def state(self, T, alive_alg: frozenset, alive_ref: frozenset, *, ids=None) -> _StateEval:
-        """Fast remaining volumes at scaled time T of the given alive sets (any
-        subsets of the jobs, not only the alive sets at T) and, for every job
-        i of `ids` (by default alive_alg; any job ids will do), the fast volume
-        on those alive jobs the fast schedule finishes no later than i, and
-        the reference volume on those alive reference jobs that it finishes no
-        later than i and that are no larger than i, all in units of 1/V. Each
-        i is one scan of both alive sets, so a state costs
+        """Fast remaining volumes at integer scaled time T of the given alive
+        sets (any subsets of the jobs, not only the alive sets at T) and, for
+        every job i of `ids` (by default alive_alg; any job ids will do), the
+        fast volume on those alive jobs the fast schedule finishes no later
+        than i, and the reference volume on those alive reference jobs that
+        it finishes no later than i and that are no larger than i, all in
+        units of 1/V. Each i is one scan of both alive sets, so a state costs
         O(|ids| * (|alive_alg| + |alive_ref|)), whatever the number of jobs."""
         rank, size = self.finish_rank, self.idx_alg.size
         rem_alg = {j: self.idx_alg.remaining(j, T) for j in alive_alg}
@@ -242,33 +233,6 @@ def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int =
     _require_feasible("fast", srpt_trace)
     _require_feasible("reference", ref_trace)
     return PairContext(*_indexes(srpt_trace, ref_trace), k)
-
-
-# --------------------------------------------------------------------------
-# point queries
-
-def remaining_at(trace: ExecutionTrace, jid: int, t) -> Rational:
-    """Remaining volume of one job at time t: full size before release, 0 after
-    completion, exactly interpolated through its service intervals between."""
-    [idx] = _indexes(trace)
-    return Rational(idx.remaining(jid, t * idx.L), idx.V)
-
-
-def _state_at(ctx: PairContext, jid: int, t) -> _StateEval:
-    T = t * ctx.L
-    return ctx.state(T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T), ids=(jid,))
-
-
-def alg_backlog(ctx: PairContext, jid: int, t) -> Rational:
-    """Remaining fast-schedule volume, at t, of jobs the fast schedule
-    finishes no later than job jid (jid included while alive)."""
-    return Rational(_state_at(ctx, jid, t).ahead_alg[jid], ctx.V)
-
-
-def ref_backlog_smaller(ctx: PairContext, jid: int, t) -> Rational:
-    """Remaining reference volume, at t, of jobs no larger than jid that the
-    fast schedule finishes no later than jid."""
-    return Rational(_state_at(ctx, jid, t).ahead_ref_small[jid], ctx.V)
 
 
 def objectives(trace: ExecutionTrace, ks=(1, 2, 3)) -> FlowSummary:
@@ -607,22 +571,6 @@ def theorem_factor(eps: Rational, k: int) -> Rational:
     return total_flow_factor(eps) if k == 1 else power_flow_factor(eps, k)
 
 
-def flow_potential(ctx: PairContext, t) -> Rational:
-    """Queue-wide potential for the total-flow analysis, evaluated post-event
-    at event times: the sum of the alive jobs' backlog gaps over m*eps."""
-    _require_eps_positive(ctx)
-    T = t * ctx.L
-    return _potential(ctx, T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T), False, 1)
-
-
-def power_flow_potential(ctx: PairContext, t, k: int | None = None) -> Rational:
-    """Queue-wide potential for the k-th power flow analysis (0 < eps <= 1/2)."""
-    k = ctx.k if k is None else k
-    _require_eps_power(ctx, k)
-    T = t * ctx.L
-    return _potential(ctx, T, ctx.idx_alg.alive(T), ctx.idx_ref.alive(T), True, k)
-
-
 def _require_eps_positive(ctx):
     if ctx.epsilon <= 0:
         raise AnalysisError("epsilon must be positive for potential checks")
@@ -653,8 +601,7 @@ def _walk_term(ctx, power: bool, k: int):
     in the power walk, where coef also carries scale = (1 - eps)^-k (computed
     only there, since the flow walk allows eps = 1). coef * rise(Ga, Gb) is
     (b - t) times the left derivative at b of coef * term while G runs
-    linearly from Ga at t to Gb at b. term and rise map ints to ints (and
-    Fractions to Fractions off the grid)."""
+    linearly from Ga at t to Gb at b. term and rise map ints to ints."""
     unit = ctx.L * ctx.machines * (ctx.p - ctx.q)
     if not power:
         return Rational(1, unit), (lambda g: g), (lambda ga, gb: gb - ga)
@@ -670,18 +617,6 @@ def _walk_term(ctx, power: bool, k: int):
         return 0
 
     return coef, term, rise
-
-
-def _potential(ctx, T, alive_alg, alive_ref, power: bool, k: int) -> Rational:
-    """The walk's potential at scaled time T: the sum over alive jobs of the
-    term of the clamped age minus (t - release)^k. In the flow walk this is
-    the sum of the backlog gaps over m*eps."""
-    coef, term, _ = _walk_term(ctx, power, k)
-    st = ctx.state(T, alive_alg, alive_ref)
-    release = ctx.idx_alg.release
-    terms = sum(term(_clamped_age(ctx, st, T, i)) for i in alive_alg)
-    ages = sum((T - release[i]) ** k for i in alive_alg)
-    return coef * terms - Rational(ages, ctx.L ** k)
 
 
 def check_flow_conditions(ctx: PairContext) -> ConditionReports:

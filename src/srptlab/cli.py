@@ -480,7 +480,8 @@ def cmd_sweep(args) -> int:
     ]
     workers = _worker_count(len(payloads))
     if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a worker that is spawned, not forked, starts with the default limit
+        with ProcessPoolExecutor(workers, initializer=_set_digit_limit, initargs=(0,)) as pool:
             results = list(pool.map(_sweep_cell, payloads, chunksize=4))
     else:
         results = [_sweep_cell(p) for p in payloads]
@@ -577,10 +578,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _set_digit_limit(digits: int) -> int:
+    """Set CPython's limit on the digits of an int <-> str conversion (0: no
+    limit) and return the old one. Interpreters before 3.10.7 have no limit:
+    there it does nothing and returns 0."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return 0
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    return old
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code. Exact values can run past
+    CPython's default 4300-digit limit (a power flow at a large k, say), so
+    the run lifts it, and restores the caller's limit on return."""
+    limit = _set_digit_limit(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -590,6 +605,8 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
     except BrokenPipeError:
         return EXIT_OK
+    finally:
+        _set_digit_limit(limit)
 
 
 if __name__ == "__main__":

@@ -65,13 +65,11 @@ from .core import (
     ExecutionTrace,
     Instance,
     Segment,
-    SpeedConfig,
     UNIT_SPEED,
     events_of,
     flow_power,
     validate_instance,
 )
-from .engine import simulate_srpt
 from .rationals import Rational, ZERO
 
 
@@ -288,16 +286,3 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         raise OracleError("internal: trace objective %s != search value %s"
                           % (recomputed, objective))
     return OracleResult(objective=objective, trace=trace)
-
-
-def single_machine_relaxation_lb(instance: Instance) -> Rational:
-    """Certified lower bound on the m-machine total flow optimum.
-
-    Pools the m unit machines into one machine of speed m (any m-machine
-    schedule can be time-sliced onto it, so its optimum can only improve)
-    and runs SRPT there, which minimizes total flow on a single machine.
-    """
-    inst = validate_instance(instance)
-    pooled = Instance(jobs=inst.jobs, machines=1)
-    trace = simulate_srpt(pooled, SpeedConfig.from_speed(inst.machines))
-    return flow_power(trace, 1)

@@ -21,8 +21,9 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-from srptlab import ExecutionTrace, Segment, make_instance
+from srptlab import ExecutionTrace, Instance, Segment, SpeedConfig, make_instance, simulate_srpt
 from srptlab.analysis import _StateEval
+from srptlab.core import flow_power
 from srptlab.workload import XorShift64Star
 
 
@@ -104,6 +105,15 @@ def random_integer_instance(seed, max_jobs=6, max_machines=3, max_size=5, max_re
         size = 1 + rng.below(max_size)
         triples.append((i, release, size))
     return make_instance(triples, machines=m)
+
+
+def single_machine_relaxation_lb(instance):
+    """A lower bound on the m-machine total flow optimum: pool the m unit
+    machines into one machine of speed m (any m-machine schedule can be
+    time-sliced onto it, so its optimum can only improve) and run SRPT
+    there, which minimizes total flow on a single machine."""
+    pooled = Instance(jobs=instance.jobs, machines=1)
+    return flow_power(simulate_srpt(pooled, SpeedConfig.from_speed(instance.machines)), 1)
 
 
 def rebuild_remaining(trace, jid, t):
@@ -195,26 +205,34 @@ def window_bounds_by_definition(ctx):
 
 
 def potential_by_definition(ctx, t, k=None):
-    """flow_potential(ctx, t) (k None) or power_flow_potential(ctx, t, k)
-    from the definition: over the jobs alive at t in the fast schedule, the
-    clamped age g = (t - release) + (A + m * rem - S) / (m * eps), with A,
-    rem and S the fast volume ahead, the own fast remaining volume and the
-    reference small-job volume ahead from reference_state; the sum of
-    g - (t - release) in the flow potential, of (1 - eps)^-k * max(g, 0)^k
-    - (t - release)^k in the power potential."""
+    """The flow potential at t (k None) or the k-th power potential, from
+    the definition; see potentials_by_definition."""
+    [phi] = potentials_by_definition(ctx, t, (k,))
+    return phi
+
+
+def potentials_by_definition(ctx, t, ks):
+    """The potentials at t for each k of `ks`, from one reference_state: over
+    the jobs alive at t in the fast schedule, the clamped age
+    g = (t - release) + (A + m * rem - S) / (m * eps), with A, rem and S the
+    fast volume ahead, the own fast remaining volume and the reference
+    small-job volume ahead; the sum of g - (t - release) for the flow
+    potential (k None), of (1 - eps)^-k * max(g, 0)^k - (t - release)^k for
+    the k-th power potential."""
     alive_alg = alive_by_definition(ctx.srpt_trace, t)
     st = reference_state(ctx, t, alive_alg, alive_by_definition(ctx.ref_trace, t))
     m, eps = ctx.machines, ctx.epsilon
-    total = Fraction(0)
+    totals = [Fraction(0)] * len(ks)
     for i in alive_alg:
         age = t - ctx.instance.job(i).release
         gap = (st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]) / ctx.V
         g = age + gap / (m * eps)
-        if k is None:
-            total += g - age
-        else:
-            total += (1 - eps) ** -k * max(g, 0) ** k - age ** k
-    return total
+        for pos, k in enumerate(ks):
+            if k is None:
+                totals[pos] += g - age
+            else:
+                totals[pos] += (1 - eps) ** -k * max(g, 0) ** k - age ** k
+    return totals
 
 
 def corrupted(trace):

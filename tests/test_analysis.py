@@ -1,4 +1,5 @@
-"""Potential-function verification: point queries, condition walks, charges.
+"""Potential-function verification: states and potentials against their
+definitions, condition walks, charges.
 
 Hand-derived values for the three-job running example (fast side at speed
 3/2, reference = unit-speed shortest-remaining) are frozen here; each was
@@ -14,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from srptlab import (
     AnalysisError,
@@ -41,15 +42,7 @@ from srptlab import (
     srpt_priority,
     verify,
 )
-from srptlab.analysis import (
-    _check_grid,
-    _rec_le,
-    alg_backlog,
-    flow_potential,
-    power_flow_potential,
-    ref_backlog_smaller,
-    remaining_at,
-)
+from srptlab.analysis import _check_grid, _rec_le
 from srptlab import analysis
 from srptlab.core import events_of, flow_power
 from srptlab.rationals import rat
@@ -58,6 +51,7 @@ from srptlab.workload import XorShift64Star
 from helpers import (
     alive_by_definition,
     potential_by_definition,
+    potentials_by_definition,
     random_integer_instance,
     rebuild_remaining,
     reference_state,
@@ -89,32 +83,45 @@ def records_by_label(report, prefix):
     return [r for r in report.records if r.label.startswith(prefix)]
 
 
+def backlogs(ctx, t):
+    """(alg, ref) at time t by definition: job id -> the fast volume ahead of
+    it, and the reference volume on the no-larger jobs ahead of it."""
+    alive = (alive_by_definition(ctx.srpt_trace, t), alive_by_definition(ctx.ref_trace, t))
+    st = reference_state(ctx, t, *alive)
+    return ({i: v / ctx.V for i, v in st.ahead_alg.items()},
+            {i: v / ctx.V for i, v in st.ahead_ref_small.items()})
+
+
 class TestPointQueries:
+    """Hand-computed values on e1 of the definitions in tests/helpers.py,
+    which pin the states, the potentials and potential_queries.json."""
+
     def test_remaining_mid_service(self, e1_unit_trace):
-        assert remaining_at(e1_unit_trace, 0, rat("1/2")) == rat("5/2")
+        assert rebuild_remaining(e1_unit_trace, 0, rat("1/2")) == rat("5/2")
 
     def test_remaining_at_release_is_size(self, e1_fast_trace):
         for j in e1_fast_trace.instance.jobs:
-            assert remaining_at(e1_fast_trace, j.id, j.release) == j.size
+            assert rebuild_remaining(e1_fast_trace, j.id, j.release) == j.size
 
     def test_remaining_at_completion_is_zero(self, e1_fast_trace):
         for j in e1_fast_trace.instance.jobs:
-            assert remaining_at(e1_fast_trace, j.id, e1_fast_trace.completions[j.id]) == 0
+            assert rebuild_remaining(e1_fast_trace, j.id, e1_fast_trace.completions[j.id]) == 0
 
     def test_backlog_examples_unit_pair(self, e1_unit_ctx):
         # finishing order on the unit trace: J1 (1) < J2 (2) < J0 (3)
-        assert alg_backlog(e1_unit_ctx, 1, rat("1/2")) == rat("1/2")
-        assert alg_backlog(e1_unit_ctx, 0, 0) == 4
-        assert ref_backlog_smaller(e1_unit_ctx, 0, 0) == 4
-        assert ref_backlog_smaller(e1_unit_ctx, 1, 0) == 1
+        assert backlogs(e1_unit_ctx, rat("1/2"))[0][1] == rat("1/2")
+        alg, ref = backlogs(e1_unit_ctx, 0)
+        assert alg[0] == 4
+        assert ref[0] == 4
+        assert ref[1] == 1
 
     def test_backlog_zero_at_own_completion(self, e1_ctx):
         for j in e1_ctx.instance.jobs:
-            assert alg_backlog(e1_ctx, j.id, e1_ctx.srpt_trace.completions[j.id]) == 0
+            assert backlogs(e1_ctx, e1_ctx.srpt_trace.completions[j.id])[0][j.id] == 0
 
     def test_ref_backlog_empty_after_reference_drains(self, e1_ctx):
-        for j in e1_ctx.instance.jobs:
-            assert ref_backlog_smaller(e1_ctx, j.id, 10) == 0
+        _, ref = backlogs(e1_ctx, 10)
+        assert all(ref[j.id] == 0 for j in e1_ctx.instance.jobs)
 
 
 class TestBacklogBound:
@@ -185,17 +192,13 @@ class TestFlowPotential:
         assert rec.delta == 0
 
     def test_zero_after_everything(self, e1_ctx):
-        assert flow_potential(e1_ctx, 3) == 0
-        assert flow_potential(e1_ctx, 100) == 0
+        assert potential_by_definition(e1_ctx, 3) == 0
+        assert potential_by_definition(e1_ctx, 100) == 0
 
     def test_e1_initial_value(self, e1_ctx):
         # terms at t=0: J0 contributes 4 + 2*3 - 4 = 6, J1 contributes
         # 1 + 2*1 - 1 = 2; scaling 1/(m*eps) = 1 gives 8
-        assert flow_potential(e1_ctx, 0) == 8
-
-    def test_requires_positive_eps(self, e1_unit_ctx):
-        with pytest.raises(AnalysisError, match="epsilon must be positive"):
-            flow_potential(e1_unit_ctx, 0)
+        assert potential_by_definition(e1_ctx, 0) == 8
 
 
 class TestFlowConditions:
@@ -267,7 +270,7 @@ class TestFlowConditions:
 
 class TestPowerPotential:
     def test_empty_queue(self, e1_ctx):
-        assert power_flow_potential(e1_ctx, 100, k=2) == 0
+        assert potential_by_definition(e1_ctx, 100, 2) == 0
         reports = check_power_flow_conditions(e1_ctx, k=2)
         rec = records_by_label(reports.completion, "potential before first event")[0]
         assert rec.delta == 0
@@ -278,53 +281,67 @@ class TestPowerPotential:
         p, eps, k = rat(1), rat("1/2"), 2
         ctx = single_job_ctx(p=p, eps=eps)
         expected = (p / (eps * (1 - eps))) ** k
-        assert power_flow_potential(ctx, 0, k=k) == expected == 16
-
-    def test_eps_range_enforced(self, e1_instance):
-        fast = simulate_srpt(e1_instance, SpeedConfig.from_epsilon(1))
-        ref = simulate_srpt(e1_instance, UNIT_SPEED)
-        ctx = make_context(fast, ref)
-        with pytest.raises(AnalysisError, match="out of theorem range"):
-            power_flow_potential(ctx, 0, k=2)
+        assert potential_by_definition(ctx, 0, k) == expected == 16
 
     @pytest.mark.parametrize("k", (1, 2))
     def test_reconstructs_from_point_queries(self, k):
-        # rebuild the potential per job from the public backlog queries and
-        # compare; where no job's max-expression clamps, k=1 additionally
-        # ties to the average-flow potential in closed form
-        zero = rat(0)
+        # rebuild the potential per job from remaining volumes read off the
+        # raw segments, and compare with the potential the walk's records
+        # imply at each boundary; where no job's max-expression clamps, k=1
+        # additionally ties to the flow walk's potential in closed form
         for seed in range(8):
             inst = random_integer_instance(seed)
             fast = simulate_srpt(inst, SpeedConfig.from_epsilon("1/4"))
             ref = simulate_srpt(inst, UNIT_SPEED)
             ctx = make_context(fast, ref)
-            eps = ctx.epsilon
-            m = inst.machines
-            scale = (1 - eps) ** (-k)
-            for t in events_of(inst, fast.completions):
-                alive = [
-                    j.id
-                    for j in inst.jobs
-                    if j.release <= t < fast.completions[j.id]
-                ]
-                expected = zero
+            eps, m = ctx.epsilon, inst.machines
+            rank = ctx.finish_rank
+            walked = walk_potentials(ctx, ((True, k), (False, 1)))
+            for t, (phi, flow_phi) in walked.items():
+                alive_alg = sorted(alive_by_definition(fast, t))
+                alive_ref = alive_by_definition(ref, t)
+                expected = Fraction(0)
                 clamped = False
-                ages = zero
-                for jid in alive:
+                ages = Fraction(0)
+                for jid in alive_alg:
                     job = inst.job(jid)
-                    inner = (
-                        alg_backlog(ctx, jid, t)
-                        + m * remaining_at(fast, jid, t)
-                        - ref_backlog_smaller(ctx, jid, t)
-                    ) / (m * eps)
+                    ahead = sum(rebuild_remaining(fast, j, t) for j in alive_alg if rank[j] <= rank[jid])
+                    small = sum(rebuild_remaining(ref, j, t) for j in alive_ref
+                                if rank[j] <= rank[jid] and inst.job(j).size <= job.size)
+                    inner = (ahead + m * rebuild_remaining(fast, jid, t) - small) / (m * eps)
                     g = (t - job.release) + inner
                     clamped = clamped or g < 0
-                    expected += scale * (max(g, zero)) ** k - (t - job.release) ** k
+                    expected += (1 - eps) ** -k * max(g, 0) ** k - (t - job.release) ** k
                     ages += t - job.release
-                assert power_flow_potential(ctx, t, k=k) == expected
+                assert phi == expected, (seed, t)
                 if k == 1 and not clamped:
-                    tied = (ages + flow_potential(ctx, t)) / (1 - eps) - ages
-                    assert expected == tied
+                    assert expected == (ages + flow_phi) / (1 - eps) - ages, (seed, t)
+
+
+def walk_potentials(ctx, modes):
+    """{t: [the potential of each mode at t]} at every boundary t, as the
+    walk's records imply it: the jumps at the first boundary are the
+    potential there, and on each interval [a, b] the drift record plus the
+    jumps at b equal Phi(b) - Phi(a) plus the objective's growth
+    sum((b - r_i)^k - (a - r_i)^k) over the jobs i alive at a."""
+    results = analysis._walk_pass(ctx, modes, True)
+    bounds = [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)]
+    release = {j.id: j.release for j in ctx.instance.jobs}
+    phis = {t: [] for t in bounds}
+    for pos, (_, k) in enumerate(modes):
+        (_, _, arrivals), (_, _, completions), (_, _, drifts), _ = results[4 * pos:4 * pos + 4]
+        jumps = dict.fromkeys(bounds, 0)
+        for rec in (*arrivals, *completions):
+            if rec.label.startswith(("arrival", "completion job")):
+                jumps[rec.time] += rec.delta
+        phi = jumps[bounds[0]]
+        phis[bounds[0]].append(phi)
+        for rec, a, b in zip(drifts, bounds, bounds[1:]):
+            growth = sum((b - release[i]) ** k - (a - release[i]) ** k
+                         for i in alive_by_definition(ctx.srpt_trace, a))
+            phi += rec.delta + jumps[b] - growth
+            phis[b].append(phi)
+    return phis
 
 
 def grid_times(ctx):
@@ -341,9 +358,10 @@ POTENTIAL_POLICIES = {
 
 
 def potential_cases():
-    """Case name -> rows [t, flow_potential, power_flow_potential at
-    k = 1, 2, 3] at every merged event time and midpoint, for seeded
-    8-job instances with SRPT, FIFO and LRPT fast traces against unit SRPT."""
+    """Case name -> rows [t, the flow potential, the power potential at
+    k = 1, 2, 3] by definition at every merged event time and midpoint, for
+    seeded 8-job instances with SRPT, FIFO and LRPT fast traces against unit
+    SRPT."""
     cases = {}
     for m in (1, 2, 3):
         for seed in (0, 1):
@@ -354,15 +372,14 @@ def potential_cases():
                     fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
                     ctx = make_context(fast, ref)
                     cases["m=%d seed=%d policy=%s speed=%s" % (m, seed, name, speed)] = [
-                        [str(t), str(flow_potential(ctx, t))]
-                        + [str(power_flow_potential(ctx, t, k=k)) for k in (1, 2, 3)]
+                        [str(t)] + [str(v) for v in potentials_by_definition(ctx, t, (None, 1, 2, 3))]
                         for t in grid_times(ctx)
                     ]
     return cases
 
 
 def test_potential_point_queries_golden():
-    """Every point query of potential_cases() against
+    """Every potential of potential_cases() against
     tests/data/potential_queries.json."""
     golden = json.loads((DATA / "potential_queries.json").read_text())
     cases = potential_cases()
@@ -657,15 +674,17 @@ def probe_times(trace):
 class TestStateDefinition:
     @given(ctx=trace_pairs(), data=st.data())
     def test_state_matches_definition(self, ctx, data):
-        # state takes time in units of 1/ctx.L and returns volumes in units
-        # of 1/ctx.V, as reference_state does; asked for every job id, it
-        # must give every job's backlogs, and by default those of alive_alg
+        # state takes an integer time in units of 1/ctx.L and returns volumes
+        # in units of 1/ctx.V, as reference_state does; asked for every job
+        # id, it must give every job's backlogs, and by default those of
+        # alive_alg. The passes ask only at grid times
         jobs = sorted(j.id for j in ctx.instance.jobs)
         grid = grid_times(ctx) + [grid_times(ctx)[-1] + 1]
-        probes = [(t, ctx.idx_alg.alive(t * ctx.L), ctx.idx_ref.alive(t * ctx.L)) for t in grid]
+        probes = [(t, alive_by_definition(ctx.srpt_trace, t), alive_by_definition(ctx.ref_trace, t))
+                  for t in grid]
         # the walks pass pre-event and pre-arrival sets; any subset must do
         for _ in range(4):
-            t = data.draw(st.sampled_from(grid) | st.fractions(-1, grid[-1] + 1, max_denominator=12))
+            t = data.draw(st.sampled_from(grid))
             alive_alg = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
             alive_ref = frozenset(data.draw(st.sets(st.sampled_from(jobs))))
             probes.append((t, alive_alg, alive_ref))
@@ -753,41 +772,54 @@ class TestStateDefinition:
 
     @given(ctx=trace_pairs())
     def test_remaining_and_alive_match_definition(self, ctx):
+        # every probe time is an integer on the context's time base; the
+        # alive set is advanced through every event of the trace
         for trace, idx in ((ctx.srpt_trace, ctx.idx_alg), (ctx.ref_trace, ctx.idx_ref)):
+            alive = frozenset()
             for t in probe_times(trace):
-                assert idx.alive(t * ctx.L) == alive_by_definition(trace, t), t
+                assert (t * ctx.L).denominator == 1
+                T = int(t * ctx.L)
+                alive = idx.advance(alive, T)
+                assert alive == alive_by_definition(trace, t), t
                 for j in trace.instance.jobs:
-                    assert remaining_at(trace, j.id, t) == rebuild_remaining(trace, j.id, t)
+                    assert idx.remaining(j.id, T) == rebuild_remaining(trace, j.id, t) * ctx.V
 
 
-class TestOffGridQueries:
-    """Point queries at times the context's time base lacks: 1/7, 5/11 and
-    the last event + 1/3, on integer instances at speeds 5/4 and 2 (no
-    denominator 3, 7 or 11 anywhere)."""
+class TestWalkDifferential:
+    """The walk against the potential Phi by definition, a check the walk's
+    own telescoping identity cannot make: a mistake in the clamped age that
+    the walk makes the same way at every event still telescopes. On each
+    interval [a, b] between consecutive boundaries, the drift record plus
+    the jump records at b (arrivals, shifts and completions) equal
+    Phi(b) - Phi(a) plus sum((b - r_i)^k - (a - r_i)^k) over the jobs i alive
+    at a. The jumps at the first boundary equal Phi there, and Phi is 0 at
+    the last."""
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_point_queries_match_definition(self, seed):
-        inst = random_integer_instance(seed)
-        refs = (simulate_srpt(inst, UNIT_SPEED), simulate_policy(inst, UNIT_SPEED, fifo_priority))
-        for speed in ("5/4", "2"):
-            for priority in POTENTIAL_POLICIES.values():
-                fast = simulate_policy(inst, SpeedConfig.from_speed(rat(speed)), priority)
-                for ref in refs:
-                    ctx = make_context(fast, ref)
-                    end = max(fast.events[-1], ref.events[-1])
-                    for t in (Fraction(1, 7), Fraction(5, 11), end + Fraction(1, 3)):
-                        assert (t * ctx.L).denominator > 1
-                        st = reference_state(
-                            ctx, t, alive_by_definition(fast, t), alive_by_definition(ref, t))
-                        for j in inst.jobs:
-                            for trace in (fast, ref):
-                                assert remaining_at(trace, j.id, t) == rebuild_remaining(trace, j.id, t)
-                            assert alg_backlog(ctx, j.id, t) == st.ahead_alg[j.id] / ctx.V
-                            assert ref_backlog_smaller(ctx, j.id, t) == st.ahead_ref_small[j.id] / ctx.V
-                        assert flow_potential(ctx, t) == potential_by_definition(ctx, t)
-                        if speed == "5/4":
-                            for k in (1, 2, 3):
-                                assert power_flow_potential(ctx, t, k=k) == potential_by_definition(ctx, t, k)
+    @given(ctx=trace_pairs())
+    def test_jumps_and_drift_match_potential(self, ctx):
+        assume(ctx.epsilon > 0)
+        modes = ((False, 1),)
+        if ctx.epsilon <= analysis.MAX_POWER_EPS:
+            modes += ((True, 1), (True, 2), (True, 3))
+        results = analysis._walk_pass(ctx, modes, True)
+        bounds = [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)]
+        ks = [k if power else None for power, k in modes]
+        phis = {t: potentials_by_definition(ctx, t, ks) for t in bounds}
+        release = {j.id: j.release for j in ctx.instance.jobs}
+        alive = {t: alive_by_definition(ctx.srpt_trace, t) for t in bounds}
+        for pos, (power, k) in enumerate(modes):
+            (_, _, arrivals), (_, _, completions), (_, _, drifts), _ = results[4 * pos:4 * pos + 4]
+            jumps = dict.fromkeys(bounds, 0)
+            for rec in (*arrivals, *completions):
+                if rec.label.startswith(("arrival", "completion job")):
+                    jumps[rec.time] += rec.delta
+            phi = {t: values[pos] for t, values in phis.items()}
+            assert jumps[bounds[0]] == phi[bounds[0]]
+            assert phi[bounds[-1]] == 0
+            assert [rec.time for rec in drifts] == bounds[:-1]
+            for rec, a, b in zip(drifts, bounds, bounds[1:]):
+                growth = sum((b - release[i]) ** k - (a - release[i]) ** k for i in alive[a])
+                assert rec.delta + jumps[b] == phi[b] - phi[a] + growth, (power, k, a, b)
 
 
 class TestPowerConditions:
@@ -886,12 +918,12 @@ class TestRunningSlope:
         assert witness.label == "drift on [%s, %s]" % (t, b)
         assert witness.time == rat(t) and witness.slack == rat(slack)
 
-        # the rise, rebuilt from point queries inside the interval: objective
+        # the rise, rebuilt from the definition inside the interval: objective
         # accumulation of the alive jobs plus the potential
         def value(s):
             alive = [j for j in inst.jobs if j.release <= s < fast.completions[j.id]]
             ages = sum((s - j.release) ** k for j in alive)
-            return ages + power_flow_potential(ctx, s, k=k)
+            return ages + potential_by_definition(ctx, s, k)
 
         end = rat(b)
         assert value(end - rat("1/1000")) > value(end - rat("1/100"))

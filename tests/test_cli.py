@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -549,6 +550,49 @@ class TestSweepGolden:
         assert out.read_text().splitlines() == [(DATA / "sweep_grid.csv").read_text().splitlines()[0]]
         skips = [l for l in (DATA / "sweep_grid.stderr").read_text().splitlines() if "uniform" in l]
         assert capsys.readouterr().err.splitlines()[:-1] == skips
+
+
+class TestDigitLimit:
+    """Exact values past CPython's 4300-digit int <-> str limit are printed
+    whole, and main leaves the caller's limit as it found it."""
+
+    @pytest.mark.parametrize("speed, k", [("3/2", "4800"), ("11/10", "1500")])
+    def test_verify_large_k(self, speed, k, e1_path, capsys):
+        # the label of the power factor at this k runs past the limit
+        limit = sys.get_int_max_str_digits()
+        args = ["verify", "--instance", e1_path, "--speed", speed, "--k", k]
+        assert main(args + ["--refs", "unit-srpt,fifo"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [l.split() for l in captured.out.splitlines()[2:]]
+        powered = [r[0] for r in rows if r[2] == k]
+        assert powered == ["power-flow-potential", "completion-charge"] * 2
+        assert all(r[3] == "pass" for r in rows)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_sweep_large_k_in_workers(self, tmp_path, monkeypatch, capsys):
+        # two cells on two workers: each worker writes the objectives
+        monkeypatch.setenv("SRPTLAB_THREADS", "2")
+        limit = sys.get_int_max_str_digits()
+        doc = {
+            "families": [
+                {"family": "uniform", "n": 5, "size_range": [2, 4], "release_range": [0, 2]},
+            ],
+            "seeds": 2,
+            "machines": [1],
+            "eps": ["1/2"],
+            "k": [4000],
+        }
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--manifest", manifest_file(tmp_path, doc), "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert len(rows) == 2
+        for row in rows:
+            assert row["within_bound"] == "true"
+            for col in ("srpt_obj", "oracle_obj"):
+                assert row[col].replace("/", "", 1).isdigit() and len(row[col]) > 4300
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestGen:

@@ -8,7 +8,6 @@ import pytest
 
 from srptlab import (
     OracleError,
-    SpeedConfig,
     UNIT_SPEED,
     brute_force_opt,
     dump_json,
@@ -20,11 +19,16 @@ from srptlab import (
     validate_trace,
 )
 from srptlab import oracle
-from srptlab.oracle import _actions, _spt_completions, single_machine_relaxation_lb
+from srptlab.oracle import _actions, _spt_completions
 from srptlab.rationals import rat
 from srptlab.workload import GenSpec, generate
 
-from helpers import least_total_completion, random_integer_instance, rebuild_remaining
+from helpers import (
+    least_total_completion,
+    random_integer_instance,
+    rebuild_remaining,
+    single_machine_relaxation_lb,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -277,6 +281,10 @@ class TestSptTail:
 
 
 class TestRelaxationBound:
+    """The oracle's value from below on m >= 2, where it is only an upper
+    bound on the preemptive optimum: the pooled-machine bound of
+    tests/helpers.py never exceeds it."""
+
     def test_pooled_machine_example(self):
         inst = make_instance([(0, 0, 2), (1, 0, 2), (2, 0, 2)], machines=2)
         lb = single_machine_relaxation_lb(inst)
