@@ -15,7 +15,12 @@ checks mirror an amortized analysis:
 Conventions: at an event time, completions are applied before arrivals, ties
 in job-id order; a job is alive at t when release <= t < completion, so
 evaluation at event times is post-event.
-Between two consecutive event times every queried quantity is linear in t.
+Between two consecutive event times the alive sets are constant, and each
+remaining volume is linear in t while its schedule keeps the same running
+set. The engine's schedules change that set only at events, but an oracle
+witness (brute_force_opt) may also change it at an integer time strictly
+between two events, where its remaining volumes bend; the grid below does
+not hold those times (see check_backlog_bound and _walk_pass).
 
 Integer time base (shared with the engine and validate_trace through
 core._unit and core._scaled). A fast trace and its references are indexed on
@@ -468,16 +473,26 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     machines * size(i); and the fast backlog ahead of i equals its own
     restriction to jobs with remaining volume <= size(i).
 
-    The records at event times cover every t. Take consecutive event times
-    a < b. On [a, b) the alive sets are constant and every remaining volume
-    is linear, so each gap is linear there. At b a completion is
-    continuous, since its remaining volume reaches 0, and an arrival a' adds
-    size(a') to the fast backlog and the same or nothing to the reference
-    term, so it only raises gap(b). A gap's maximum on [a, b] is therefore
-    at a or b. The identity fails only while some job ahead of i has more
-    than size(i) left, and remaining volumes only fall on [a, b), so it
-    fails at a whenever it fails inside. So the midpoint records add no
-    failure of their own, though n_events and the witness lists count them.
+    The records at event times cover every t against a reference that
+    changes its running set only at events, as the engine's schedules do.
+    Take consecutive event times a < b. On [a, b) the alive sets are
+    constant and every remaining volume is linear, so each gap is linear
+    there. At b a completion is continuous, since its remaining volume
+    reaches 0, and an arrival a' adds size(a') to the fast backlog and the
+    same or nothing to the reference term, so it only raises gap(b). A
+    gap's maximum on [a, b] is therefore at a or b. The identity fails only
+    while some job ahead of i has more than size(i) left, and remaining
+    volumes only fall on [a, b), so it fails at a whenever it fails inside.
+    So the midpoint records add no failure of their own, though n_events
+    and the witness lists count them.
+
+    Open (soundness ledger): an oracle witness can change its running set
+    at an integer time inside (a, b). The reference term is then only
+    piecewise linear, with a bend the grid does not hold, and no argument
+    yet shows that a gap's maximum is never there. The identity argument
+    still holds, as it uses only that volumes fall. A seeded test
+    evaluates the gaps at every such time (TestOracleSwitches in
+    tests/test_analysis.py) and has found no worse slack than the grid's.
 
     Only a job the fast schedule still holds can fail. Once it has finished
     i, it has finished every job it finishes no later than i, so the fast
@@ -588,7 +603,7 @@ def _clamped_age(ctx, st, T, i):
     at zero drives the power potential, in units of 1/(L * m * (p - q)). The
     gap is the fast volume ahead of i, plus m times i's own remaining volume,
     minus the reference's small-job volume ahead of i. Linear in T between
-    events."""
+    events while the reference keeps its running set (see _walk_pass)."""
     m = ctx.machines
     gap = st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
     return (T - ctx.idx_alg.release[i]) * m * (ctx.p - ctx.q) + gap
@@ -769,10 +784,19 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
     there are 0 by definition and cannot fail.
 
     Objective plus potential is a sum over alive jobs of a convex term of
-    the job's clamped age. Between events each clamped age is linear, so the
-    sum is convex and never rises on [t, b] exactly when its left derivative
-    at b is at most 0. Sums of terms and rises stay integers until a record
-    needs them.
+    the job's clamped age. Between events each clamped age is linear when
+    the reference keeps its running set there, as the engine's schedules
+    do, so the sum is convex and never rises on [t, b] exactly when its
+    left derivative at b is at most 0. Sums of terms and rises stay
+    integers until a record needs them.
+
+    Open (soundness ledger): an oracle witness can change its running set
+    at an integer time inside (t, b), where the clamped ages bend, so the
+    sum need not be convex there and a passing running record does not by
+    itself rule out a rise inside. No argument covers those times yet; a
+    seeded test evaluates objective plus potential at each of them
+    (TestOracleSwitches in tests/test_analysis.py) and has found no rise
+    inside an interval whose running record passed.
 
     The walk holds only the state it is at, and works out each alive job's
     clamped age once per state for all the modes. The state at the end T of

@@ -9,7 +9,8 @@ Instance files:
     job 2 1 1/2
 
 One `m` line, then one `job <id> <release> <size>` line per job. Numbers are
-`<int>` or `<int>/<posint>`. Serialize-then-parse reproduces any instance or
+`<int>` or `<int>/<posint>`, in ASCII digits with an optional leading `-`
+(see rationals.rat). Serialize-then-parse reproduces any instance or
 trace exactly; all rationals travel as lowest-term strings.
 """
 
@@ -29,12 +30,18 @@ from .core import (
     events_of,
     validate_instance,
 )
-from .rationals import RationalParseError, rat
+from .rationals import RationalParseError, is_int_text, rat
 from .workload import is_int
 
 
 class ParseError(ValueError):
     pass
+
+
+def _integer(text: str) -> int:
+    if not is_int_text(text):
+        raise ValueError("bad integer %r" % text)
+    return int(text)
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -59,14 +66,14 @@ def parse_instance(text: str) -> Instance:
             if len(parts) != 2:
                 raise ParseError("line %d: expected 'm <machines>'" % lineno)
             try:
-                machines = int(parts[1])
+                machines = _integer(parts[1])
             except ValueError:
                 raise ParseError("line %d: bad machine count %r" % (lineno, parts[1]))
         elif parts[0] == "job":
             if len(parts) != 4:
                 raise ParseError("line %d: expected 'job <id> <release> <size>'" % lineno)
             try:
-                jid = int(parts[1])
+                jid = _integer(parts[1])
                 release = rat(parts[2])
                 size = rat(parts[3])
             except (ValueError, RationalParseError) as exc:

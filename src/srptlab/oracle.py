@@ -38,20 +38,73 @@ schedule. And SPT round robin is in the searched class: it is list
 scheduling in SPT order (each job goes to a machine that is free first),
 so no machine idles while a job waits, and from an integer t with integer
 works every job starts and finishes at an integer time. These states get
-no memo entry, and as the values are unchanged the replay picks the same
-actions and the witness traces do not move. For k >= 2 the payment of a
-job grows with its age, so an older job can be worth finishing first: on
-one machine, a job released at 0 with 2 units left at t = 10 and a 1-unit
-job released at 10 pay 12^2 + 3^2 = 153 when the older one runs first and
-1^2 + 13^2 = 170 in SPT order.
+no memo entry. For k >= 2 the payment of a job grows with its age, so an
+older job can be worth finishing first: on one machine, a job released at
+0 with 2 units left at t = 10 and a 1-unit job released at 10 pay
+12^2 + 3^2 = 153 when the older one runs first and 1^2 + 13^2 = 170 in SPT
+order.
+
+Elsewhere the search tries only the undominated actions of a slot
+(_search_actions); each rule below keeps some optimal schedule among those
+it tries, so every value is unchanged.
+
+* m = 1, every k: a class does not run while another alive class has
+  remaining work no larger and a tag no later. At k = 1 every tag is 0,
+  so only the class of least remaining work runs. Exchange: let a schedule
+  run the dominated job a now, and b be the dominating one. Over the union
+  of the slots a and b use from now on, give b the first ones and a the
+  rest. The same slots stay busy, so the schedule stays work-conserving in
+  unit slots. b now finishes no later than the earlier of the two old
+  completions and a at the later one. If a finished first before, the two
+  completions swap between the jobs, and since b's tag is no later, the
+  convexity of x^k makes the sum no larger; otherwise b's completion does
+  not move later and a's stays.
+* m >= 2, k >= 2: among classes of equal remaining work, a younger class
+  (later release) runs only if every older class of that work runs in
+  full. Exchange, for an older job o that waits while a younger job y of
+  the same work runs now: if y finishes no later than o, swap the two
+  jobs' whole futures, which convexity makes no dearer. Otherwise o runs
+  in more slots than y before o's completion, so some later slot runs o
+  and not y; swapping that slot's o with this slot's y moves no completion
+  later. Each exchange lowers the sum of the tags running now, so
+  repeating them ends.
+* The single-machine rule is wrong at m >= 2, where both jobs can run in
+  one slot and the union of their slots is too short to give b the first
+  ones. With m = 2 and jobs (id, release, size) = (0, 2, 2), (1, 2, 1),
+  (2, 2, 1), starting the 2-unit job at once with a 1-unit job pays
+  1^2 + 2^2 + 2^2 = 9 in squared flow, and the two 1-unit jobs first pay
+  1^2 + 1^2 + 3^2 = 11.
 
 The witness trace replays the search from the start. In each slot it tries
-the actions over the alive jobs' true (remaining, release) classes, in
-_actions order, and keeps the first one whose tagged payment plus the
-value of the state it leads to is least. For k = 1 every candidate of a
-slot differs from its exact remaining flow by the same sum of releases, so
-this is the first exactly optimal action, and ties break as they would in
-a search keyed by releases. Within a class the lowest ids run first.
+every action over the alive jobs' true (remaining, release) classes, in
+_actions order, dominated ones included, and keeps the first one whose
+tagged payment plus the value of the state it leads to is least; a state
+the pruned search never reached is searched then. As the values are
+unchanged, the replay picks what a search without pruning would, also
+where a dominated action ties (at m >= 2 when both jobs finish in one
+slot). For k = 1 every candidate of a slot differs from its exact
+remaining flow by the same sum of releases, so this is the first exactly
+optimal action, and ties break as they would in a search keyed by
+releases. Within a class the lowest ids run first.
+
+At k = 1 and t at or after the last release, the replay takes its slot's
+action from a rule instead (_spt_tail_takes). Let N > m jobs be alive,
+ascending by remaining work, N = q m + r with 0 <= r < m. With W the works
+of the alive jobs, the least sum of completion times from t is
+N t + F(W), F(W) = sum_i w_i c_i with c_i = ceil((N - i + 1) / m) the
+weight SPT round robin gives position i (from 1): the number of jobs its
+machine finishes from it on. A job that has finished counts as work 0 at
+the front. Running a set S in the slot and then SPT costs
+N (t + 1) + F(W - 1_S), and F(W - 1_S) = F(W) - sum over S of c_i, with
+the jobs of S placed first among jobs of equal work (that placement is
+still in order after the slot). The m largest weights are the r weights
+q + 1 of positions 1..r and the weights q of positions r + 1..r + m, and
+they sum to N, so S is optimal exactly when it runs positions 1..r and
+m - r of positions r + 1..r + m, ties of equal work free. _actions lists
+take-vectors in ascending lexicographic order over ascending classes, so
+the first optimal one takes as little as it can from early classes: it
+runs positions 1..r and 2r + 1..r + m, and within one work its latest
+classes first. If N <= m every job runs.
 """
 
 from __future__ import annotations
@@ -143,6 +196,90 @@ def _spt_completions(t, works, m):
     return total
 
 
+def _work_runs(classes):
+    """The lengths of the runs of classes ((remaining, tag), count) with
+    equal remaining work, in order."""
+    runs = []
+    i = 0
+    while i < len(classes):
+        j = i + 1
+        while j < len(classes) and classes[j][0][0] == classes[i][0][0]:
+            j += 1
+        runs.append(j - i)
+        i = j
+    return runs
+
+
+def _fill(left, counts):
+    """`left` jobs dealt to classes holding `counts` jobs, each class
+    filled before the next."""
+    takes = []
+    for cnt in counts:
+        takes.append(min(cnt, left))
+        left -= takes[-1]
+    return takes
+
+
+def _spt_tail_takes(classes, m):
+    """The first take-vector in _actions order that SPT dealt round robin
+    finds least for the slot at t, when no job is left to arrive after t.
+    `classes` are ((remaining, tag), count) ascending, a run of equal
+    remaining works listed oldest release first. Of the N jobs, ascending,
+    positions [0, r) and [2r, r + m) run, r = N mod m (all run if N <= m);
+    within one work the latest classes take first."""
+    counts = [cnt for _, cnt in classes]
+    n = sum(counts)
+    if n <= m:
+        return tuple(counts)
+    r = n % m
+    takes = []
+    lo = 0
+    for cnt in counts:
+        hi = lo + cnt
+        takes.append(max(0, min(hi, r) - lo) + max(0, min(hi, r + m) - max(lo, 2 * r)))
+        lo = hi
+    i = 0
+    for size in _work_runs(classes):
+        j = i + size
+        if size > 1:
+            takes[i:j] = _fill(sum(takes[i:j]), counts[i:j][::-1])[::-1]
+        i = j
+    return tuple(takes)
+
+
+def _search_actions(classes, m, k):
+    """The take-vectors the search tries in a slot with alive `classes`,
+    ((remaining, tag), count) ascending, on m machines at power k: every
+    one of _actions less the dominated ones (see the module docstring)."""
+    if m == 1:
+        # the classes no other class beats on both remaining and tag: in
+        # ascending order, those whose tag is below every earlier one's
+        out = []
+        least = None
+        for i, ((_, tg), _) in enumerate(classes):
+            if least is None or tg < least:
+                least = tg
+                out.append((0,) * i + (1,) + (0,) * (len(classes) - 1 - i))
+        return out
+    counts = tuple(cnt for _, cnt in classes)
+    q = min(m, sum(counts))
+    if k == 1:
+        return _actions(counts, q)
+    runs = _work_runs(classes)
+    if len(runs) == len(counts):
+        return _actions(counts, q)
+    # one take per run of equal work, dealt to its classes oldest first
+    starts = [sum(runs[:pos]) for pos in range(len(runs) + 1)]
+    merged = tuple(sum(counts[a:b]) for a, b in zip(starts, starts[1:]))
+    out = []
+    for run_takes in _actions(merged, q):
+        takes = []
+        for a, b, left in zip(starts, starts[1:], run_takes):
+            takes += _fill(left, counts[a:b])
+        out.append(tuple(takes))
+    return out
+
+
 def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     """Minimum k-th power flow over integral-slot schedules, with a witness trace."""
     if not isinstance(k, int) or k < 1:
@@ -187,12 +324,11 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         nxt.sort()
         return paid, tuple(nxt)
 
-    def best_action(t, classes):
-        """Least objective still to pay over the actions of the slot at t,
-        and the first take-vector that reaches it."""
+    def best_action(t, classes, actions):
+        """Least objective still to pay over the take-vectors `actions` of
+        the slot at t, and the first of them that reaches it."""
         best = None
-        counts = tuple(cnt for _, cnt in classes)
-        for takes in _actions(counts, min(m, sum(counts))):
+        for takes in actions:
             paid, nxt = step(t, classes, takes)
             cand = paid + value(t + 1, nxt)
             if best is None or cand < best:
@@ -214,7 +350,7 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
             best = 0 if i == len(releases) else value(releases[i], arrivals_at[releases[i]])
         else:
             classes = [(key, len(list(grp))) for key, grp in groupby(ms)]
-            best = best_action(t, classes)[0]
+            best = best_action(t, classes, _search_actions(classes, m, k))[0]
         memo[state] = best
         return best
 
@@ -223,8 +359,9 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     if k == 1:
         opt -= sum(r for r, _, _ in jobs)
 
-    # replay the search; `alive` holds (remaining, release, id) sorted, so
-    # each true class is a run of it and its lowest ids run first
+    # replay the search over every action of a slot; `alive` holds
+    # (remaining, release, id) sorted, so each true class is a run of it and
+    # its lowest ids run first
     alive = jobs_at[t]
     slots = []  # (t, tuple of chosen jids sorted)
     completions = [None] * inst.n
@@ -237,7 +374,11 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
             ((rem, tag(rel)), len(list(grp)))
             for (rem, rel), grp in groupby(alive, key=lambda j: j[:2])
         ]
-        _, takes = best_action(t, classes)
+        if k == 1 and t >= last_release:
+            takes = _spt_tail_takes(classes, m)
+        else:
+            counts = tuple(cnt for _, cnt in classes)
+            _, takes = best_action(t, classes, _actions(counts, min(m, sum(counts))))
         ran = []
         nxt = list(jobs_at.get(t + 1, ()))
         i = 0

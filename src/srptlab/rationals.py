@@ -22,8 +22,17 @@ class RationalParseError(ValueError):
     pass
 
 
+def is_int_text(s: str) -> bool:
+    """Whether s is an `<int>`: ASCII digits after an optional '-'. int()
+    alone would also take "1_0", "+3", surrounding spaces and non-ASCII
+    digits."""
+    return s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit())
+
+
 def rat(text) -> Rational:
-    """Parse '<int>' or '<int>/<posint>' into a Rational.
+    """Parse '<int>' or '<int>/<posint>' into a Rational: ASCII digits, an
+    optional leading '-', nothing else after surrounding whitespace is
+    stripped.
 
     Also accepts ints and Rationals unchanged, so callers can be sloppy about
     whether a value came from a file or was built in code; a bool is not a
@@ -36,20 +45,18 @@ def rat(text) -> Rational:
     if not isinstance(text, str):
         raise RationalParseError("expected rational string, got %r" % (text,))
     s = text.strip()
-    if "/" in s:
-        left, _, right = s.partition("/")
-        try:
-            num = int(left)
-            den = int(right)
-        except ValueError:
-            raise RationalParseError("bad rational %r" % text) from None
-        if den <= 0:
-            raise RationalParseError("denominator must be positive in %r" % text)
-        return Rational(num, den)
-    try:
-        return Rational(int(s))
-    except ValueError:
-        raise RationalParseError("bad rational %r" % text) from None
+    left, slash, right = s.partition("/")
+    # is_int_text(left), written out: trace_from_json parses every distinct
+    # value of a trace here
+    if not (s.isascii() and (left.isdigit() or left[:1] == "-" and left[1:].isdigit())
+            and (right.isdigit() or not slash)):
+        raise RationalParseError("bad rational %r" % text)
+    if not slash:
+        return Rational(int(left))
+    den = int(right)
+    if den == 0:
+        raise RationalParseError("denominator must be positive in %r" % text)
+    return Rational(int(left), den)
 
 
 def iroot(x: int, k: int) -> int:

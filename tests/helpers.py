@@ -94,6 +94,45 @@ def _least_total_completion(t, works, m):
     return best
 
 
+def slot_search_opt(instance, k):
+    """Least k-th power flow over the work-conserving unit-slot schedules of
+    an integer instance: a plain memoized search from each (time, alive
+    jobs' (remaining, release)) state over every choice of min(m, alive)
+    alive jobs for the slot, with no closed form and no pruning."""
+    m = instance.machines
+    jobs = sorted((int(j.release), int(j.size)) for j in instance.jobs)
+    releases = sorted({r for r, _ in jobs})
+
+    @cache
+    def value(t, alive):
+        if not alive:
+            later = [r for r in releases if r > t]
+            if not later:
+                return 0
+            t = later[0]
+            return value(t, tuple(sorted((p, r) for r, p in jobs if r == t)))
+        arriving = [(p, r) for r, p in jobs if r == t + 1]
+        best = None
+        for chosen in combinations(range(len(alive)), min(m, len(alive))):
+            paid = 0
+            rest = list(arriving)
+            for i, (rem, r) in enumerate(alive):
+                if i not in chosen:
+                    rest.append((rem, r))
+                elif rem == 1:
+                    paid += (t + 1 - r) ** k
+                else:
+                    rest.append((rem - 1, r))
+            cand = paid + value(t + 1, tuple(sorted(rest)))
+            if best is None or cand < best:
+                best = cand
+        return best
+
+    if not jobs:
+        return 0
+    return value(-1, ())
+
+
 def random_integer_instance(seed, max_jobs=6, max_machines=3, max_size=5, max_release=8):
     """Small integer instance from the package PRNG (deterministic)."""
     rng = XorShift64Star(seed)
@@ -220,19 +259,30 @@ def potentials_by_definition(ctx, t, ks):
     potential (k None), of (1 - eps)^-k * max(g, 0)^k - (t - release)^k for
     the k-th power potential."""
     alive_alg = alive_by_definition(ctx.srpt_trace, t)
-    st = reference_state(ctx, t, alive_alg, alive_by_definition(ctx.ref_trace, t))
-    m, eps = ctx.machines, ctx.epsilon
+    ages = clamped_ages_by_definition(ctx, t, alive_alg, alive_by_definition(ctx.ref_trace, t))
+    eps = ctx.epsilon
     totals = [Fraction(0)] * len(ks)
-    for i in alive_alg:
+    for i, g in ages.items():
         age = t - ctx.instance.job(i).release
-        gap = (st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]) / ctx.V
-        g = age + gap / (m * eps)
         for pos, k in enumerate(ks):
             if k is None:
                 totals[pos] += g - age
             else:
                 totals[pos] += (1 - eps) ** -k * max(g, 0) ** k - age ** k
     return totals
+
+
+def clamped_ages_by_definition(ctx, t, alive_alg, alive_ref):
+    """Each job i of alive_alg -> its clamped age at t over these alive sets,
+    g = (t - release) + (A + m * rem - S) / (m * eps), with A, rem and S
+    from reference_state (see potentials_by_definition)."""
+    st = reference_state(ctx, t, alive_alg, alive_ref)
+    m, eps = ctx.machines, ctx.epsilon
+    return {
+        i: t - ctx.instance.job(i).release
+        + (st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]) / (ctx.V * m * eps)
+        for i in alive_alg
+    }
 
 
 def corrupted(trace):

@@ -50,6 +50,7 @@ from srptlab.workload import XorShift64Star
 
 from helpers import (
     alive_by_definition,
+    clamped_ages_by_definition,
     potential_by_definition,
     potentials_by_definition,
     random_integer_instance,
@@ -820,6 +821,77 @@ class TestWalkDifferential:
             for rec, a, b in zip(drifts, bounds, bounds[1:]):
                 growth = sum((b - release[i]) ** k - (a - release[i]) ** k for i in alive[a])
                 assert rec.delta + jumps[b] == phi[b] - phi[a] + growth, (power, k, a, b)
+
+
+@pytest.fixture(scope="module")
+def oracle_switch_contexts():
+    """(ctx, k, times) for each context whose oracle reference changes its
+    running set at `times`, strictly between two consecutive boundaries
+    (neither a release nor a completion of either schedule): SRPT at 3/2
+    and at 11/10 against the oracle witness at k = 1 and 2, over three
+    families, m = 1-3, n = 5-7, sizes 1-4, releases 0-6 and seeds 0-29."""
+    out = []
+    for family in ("uniform", "bursty", "heavy-tail-discrete"):
+        for m in (1, 2, 3):
+            for n in (5, 6, 7):
+                for seed in range(30):
+                    inst = generate(GenSpec(family, n, m, (1, 4), (0, 6), seed))
+                    for k in (1, 2):
+                        witness = brute_force_opt(inst, k=k).trace
+                        switches = {seg.start for seg in witness.segments[1:]} - set(witness.events)
+                        if not switches:
+                            continue
+                        for speed in ("3/2", "11/10"):
+                            ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed(speed)), witness)
+                            bounds = {Fraction(T, ctx.L) for T in analysis._boundaries(ctx)}
+                            if switches - bounds:
+                                out.append((ctx, k, sorted(switches - bounds)))
+    return out
+
+
+class TestOracleSwitches:
+    """An oracle witness can change its running set between two events,
+    where its remaining volumes bend and the check grid has no point. Both
+    checks whose coverage argument assumes volumes linear between events
+    are evaluated by definition at every such time."""
+
+    def test_sample(self, oracle_switch_contexts):
+        # 63 of the 1,620 witnesses switch between their own events, and in
+        # 109 of their 126 contexts some such time is no fast event either
+        assert len(oracle_switch_contexts) == 109
+
+    def test_backlog_gap_no_worse_than_grid(self, oracle_switch_contexts):
+        for ctx, _, switches in oracle_switch_contexts:
+            report = check_backlog_bound(ctx)
+            worst = min(r.slack for r in report.records if r.label.startswith("backlog gap"))
+            for t in switches:
+                alg, ref = backlogs(ctx, t)
+                for job in ctx.instance.jobs:
+                    if job.release <= t:
+                        assert ctx.machines * job.size - (alg[job.id] - ref[job.id]) >= worst, (t, job.id)
+
+    def test_walk_never_rises_inside_passing_interval(self, oracle_switch_contexts):
+        checked = 0
+        for ctx, k, switches in oracle_switch_contexts:
+            bounds = [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)]
+            walks = ((lambda g: g, check_flow_conditions(ctx)),
+                     (lambda g: max(g, 0) ** k, check_power_flow_conditions(ctx, k=k)))
+            for term, reports in walks:
+                passed = {r.time: r.passed for r in reports.running.records}
+                for a, b in zip(bounds, bounds[1:]):
+                    inside = [t for t in switches if a < t < b]
+                    if not inside or not passed[a]:
+                        continue
+                    # objective plus potential over the jobs alive on [a, b),
+                    # up to its positive coefficient; at b before b's events
+                    alive = (alive_by_definition(ctx.srpt_trace, a), alive_by_definition(ctx.ref_trace, a))
+                    values = [sum(map(term, clamped_ages_by_definition(ctx, t, *alive).values()))
+                              for t in [a, *inside, b]]
+                    assert values == sorted(values, reverse=True), (a, b)
+                    checked += 1
+        # flow and power walk intervals with a switch inside and a passing
+        # running record
+        assert checked == 236
 
 
 class TestPowerConditions:

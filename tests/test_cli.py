@@ -95,6 +95,15 @@ class TestSimulate:
         rc = main(["simulate", "--instance", e1_path, "--speed", "fast"])
         assert rc == 2
 
+    def test_numbers_outside_the_grammar(self, e1_path, tmp_path, capsys):
+        # int() reads "1_0" as 10; the instance grammar does not
+        p = tmp_path / "underscore.txt"
+        p.write_text("m 1\njob 0 1_0 3\n")
+        assert main(["simulate", "--instance", str(p), "--speed", "1"]) == 2
+        assert "line 2" in capsys.readouterr().err
+        assert main(["verify", "--instance", e1_path, "--speed", "1_5/1_0"]) == 2
+        assert "bad speed: bad rational '1_5/1_0'" in capsys.readouterr().err
+
     def test_nonpositive_speed(self, e1_path, capsys):
         rc = main(["simulate", "--instance", e1_path, "--speed", "0"])
         assert rc == 3

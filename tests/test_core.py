@@ -74,7 +74,9 @@ class TestRational:
         q = Rational(7, 3)
         assert rat(q) is q or rat(q) == q
 
-    @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1/2/3", None, 2.5])
+    @pytest.mark.parametrize("bad", ["1.5", "1/0", "1/-2", "a", "", "1/2/3", None, 2.5,
+                                     "1_0", "1_5/1_0", "\u0663", "3/\u0662", "+3", "3/+2",
+                                     "3 / 2", "3/ 2", "- 3", "-", "/2", "3/"])
     def test_parse_rejects(self, bad):
         with pytest.raises(RationalParseError):
             rat(bad)
@@ -629,6 +631,14 @@ class TestTextFormat:
     def test_line_numbered_errors(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_instance("m 1\njob 0 zero 1\n")
+
+    @pytest.mark.parametrize("text", ["m 1_0\njob 0 0 1\n", "m +1\njob 0 0 1\n",
+                                      "m 1\njob \u0660 0 1\n", "m 1\njob +0 0 1\n",
+                                      "m 1\njob 0 1_0 3\n", "m 1\njob 0 0 \u0663\n"])
+    def test_numbers_outside_the_grammar(self, text):
+        # int() would read these as 10 machines, id 0, release 10 or size 3
+        with pytest.raises(ParseError, match="line [12]"):
+            parse_instance(text)
 
     def test_missing_m(self):
         with pytest.raises(ParseError, match="missing m line"):

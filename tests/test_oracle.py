@@ -1,5 +1,7 @@
 """Brute-force reference scheduler: exactness, determinism, corroboration."""
 
+import ast
+import inspect
 import json
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -19,7 +21,7 @@ from srptlab import (
     validate_trace,
 )
 from srptlab import oracle
-from srptlab.oracle import _actions, _spt_completions
+from srptlab.oracle import _actions, _search_actions, _spt_completions, _spt_tail_takes
 from srptlab.rationals import rat
 from srptlab.workload import GenSpec, generate
 
@@ -28,6 +30,7 @@ from helpers import (
     random_integer_instance,
     rebuild_remaining,
     single_machine_relaxation_lb,
+    slot_search_opt,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -278,6 +281,195 @@ class TestSptTail:
         spt = brute_force_opt(inst, k=1).trace
         assert spt.completions == (13, 11)
         assert objectives(spt, ks=(2,)).kth_power_flow[2] == 170
+
+
+def job_multisets(n):
+    """Every multiset of n (release, size) jobs, releases 0-2, sizes 1-3."""
+    return combinations_with_replacement(product(range(3), range(1, 4)), n)
+
+
+class TestDominance:
+    """The search tries only undominated take-vectors; every value and
+    witness stays the one a search over every take-vector gives."""
+
+    def test_single_machine_rule_is_wrong_at_two_machines(self):
+        # all three jobs arrive at 2; starting the 2-unit job at once beside
+        # a 1-unit one finishes jobs 0, 1, 2 at 4, 3, 4: 2^2 + 1^2 + 2^2 = 9
+        inst = make_instance([(0, 2, 2), (1, 2, 1), (2, 2, 1)], machines=2)
+        res = brute_force_opt(inst, k=2)
+        assert res.objective == 9
+        assert res.trace.completions == (4, 3, 4)
+        # smallest first, what the single-machine rule would leave at m = 2
+        # (the 2-unit class is dominated by the 1-unit class): the two
+        # 1-unit jobs finish at 3, the 2-unit job at 5, paying 1 + 1 + 9 = 11
+        srpt = simulate_srpt(inst, UNIT_SPEED)
+        assert srpt.completions == (5, 3, 3)
+        assert objectives(srpt, ks=(2,)).kth_power_flow[2] == 11
+        # the search keeps the action that starts the 2-unit job at once
+        root = [((1, 2), 2), ((2, 2), 1)]
+        assert (1, 1) in _search_actions(root, 2, 2)
+
+    @pytest.fixture
+    def tried(self, monkeypatch):
+        calls = []
+
+        def recorded(classes, m, k):
+            out = _search_actions(classes, m, k)
+            calls.append((classes, list(out)))
+            return out
+
+        monkeypatch.setattr(oracle, "_search_actions", recorded)
+        return calls
+
+    def test_dominated_class_never_tried(self, tried):
+        # m = 1, k = 2. At t = 1 job 0 (released at 0) has 2 units left,
+        # job 1 (released at 1) 1 unit and job 2 (released at 1) 2 units;
+        # job 2 is dominated by both. Job 1 then job 0 then job 2 pays
+        # 1^2 + 4^2 + 5^2 = 42, job 0 first 3^2 + 3^2 + 5^2 = 43. The
+        # witness is the one a search over every take-vector gives
+        inst = make_instance([(0, 0, 3), (1, 1, 1), (2, 1, 2)], machines=1)
+        res = brute_force_opt(inst, k=2)
+        assert res.objective == 42
+        assert res.trace.completions == (4, 2, 6)
+        assert [(s.start, s.end, s.assignment) for s in res.trace.segments] == [
+            (0, 1, (0,)), (1, 2, (1,)), (2, 4, (0,)), (4, 6, (2,))]
+        at_1 = [((1, 1), 1), ((2, 0), 1), ((2, 1), 1)]
+        at_2 = [((2, 0), 1), ((2, 1), 1)]
+        seen = dict((tuple(classes), actions) for classes, actions in tried)
+        assert seen[tuple(at_1)] == [(1, 0, 0), (0, 1, 0)]
+        assert seen[tuple(at_2)] == [(1, 0)]
+        # no tried take-vector runs a class that another class dominates
+        for classes, actions in tried:
+            for takes in actions:
+                [i] = [pos for pos, take in enumerate(takes) if take]
+                (rem, tag), _ = classes[i]
+                assert not any((r, g) != (rem, tag) and r <= rem and g <= tag
+                               for (r, g), _ in classes)
+
+    def test_k1_single_machine_tries_the_least_work(self, tried):
+        brute_force_opt(make_instance([(0, 0, 3), (1, 1, 1), (2, 1, 2), (3, 2, 1)], machines=1), k=1)
+        assert tried
+        for classes, actions in tried:
+            assert actions == [(1,) + (0,) * (len(classes) - 1)]
+
+    @pytest.mark.parametrize("counts,runs", [((2, 1, 1), [(3, 0), (3, 2), (5, 1)]),
+                                             ((1, 2, 2), [(1, 0), (1, 1), (1, 3)])])
+    def test_older_first_within_equal_work(self, counts, runs):
+        # m >= 2, k >= 2: a younger class of a work runs only once every
+        # older class of that work runs in full
+        classes = list(zip(runs, counts))
+        for m in (2, 3):
+            tried = _search_actions(classes, m, 2)
+            full = _actions(counts, min(m, sum(counts)))
+            assert set(tried) <= set(full)
+            for takes in full:
+                ok = all(takes[i + 1] == 0 or takes[i] == counts[i]
+                         for i in range(len(classes) - 1) if runs[i][0] == runs[i + 1][0])
+                assert (takes in tried) == ok, (m, takes)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_matches_unpruned_search(self, m, k):
+        # every instance of at most 4 jobs, sizes 1-3, releases 0-2
+        for n in range(1, 5):
+            for jobs in job_multisets(n):
+                inst = make_instance([(i, r, p) for i, (r, p) in enumerate(jobs)], machines=m)
+                assert brute_force_opt(inst, k=k).objective == slot_search_opt(inst, k), jobs
+
+
+def class_configurations(total, works=4, per_work=3):
+    """Every list of ((work, 0), count) classes ascending by work, with at
+    most `per_work` classes (distinct releases) of one work and `total`
+    jobs in all, as the k = 1 replay builds them."""
+    if total == 0:
+        return [[]]
+    if works == 0:
+        return []
+    out = []
+    for here in range(total + 1):
+        for parts in compositions(here):
+            if len(parts) <= per_work:
+                mine = [((works, 0), cnt) for cnt in parts]
+                out.extend(rest + mine for rest in class_configurations(total - here, works - 1, per_work))
+    return out
+
+
+def first_least_tail_takes(classes, m, t=0):
+    """The first take-vector of _actions whose payment plus SPT's closed
+    form from t + 1 is least, as a search of the slot at t would find it."""
+    counts = tuple(cnt for _, cnt in classes)
+    best = None
+    for takes in _actions(counts, min(m, sum(counts))):
+        paid, rest = 0, []
+        for ((rem, _), cnt), take in zip(classes, takes):
+            rest += [rem] * (cnt - take)
+            if rem == 1:
+                paid += take * (t + 1)
+            else:
+                rest += [rem - 1] * take
+        cand = paid + _spt_completions(t + 1, sorted(rest), m)
+        if best is None or cand < best:
+            best, chosen = cand, takes
+    return chosen
+
+
+class TestTailRule:
+    """The k = 1 replay takes each slot at or after the last release from
+    _spt_tail_takes instead of trying every take-vector."""
+
+    def test_hand_computed(self):
+        # works 1, 2, 2, 3, 4 on m = 2: N = 5, r = 1, so the smallest runs,
+        # and one of positions 2-3 (works 2, 2): the later class of work 2
+        classes = [((1, 0), 1), ((2, 0), 1), ((2, 0), 1), ((3, 0), 1), ((4, 0), 1)]
+        assert _spt_tail_takes(classes, 2) == (1, 0, 1, 0, 0)
+        # N = 4, r = 0: the two smallest, work 1 and a work 2 of the later class
+        assert _spt_tail_takes(classes[:4], 2) == (1, 0, 1, 0)
+        # N = 5, m = 3, r = 2: positions 1-2 (works 1, 2) and position 5 (work 4)
+        assert _spt_tail_takes(classes, 3) == (1, 0, 1, 0, 1)
+        # N <= m: every job runs
+        assert _spt_tail_takes(classes[:2], 3) == (1, 1)
+
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_matches_enumeration(self, m):
+        # every configuration of at most 8 jobs, works 1-4, up to 3 classes
+        # (releases) of one work
+        checked = 0
+        for total in range(1, 9):
+            for classes in class_configurations(total):
+                assert _spt_tail_takes(classes, m) == first_least_tail_takes(classes, m), classes
+                checked += 1
+        assert checked == 7425
+
+    def test_replay_asks_the_rule_each_tail_slot(self, monkeypatch):
+        # at k = 1 every slot at or after the last release comes from the
+        # rule: here every job arrives at 0, so no slot tries take-vectors
+        calls = []
+        monkeypatch.setattr(oracle, "_spt_tail_takes",
+                            lambda classes, m: calls.append(classes) or _spt_tail_takes(classes, m))
+        inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 0, 2), (3, 0, 2)], machines=2)
+        res = brute_force_opt(inst, k=1)
+        assert res.objective == 11
+        assert len(calls) == int(max(res.trace.completions))
+
+
+class TestNoLastingCache:
+    def test_only_actions_is_cached(self):
+        # a cache keyed by shape is the only one in the module; one keyed by
+        # instance data would outlive the call that filled it
+        tree = ast.parse(inspect.getsource(oracle))
+        cached = []
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("cache", "lru_cache", "cached_property"):
+                        cached.append(node.name)
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("cache", "lru_cache"):
+                    cached.append("call at line %d" % node.lineno)
+        assert cached == ["_actions"]
 
 
 class TestRelaxationBound:
