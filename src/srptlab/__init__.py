@@ -33,7 +33,6 @@ from .core import (
     SpeedConfig,
     TraceError,
     UNIT_SPEED,
-    events_of,
     make_instance,
     validate_instance,
     validate_trace,
@@ -96,7 +95,6 @@ __all__ = [
     "check_power_flow_conditions",
     "decimal_str",
     "dump_json",
-    "events_of",
     "fifo_priority",
     "generate",
     "kth_root_str",

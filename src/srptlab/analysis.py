@@ -26,7 +26,7 @@ Integer time base (shared with the engine and validate_trace through
 core._unit and core._scaled). A fast trace and its references are indexed on
 one base (_indexes), and a context pairs two such indexes: time in units of
 1/L and volume in units of 1/V. L is twice the lcm of the denominators of
-every release, size, segment bound, completion and event in those traces, so
+every release, size, segment bound and completion in those traces, so
 every event time and every midpoint between two of them is an integer
 T = t * L. With the fast speed p/q in lowest terms, V = q * L: a job's
 remaining volume inside a service interval is line - p * T in the fast
@@ -84,9 +84,9 @@ def _ids_at(times: dict) -> dict:
 
 def _indexes(fast: ExecutionTrace, *refs: ExecutionTrace) -> list:
     """One _TraceIndex per trace, fast first, all on one time base: L is
-    twice core._unit over every release, size, segment bound, completion and
-    event of the traces, so that each of them and each midpoint between two
-    of them is a whole multiple of 1/L, and V = q * L for the fast speed p/q."""
+    twice core._unit over every release, size, segment bound and completion
+    of the traces, so that each of them and each midpoint between two of them
+    is a whole multiple of 1/L, and V = q * L for the fast speed p/q."""
     traces = (fast, *refs)
     L = 2 * _unit(x for trace in traces for x in _trace_values(trace))
     V = fast.speed.speed.denominator * L

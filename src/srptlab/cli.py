@@ -326,14 +326,14 @@ def _load_manifest(path: str) -> dict:
             raise CliError(EXIT_INPUT, "manifest: seeds count must be >= 0")
         out["seeds"] = list(range(seeds))
     elif isinstance(seeds, list) and all(is_int(s) for s in seeds):
-        out["seeds"] = seeds
+        out["seeds"] = list(dict.fromkeys(seeds))
     else:
         raise CliError(EXIT_INPUT, "manifest: seeds must be a count or a list of integers")
 
     machines = doc.get("machines", [1])
     if not _positive_ints(machines):
         raise CliError(EXIT_INPUT, "manifest: machines must be a non-empty list of integers >= 1")
-    out["machines"] = machines
+    out["machines"] = list(dict.fromkeys(machines))
 
     mode = doc.get("bound", "theorem")
     if mode not in ("theorem", "one-competitive"):
@@ -369,7 +369,7 @@ def _load_manifest(path: str) -> dict:
                     "epsilon out of theorem range (k > 1 needs eps <= 1/2, got %s)" % val,
                 )
             parsed.append(str(val))
-        out["eps"] = parsed
+        out["eps"] = list(dict.fromkeys(parsed))  # str(val) is canonical: 2/4 is 1/2
     out["k"] = ks
     return out
 

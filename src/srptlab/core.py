@@ -89,7 +89,6 @@ class ExecutionTrace:
     speed: SpeedConfig
     segments: tuple
     completions: tuple  # indexed by job id
-    events: tuple  # sorted distinct event times (arrivals and completions)
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,7 @@ def _scaled(x, unit: int) -> int:
 
 
 def _trace_values(trace: ExecutionTrace):
-    """Every release, size, segment bound, completion and event of a trace."""
+    """Every release, size, segment bound and completion of a trace."""
     for j in trace.instance.jobs:
         yield j.release
         yield j.size
@@ -168,17 +167,6 @@ def _trace_values(trace: ExecutionTrace):
         yield seg.start
         yield seg.end
     yield from trace.completions
-    yield from trace.events
-
-
-def events_of(instance: Instance, completions) -> tuple:
-    """The distinct release and completion times in increasing order, sorted
-    on integer ticks; of equal times the first one given is kept."""
-    times = [j.release for j in instance.jobs]
-    times.extend(completions)
-    L = _unit(times)
-    by_tick = {_scaled(t, L): t for t in reversed(times)}
-    return tuple(by_tick[tick] for tick in sorted(by_tick))
 
 
 def validate_trace(trace: ExecutionTrace):
@@ -187,7 +175,7 @@ def validate_trace(trace: ExecutionTrace):
     Returns (ok, violations); each violation string pinpoints the segment
     and job involved. No tolerances: every time is converted once to an
     integer count of 1/L, with L the lcm of the denominators of every
-    release, size, segment bound, completion and event, and every check is
+    release, size, segment bound and completion, and every check is
     an integer equality or ordering; with speed p/q, a job's work is exact
     when its service time * p equals its size * q. Fractions are built only
     for the violation messages. One pass over the segments accumulates every
@@ -278,10 +266,5 @@ def validate_trace(trace: ExecutionTrace):
                 "job %d: last service ends %s, completion says %s"
                 % (jid, last_end[jid], trace.completions[jid])
             )
-
-    expected = sorted({*release.values(), *completion})
-    if len(trace.events) != len(expected) or any(
-            _scaled(t, L) != e for t, e in zip(trace.events, expected)):
-        violations.append("event list out of sync with arrivals and completions")
 
     return not violations, violations

@@ -13,8 +13,7 @@ does exactly one volume tick of work: a step is the least of the running
 jobs' remaining volumes and the time to the next release, with no division,
 and a job completes when its remaining volume hits zero exactly. Each
 segment end becomes an exact Rational once, when its segment is recorded (an
-end at a release reuses the job's release), and the events are the segment
-ends.
+end at a release reuses the job's release).
 
 Coincident events are processed completions first, then arrivals, ties in
 job-id order throughout.
@@ -106,15 +105,11 @@ def simulate_policy(instance: Instance, speed: SpeedConfig, priority=srpt_priori
                 del alive[jid]
         now, now_at = end, end_at
 
-    # every segment ends at a release or a completion, and each of those
-    # after 0 ends a segment
-    events = tuple(seg.end for seg in segments)
     return ExecutionTrace(
         instance=inst,
         speed=speed,
         segments=tuple(segments),
         completions=tuple(completions),
-        events=(ZERO,) + events if jobs and not release[jobs[0].id] else events,
     )
 
 

@@ -27,7 +27,6 @@ from .core import (
     Segment,
     SpeedConfig,
     TraceError,
-    events_of,
     validate_instance,
 )
 from .rationals import RationalParseError, is_int_text, rat
@@ -97,15 +96,6 @@ def instance_to_json(instance: Instance) -> dict:
             for j in instance.jobs
         ],
     }
-
-
-def instance_from_json(data: dict) -> Instance:
-    try:
-        return _instance_from_json(data, _parser())
-    except TraceError:
-        raise
-    except _MALFORMED as exc:
-        raise TraceError("malformed instance document: %s" % exc) from None
 
 
 _SLOT_TYPES = frozenset((int, type(None)))
@@ -197,7 +187,6 @@ def trace_from_json(data: dict) -> ExecutionTrace:
         speed=speed,
         segments=tuple(segments),
         completions=completions,
-        events=events_of(instance, completions),
     )
 
 

@@ -119,7 +119,6 @@ from .core import (
     Instance,
     Segment,
     UNIT_SPEED,
-    events_of,
     flow_power,
     validate_instance,
 )
@@ -290,9 +289,7 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     m = inst.machines
 
     if not jobs:
-        trace = ExecutionTrace(
-            instance=inst, speed=UNIT_SPEED, segments=(), completions=(), events=()
-        )
+        trace = ExecutionTrace(instance=inst, speed=UNIT_SPEED, segments=(), completions=())
         return OracleResult(objective=ZERO, trace=trace)
 
     def tag(r):
@@ -413,13 +410,11 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         cursor = start + 1
     segments = [Segment(start=Rational(a), end=Rational(b), assignment=ids) for a, b, ids in runs]
 
-    completions = tuple(completions)
     trace = ExecutionTrace(
         instance=inst,
         speed=UNIT_SPEED,
         segments=tuple(segments),
-        completions=completions,
-        events=events_of(inst, completions),
+        completions=tuple(completions),
     )
     objective = Rational(opt)
     recomputed = flow_power(trace, k)

@@ -155,6 +155,11 @@ def single_machine_relaxation_lb(instance):
     return flow_power(simulate_srpt(pooled, SpeedConfig.from_speed(instance.machines)), 1)
 
 
+def event_times(trace):
+    """The trace's distinct release and completion times, in increasing order."""
+    return sorted({j.release for j in trace.instance.jobs} | set(trace.completions))
+
+
 def rebuild_remaining(trace, jid, t):
     """Remaining work of one job at time t, recomputed from raw segments."""
     job = trace.instance.job(jid)
@@ -300,7 +305,6 @@ def corrupted(trace):
                     speed=trace.speed,
                     segments=tuple(segments),
                     completions=trace.completions,
-                    events=trace.events,
                 )
     return trace
 
@@ -312,10 +316,9 @@ CORRUPTION_KINDS = (
     "unknown",  # a slot handed to an id outside the instance
     "duplicate",  # a running job copied into a second slot of its segment
     "shift-end",  # one segment's end moved
-    "move-completion",  # one completion time moved, events left as they were
+    "move-completion",  # one completion time moved
     "drop-segment",  # one segment removed
     "extra-slot",  # one segment given m + 1 slots
-    "events",  # one event time dropped or a foreign one added
     "mixed",  # three of the kinds above, one after another
 )
 
@@ -327,7 +330,6 @@ def corrupt_trace(trace, kind, rng):
     XorShift64Star that picks the segment, slot, job and amount."""
     segs = list(trace.segments)
     comps = list(trace.completions)
-    events = list(trace.events)
     n, m = trace.instance.n, trace.instance.machines
 
     def set_slot(idx, pos, jid):
@@ -337,7 +339,7 @@ def corrupt_trace(trace, kind, rng):
 
     if kind == "mixed":
         for _ in range(3):
-            trace = corrupt_trace(trace, CORRUPTION_KINDS[rng.below(9)], rng)
+            trace = corrupt_trace(trace, CORRUPTION_KINDS[rng.below(8)], rng)
         return trace
     busy = [(i, p) for i, s in enumerate(segs) for p, j in enumerate(s.assignment) if j is not None]
     if not busy:  # an earlier corruption of a "mixed" case left no busy slot
@@ -367,11 +369,6 @@ def corrupt_trace(trace, kind, rng):
         extra = rng.below(n + 1)
         seg = segs[idx]
         segs[idx] = Segment(seg.start, seg.end, seg.assignment + (None if extra == n else extra,))
-    elif kind == "events":
-        if rng.below(2):
-            del events[rng.below(len(events))]
-        else:
-            events.append(events[-1] + 1)
     else:
         raise ValueError(kind)
     return ExecutionTrace(
@@ -379,5 +376,4 @@ def corrupt_trace(trace, kind, rng):
         speed=trace.speed,
         segments=tuple(segs),
         completions=tuple(comps),
-        events=tuple(events),
     )

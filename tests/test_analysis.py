@@ -44,13 +44,14 @@ from srptlab import (
 )
 from srptlab.analysis import _check_grid, _rec_le
 from srptlab import analysis
-from srptlab.core import events_of, flow_power
+from srptlab.core import flow_power
 from srptlab.rationals import rat
 from srptlab.workload import XorShift64Star
 
 from helpers import (
     alive_by_definition,
     clamped_ages_by_definition,
+    event_times,
     potential_by_definition,
     potentials_by_definition,
     random_integer_instance,
@@ -664,7 +665,7 @@ def trace_pairs(draw):
 def probe_times(trace):
     """Every event and segment boundary of a trace, the midpoints between
     consecutive ones, and a time before the first and after the last."""
-    times = set(trace.events)
+    times = set(event_times(trace))
     for seg in trace.segments:
         times.update((seg.start, seg.end))
     times = sorted(times)
@@ -737,6 +738,13 @@ class TestStateDefinition:
         released = sum(j.release <= t for t in grid for j in inst.jobs)
         assert report.n_events == 2 * released
         assert len(tuple(report.records)) == 2 * released
+
+    @given(ctx=trace_pairs())
+    def test_boundaries_match_definition(self, ctx):
+        # 0 and every release and completion of both traces, in units of
+        # 1/ctx.L: the only event times the checks derive
+        times = {0, *event_times(ctx.srpt_trace), *event_times(ctx.ref_trace)}
+        assert analysis._boundaries(ctx) == sorted(t * ctx.L for t in times)
 
     @given(ctx=trace_pairs())
     def test_advanced_alive_sets_match_definition(self, ctx):
@@ -838,7 +846,7 @@ def oracle_switch_contexts():
                     inst = generate(GenSpec(family, n, m, (1, 4), (0, 6), seed))
                     for k in (1, 2):
                         witness = brute_force_opt(inst, k=k).trace
-                        switches = {seg.start for seg in witness.segments[1:]} - set(witness.events)
+                        switches = {seg.start for seg in witness.segments[1:]} - set(event_times(witness))
                         if not switches:
                             continue
                         for speed in ("3/2", "11/10"):
@@ -1094,7 +1102,6 @@ class TestCompletionCharge:
         inst = make_instance([(0, 0, 2), (1, 1, 1)], machines=1)
         fast = simulate_srpt(inst, SpeedConfig.from_epsilon("1/2"))
         assert fast.completions == (rat("4/3"), 2)
-        completions = (rat(3), rat(2))
         ref = ExecutionTrace(
             instance=inst,
             speed=UNIT_SPEED,
@@ -1103,8 +1110,7 @@ class TestCompletionCharge:
                 Segment(rat(1), rat(2), (1,)),
                 Segment(rat(2), rat(3), (0,)),
             ),
-            completions=completions,
-            events=events_of(inst, completions),
+            completions=(rat(3), rat(2)),
         )
         ctx = make_context(fast, ref)
         report = check_completion_charge(ctx, k=1)
@@ -1214,7 +1220,6 @@ class TestContextValidation:
             speed=e1_fast_trace.speed,
             segments=e1_fast_trace.segments[:-1],
             completions=e1_fast_trace.completions,
-            events=e1_fast_trace.events,
         )
         with pytest.raises(AnalysisError, match="fast trace infeasible"):
             make_context(broken, e1_unit_trace)

@@ -509,6 +509,21 @@ GOLDEN_SWEEP = {
 }
 
 
+@pytest.fixture()
+def oracle_calls(monkeypatch):
+    """The k of each brute_force_opt call a serial sweep makes."""
+    monkeypatch.setenv("SRPTLAB_THREADS", "1")
+    calls = []
+    brute_force_opt = cli.brute_force_opt
+
+    def counting(instance, k=1, **kwargs):
+        calls.append(k)
+        return brute_force_opt(instance, k=k, **kwargs)
+
+    monkeypatch.setattr(cli, "brute_force_opt", counting)
+    return calls
+
+
 class TestSweepGolden:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_csv_and_stderr(self, threads, tmp_path, monkeypatch, capsys):
@@ -519,26 +534,34 @@ class TestSweepGolden:
         assert out.read_bytes() == (DATA / "sweep_grid.csv").read_bytes()
         assert capsys.readouterr().err == (DATA / "sweep_grid.stderr").read_text()
 
-    def test_one_oracle_search_per_instance_and_k(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("SRPTLAB_THREADS", "1")
-        calls = []
-        brute_force_opt = cli.brute_force_opt
-
-        def counting(instance, k=1, **kwargs):
-            calls.append(k)
-            return brute_force_opt(instance, k=k, **kwargs)
-
-        monkeypatch.setattr(cli, "brute_force_opt", counting)
+    def test_one_oracle_search_per_instance_and_k(self, tmp_path, oracle_calls, capsys):
         doc = dict(GOLDEN_SWEEP, families=GOLDEN_SWEEP["families"][:1], machines=[1])
         man = manifest_file(tmp_path, doc)
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--manifest", man, "--out", str(out)]) == 0
         # 2 seeds x 1 machine count x 2 powers, whatever the 3-eps grid
-        assert sorted(calls) == [1, 1, 2, 2]
+        assert sorted(oracle_calls) == [1, 1, 2, 2]
         golden = (DATA / "sweep_grid.csv").read_text().splitlines()
         expected = [golden[0]] + [r for r in golden[1:] if r.split(",")[:3:2] == ["bursty", "1"]]
         assert len(expected) == 1 + 2 * 3 * 2
         assert out.read_text().splitlines() == expected
+
+    def test_repeated_axis_values_run_once(self, tmp_path, oracle_calls, capsys):
+        # every axis is a set, eps compared by value: the repeats add no
+        # cell, no oracle search and no row
+        once = {"families": GOLDEN_SWEEP["families"][:1], "seeds": [1], "machines": [1],
+                "eps": ["1/2"], "k": [1]}
+        twice = dict(once, seeds=[1, 1], machines=[1, 1], eps=["1/2", "2/4"], k=[1, 1])
+        out = tmp_path / "twice.csv"
+        assert main(["sweep", "--manifest", manifest_file(tmp_path, twice), "--out", str(out)]) == 0
+        assert oracle_calls == [1]
+        assert len(out.read_text().splitlines()) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep: 1 rows, 0 cells skipped")
+        expected = tmp_path / "once.csv"
+        assert main(["sweep", "--manifest", manifest_file(tmp_path, once), "--out", str(expected)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert capsys.readouterr().err == err
 
     def test_no_simulation_when_every_k_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SRPTLAB_THREADS", "1")

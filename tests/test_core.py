@@ -18,8 +18,8 @@ from srptlab import (
     SpeedConfig,
     TraceError,
     UNIT_SPEED,
+    brute_force_opt,
     dump_json,
-    events_of,
     fifo_priority,
     longest_remaining_priority,
     make_instance,
@@ -35,7 +35,6 @@ from srptlab import (
     validate_trace,
 )
 from srptlab.core import flow_power
-from srptlab.formats import instance_from_json, instance_to_json
 from srptlab.rationals import (
     Rational,
     RationalParseError,
@@ -157,23 +156,16 @@ class TestInstanceValidation:
         inst = make_instance([], machines=2)
         assert inst.n == 0
 
-    def test_events_of(self):
-        inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 1, 1)], machines=2)
-        assert events_of(inst, (rat(3), rat(1), rat(2))) == (0, 1, 2, 3)
-
     @given(
         st.lists(st.tuples(st.sampled_from(FEW_TIMES), positive_rationals), max_size=8),
-        st.lists(st.sampled_from(FEW_TIMES), max_size=8),
         st.randoms(use_true_random=False),
     )
-    def test_integer_sorts_match_fraction_sorts(self, pairs, completions, rng):
+    def test_integer_sorts_match_fraction_sorts(self, pairs, rng):
         # few distinct times, so equal releases with different ids are common
         jobs = [Job(id=i, release=r, size=p) for i, (r, p) in enumerate(pairs)]
         rng.shuffle(jobs)
         inst = validate_instance(Instance(jobs=tuple(jobs), machines=1))
         assert inst.jobs == tuple(sorted(jobs, key=lambda j: (j.release, j.id)))
-        expected = tuple(sorted({j.release for j in jobs} | set(completions)))
-        assert events_of(inst, completions) == expected
 
 
 class TestSpeedConfig:
@@ -203,7 +195,6 @@ class TestValidateTrace:
             speed=trace.speed,
             segments=tuple(segments),
             completions=trace.completions,
-            events=trace.events,
         )
 
     def test_parallel_self_processing(self, e1_fast_trace):
@@ -288,11 +279,6 @@ class TestValidateTrace:
             "job 0 completes before release",
         ])
 
-    def test_events_out_of_sync(self, e1_fast_trace):
-        bad = replace(e1_fast_trace, events=e1_fast_trace.events[:-1])
-        assert validate_trace(bad) == (
-            False, ["event list out of sync with arrivals and completions"])
-
     def test_unknown_job(self, e1_fast_trace):
         segs = list(e1_fast_trace.segments)
         segs[1] = Segment(segs[1].start, segs[1].end, (0, 7))
@@ -367,16 +353,13 @@ class TestFlowPower:
 
 
 def hand_trace(triples, machines, segments, completions):
-    """A trace written out by hand: (start, end, assignment) segments, the
-    completion of each job id, and the events those completions imply."""
-    inst = make_instance(triples, machines=machines)
-    completions = tuple(rat(c) for c in completions)
+    """A trace written out by hand: (start, end, assignment) segments and
+    the completion of each job id."""
     return ExecutionTrace(
-        instance=inst,
+        instance=make_instance(triples, machines=machines),
         speed=UNIT_SPEED,
         segments=tuple(Segment(rat(a), rat(b), slots) for a, b, slots in segments),
-        completions=completions,
-        events=events_of(inst, completions),
+        completions=tuple(rat(c) for c in completions),
     )
 
 
@@ -432,9 +415,7 @@ _FOREIGN_SHIFTS = (Rational(-1, 7), Rational(1, 7), Rational(-2, 11), Rational(3
 FOREIGN_KINDS = (
     "end",  # one segment's end moved
     "bound",  # one segment's end and the next one's start moved together
-    "completion",  # one completion moved, events left as they were
-    "completion-events",  # one completion moved and the events rebuilt
-    "event",  # one event time moved
+    "completion",  # one completion moved
 )
 
 
@@ -454,7 +435,6 @@ def foreign_denominator_cases():
                 shift = _FOREIGN_SHIFTS[rng.below(4)]
                 segs = list(trace.segments)
                 comps = list(trace.completions)
-                events = list(trace.events)
                 idx = rng.below(len(segs))
                 if kind in ("end", "bound"):
                     if kind == "bound":
@@ -464,14 +444,9 @@ def foreign_denominator_cases():
                     if kind == "bound" and idx + 1 < len(segs):
                         seg = segs[idx + 1]
                         segs[idx + 1] = Segment(seg.start + shift, seg.end, seg.assignment)
-                elif kind.startswith("completion"):
-                    comps[rng.below(inst.n)] += shift
-                    if kind == "completion-events":
-                        events = events_of(inst, comps)
                 else:
-                    events[rng.below(len(events))] += shift
-                bad = replace(trace, segments=tuple(segs), completions=tuple(comps),
-                              events=tuple(events))
+                    comps[rng.below(inst.n)] += shift
+                bad = replace(trace, segments=tuple(segs), completions=tuple(comps))
                 cases["seed=%d policy=%s kind=%s" % (seed, policy, kind)] = list(validate_trace(bad))
     return cases
 
@@ -521,14 +496,8 @@ class TestForeignDenominators:
 
     def test_completion_moved(self, e1_fast_trace):
         comps = (e1_fast_trace.completions[0], e1_fast_trace.completions[1], Rational(38, 21))
-        bad = replace(e1_fast_trace, completions=comps, events=events_of(e1_fast_trace.instance, comps))
+        bad = replace(e1_fast_trace, completions=comps)
         assert validate_trace(bad) == (False, ["job 2: last service ends 5/3, completion says 38/21"])
-
-    def test_event_moved(self, e1_fast_trace):
-        events = list(e1_fast_trace.events)
-        events[1] += Rational(1, 7)
-        assert validate_trace(replace(e1_fast_trace, events=tuple(events))) == (
-            False, ["event list out of sync with arrivals and completions"])
 
 
 def decimal_cases():
@@ -663,9 +632,9 @@ class TestTextFormat:
 
 
 class TestJsonFormat:
-    def test_instance_roundtrip(self, e1_instance):
-        doc = instance_to_json(e1_instance)
-        assert instance_from_json(doc) == e1_instance
+    def test_instance_roundtrip(self, e1_instance, e1_fast_trace):
+        doc = trace_to_json(e1_fast_trace)
+        assert trace_from_json(doc).instance == e1_instance
 
     @pytest.mark.parametrize("field, value, message", [
         ("machines", 2.7, "machines must be an integer, got 2.7"),
@@ -673,12 +642,12 @@ class TestJsonFormat:
         ("id", 0.9, "job id must be an integer, got 0.9"),
         ("id", True, "job id must be an integer, got True"),
     ])
-    def test_instance_rejects_inexact_integers(self, e1_instance, field, value, message):
-        doc = instance_to_json(e1_instance)
-        (doc if field == "machines" else doc["jobs"][0])[field] = value
+    def test_instance_rejects_inexact_integers(self, e1_fast_trace, field, value, message):
+        doc = trace_to_json(e1_fast_trace)
+        (doc["instance"] if field == "machines" else doc["instance"]["jobs"][0])[field] = value
         with pytest.raises(TraceError) as exc:
-            instance_from_json(doc)
-        assert str(exc.value) == message
+            trace_from_json(doc)
+        assert str(exc.value) == "malformed trace document: " + message
 
     @pytest.mark.parametrize("bad, message", [
         (lambda d: {"machines": 2}, "'jobs'"),
@@ -689,10 +658,18 @@ class TestJsonFormat:
         (lambda d: dict(d, jobs=[None]), "'NoneType' object is not subscriptable"),
         (lambda d: [d], "list indices must be integers or slices, not str"),
     ])
-    def test_malformed_instance_document(self, e1_instance, bad, message):
+    def test_malformed_instance_document(self, e1_fast_trace, bad, message):
+        doc = trace_to_json(e1_fast_trace)
+        doc["instance"] = bad(doc["instance"])
         with pytest.raises(TraceError) as exc:
-            instance_from_json(bad(instance_to_json(e1_instance)))
-        assert str(exc.value) == "malformed instance document: " + message
+            trace_from_json(doc)
+        assert str(exc.value) == "malformed trace document: " + message
+
+    def test_trace_holds_exactly_its_document(self, e1_instance, e1_fast_trace):
+        # no field may be derived from the others: each one is a key of the
+        # document, so a trace read back is the trace written
+        for trace in (e1_fast_trace, brute_force_opt(e1_instance, k=2).trace):
+            assert [f.name for f in fields(trace)] == list(trace_to_json(trace))
 
     def test_malformed_trace_document_type(self, e1_fast_trace):
         with pytest.raises(TraceError) as exc:

@@ -20,7 +20,7 @@ from srptlab import (
     srpt_priority,
     validate_trace,
 )
-from srptlab.core import Job, events_of
+from srptlab.core import Job
 from srptlab.formats import dump_json, trace_to_json
 from srptlab.rationals import rat
 from srptlab.workload import FAMILIES, GenSpec, XorShift64Star, generate
@@ -69,7 +69,6 @@ class TestCompletions:
         inst = make_instance([(0, 0, 2), (1, 0, 2)], machines=2)
         tr = simulate_srpt(inst, SpeedConfig.from_speed(1))
         assert tr.completions == (2, 2)
-        assert tr.events == (0, 2)
         ok, violations = validate_trace(tr)
         assert ok, violations
 
@@ -306,7 +305,6 @@ class TestEngineDigests:
         for name in mine:
             trace = traces[name]
             assert trace_digest(trace) == golden[name], name
-            assert trace.events == events_of(trace.instance, trace.completions), name
 
 
 if __name__ == "__main__":
