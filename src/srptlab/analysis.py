@@ -33,11 +33,11 @@ remaining volume inside a service interval is line - p * T in the fast
 schedule and line - q * T in the reference, with line an integer, so every
 remaining volume at a grid time is an integer too. The checks ask only at
 grid times, and run on these integers: each one decides, counts and ranks
-its records in one integer pass, and builds Fractions only for its failing
-records, its worst slack and the few records a report always holds. A
-report's full records are built when first read, by running the pass again
-on its two traces, indexed anew (see _reports). Record values are exact
-Fractions, whatever L is.
+its records in one integer pass. Each record is built from the integers that
+decided it (see _Part), and only when the pass keeps it: a failing record,
+or any record of a full pass. A report's full records are built when first
+read, by running the pass again on its two traces, indexed anew (see
+_reports). Record values are exact Fractions, whatever L is.
 
 Both potentials are sums of terms of one per-job clamped age, so one walk of
 a context checks the flow potential and the power potential at every k
@@ -60,6 +60,7 @@ from . import engine, oracle
 from .core import (UNIT_SPEED, ExecutionTrace, FlowSummary, _scaled, _trace_values, _unit,
                    flow_power, validate_trace)
 from .rationals import Rational, ZERO, kth_root_str
+from .workload import is_int
 
 # the power checks and the k >= 2 guarantees need 0 < eps <= MAX_POWER_EPS
 MAX_POWER_EPS = Rational(1, 2)
@@ -227,14 +228,21 @@ def _require_feasible(name: str, trace: ExecutionTrace):
         raise AnalysisError("%s trace infeasible: %s" % (name, "; ".join(violations[:3])))
 
 
+def _power_k(k, message="k must be an integer >= 1") -> int:
+    """k, if it is an int >= 1 and not a bool (as workload.is_int has it:
+    True must not pass as 1); raises AnalysisError(message) otherwise."""
+    if not is_int(k) or k < 1:
+        raise AnalysisError(message)
+    return k
+
+
 def make_context(srpt_trace: ExecutionTrace, ref_trace: ExecutionTrace, k: int = 1) -> PairContext:
     """Validate both traces and pair them on their own time base."""
     if srpt_trace.instance != ref_trace.instance:
         raise AnalysisError("traces cover different instances")
     if ref_trace.speed.speed != 1:
         raise AnalysisError("reference trace must run at unit speed")
-    if not isinstance(k, int) or k < 1:
-        raise AnalysisError("k must be an integer >= 1")
+    _power_k(k)
     _require_feasible("fast", srpt_trace)
     _require_feasible("reference", ref_trace)
     return PairContext(*_indexes(srpt_trace, ref_trace), k)
@@ -250,9 +258,7 @@ def objectives(trace: ExecutionTrace, ks=(1, 2, 3)) -> FlowSummary:
     powers = {}
     norms = {}
     for k in ks:
-        if not isinstance(k, int) or k < 1:
-            raise AnalysisError("k must be an integer >= 1")
-        powers[k] = flow_power(trace, k)
+        powers[k] = flow_power(trace, _power_k(k))
         norms[k] = kth_root_str(powers[k], k)
     return FlowSummary(
         flows=flows, total_flow=flow_power(trace, 1), kth_power_flow=powers, lk_norm=norms
@@ -272,56 +278,81 @@ class CheckRecord(NamedTuple):
     in_aggregate: bool = True
 
 
-def _rec_le(time, label, delta, bound, in_aggregate=True) -> CheckRecord:
-    slack = bound - delta
-    return CheckRecord(time, label, delta, bound, slack, slack >= 0, in_aggregate)
-
-
-def _rec_eq(time, label, delta) -> CheckRecord:
-    slack = -abs(delta) if delta else ZERO
-    return CheckRecord(time, label, delta, ZERO, slack, delta == 0, True)
-
-
-def _rec_info(time, label, delta) -> CheckRecord:
-    return CheckRecord(time, label, delta, None, None, True, True)
-
-
-def _in_units(unit: int):
-    """x -> Rational(x, unit), building each distinct value once."""
+def _in_units(unit: Rational):
+    """x -> x * unit, building each distinct value once."""
     cache = {}
 
     def real(x):
         out = cache.get(x)
         if out is None:
-            out = cache[x] = Rational(x, unit)
+            out = cache[x] = x * unit
         return out
 
     return real
 
 
 class _Part:
-    """One report's share of a check's integer pass. A pass runs in one of
-    two modes: in full it keeps every record, otherwise only the failing
-    ones. Either way it counts the records and takes their worst slack, as an
-    int in the report's unit for the records it decides on integers (keep),
-    and as a Fraction for the few it builds whatever the mode (add)."""
+    """One report's share of a check's integer pass, and the only builder of
+    its records. The pass hands the part each record as the integers that
+    decide it, in the part's unit: le(T, delta, bound, ...) for a record
+    that passes when delta <= bound, eq(T, delta, ...) for one that passes
+    when delta is 0, info(T, delta, ...) for one with no bound. The part
+    counts the record and takes its worst int slack, and builds it only when
+    it keeps it: in full it keeps every record, otherwise only the failing
+    ones. A kept record's values are real(x) = x * unit, its time at(T) and
+    its label `label % args` (or, in le, label(*args) for a function, so
+    that a label of times converts them only for a kept record). exact()
+    takes the few records whose bound carries a reference objective, as
+    Fractions."""
 
-    __slots__ = ("full", "n", "worst", "exact", "records")
+    __slots__ = ("full", "unit", "real", "at", "in_aggregate", "n", "worst", "exact_worst", "records")
 
-    def __init__(self, full: bool):
+    def __init__(self, full: bool, unit: Rational, at, in_aggregate: bool = True):
         self.full = full
+        self.unit, self.real, self.at = unit, _in_units(unit), at
+        self.in_aggregate = in_aggregate
         self.n = 0
-        self.worst = None  # int; None while no kept record has a slack
-        self.exact = None
+        self.worst = None  # int; None while no int record has a slack
+        self.exact_worst = None
         self.records = []
 
-    def keep(self, slack, passed: bool) -> bool:
-        """Count a record with this int slack (None for an informational
-        record); whether the caller must build it and append it."""
+    def le(self, T: int, delta: int, bound: int, label, *args):
         self.n += 1
-        if slack is not None and (self.worst is None or slack < self.worst):
+        slack = bound - delta
+        if self.worst is None or slack < self.worst:
             self.worst = slack
-        return self.full or not passed
+        if self.full or slack < 0:
+            real = self.real
+            self.records.append(CheckRecord(
+                self.at(T), label % args if isinstance(label, str) else label(*args),
+                real(delta), real(bound), real(slack), slack >= 0, self.in_aggregate,
+            ))
+
+    def eq(self, T: int, delta: int, label, *args):
+        self.n += 1
+        slack = -abs(delta)
+        if self.worst is None or slack < self.worst:
+            self.worst = slack
+        if self.full or delta:
+            real = self.real
+            self.records.append(CheckRecord(
+                self.at(T), label % args, real(delta), ZERO, real(slack), not delta, self.in_aggregate,
+            ))
+
+    def info(self, T: int, delta: int, label, *args):
+        self.n += 1
+        if self.full:
+            self.records.append(CheckRecord(self.at(T), label % args, self.real(delta), None, None, True,
+                                            self.in_aggregate))
+
+    def exact(self, label: str, delta: Rational, bound: Rational):
+        """A record with no time, passing when delta <= bound."""
+        self.n += 1
+        slack = bound - delta
+        if self.exact_worst is None or slack < self.exact_worst:
+            self.exact_worst = slack
+        if self.full or slack < 0:
+            self.records.append(CheckRecord(None, label, delta, bound, slack, slack >= 0, self.in_aggregate))
 
     def tally(self, n: int, slack: int):
         """Count n records, decided by the caller, whose least int slack is
@@ -331,18 +362,10 @@ class _Part:
             if self.worst is None or slack < self.worst:
                 self.worst = slack
 
-    def add(self, rec: CheckRecord):
-        """Count a record that is built in either mode."""
-        self.n += 1
-        if rec.slack is not None and (self.exact is None or rec.slack < self.exact):
-            self.exact = rec.slack
-        if self.full or not rec.passed:
-            self.records.append(rec)
-
-    def result(self, unit):
+    def result(self):
         """(record count, worst slack, records): the int worst is converted
-        once, times `unit`, the Rational value of one unit."""
-        slacks = [s for s in (self.exact, None if self.worst is None else self.worst * unit)
+        once."""
+        slacks = [s for s in (self.exact_worst, None if self.worst is None else self.worst * self.unit)
                   if s is not None]
         return self.n, min(slacks, default=None), self.records
 
@@ -510,16 +533,10 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
     the jobs alive in the fast schedule, since no other record can fail."""
     size = ctx.idx_alg.size
     rank = ctx.finish_rank
-    real = _in_units(ctx.V)
-    at = _in_units(ctx.L)
-    bound = {j.id: ctx.machines * j.size for j in ctx.instance.jobs}
-    bound_v = {i: ctx.machines * p for i, p in size.items()}
-    gap_label = {i: "backlog gap job %d" % i for i in size}
-    identity_label = {i: "small-volume identity job %d" % i for i in size}
+    bound = {i: ctx.machines * p for i, p in size.items()}
     released = []  # ids released by T, ascending
     alive_alg = alive_ref = frozenset()
-    part = _Part(full)
-    keep, records = part.keep, part.records
+    part = _Part(full, Rational(1, ctx.V), _in_units(Rational(1, ctx.L)))
     for T in _check_grid(ctx):
         if T in ctx.idx_alg.released_at:
             released.extend(ctx.idx_alg.released_at[T])
@@ -532,17 +549,11 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
             ids = sorted(alive_alg)
         st = ctx.state(T, alive_alg, alive_ref, ids=ids)
         for i in ids:
-            gap = st.ahead_alg[i] - st.ahead_ref_small[i]
-            slack = bound_v[i] - gap
-            if keep(slack, slack >= 0):
-                records.append(CheckRecord(at(T), gap_label[i], real(gap), bound[i], real(slack), slack >= 0))
+            part.le(T, st.ahead_alg[i] - st.ahead_ref_small[i], bound[i], "backlog gap job %d", i)
             r, p = rank[i], size[i]
             small = sum(v for j, v in st.rem_alg.items() if rank[j] <= r and v <= p)
-            delta = small - st.ahead_alg[i]
-            slack = -abs(delta)
-            if keep(slack, slack == 0):
-                records.append(CheckRecord(at(T), identity_label[i], real(delta), ZERO, real(slack), slack == 0))
-    return [part.result(Rational(1, ctx.V))]
+            part.eq(T, small - st.ahead_alg[i], "small-volume identity job %d", i)
+    return [part.result()]
 
 
 def _boundaries(ctx: PairContext):
@@ -568,16 +579,10 @@ def total_flow_factor(eps: Rational) -> Rational:
     return 4 / eps
 
 
-def _power_arrival_coefficient(eps: Rational, k: int) -> Rational:
-    """(2/(eps(1-eps)))^k: the power walk's arrival jump is at most this
-    times size^k, and it is the first summand of the power factor."""
-    return (2 / (eps * (1 - eps))) ** k
-
-
 def power_flow_factor(eps: Rational, k: int) -> Rational:
     """Competitive factor for the k-th power of flow at speed 1+eps
     (0 < eps <= 1/2): (2/(eps(1-eps)))^k + ((1+eps)/eps^2)^k."""
-    return _power_arrival_coefficient(eps, k) + ((1 + eps) / eps ** 2) ** k
+    return (2 / (eps * (1 - eps))) ** k + ((1 + eps) / eps ** 2) ** k
 
 
 def theorem_factor(eps: Rational, k: int) -> Rational:
@@ -592,8 +597,7 @@ def _require_eps_positive(ctx):
 
 
 def _require_eps_power(ctx, k):
-    if not isinstance(k, int) or k < 1:
-        raise AnalysisError("k must be an integer >= 1")
+    _power_k(k)
     if ctx.epsilon <= 0 or ctx.epsilon > MAX_POWER_EPS:
         raise AnalysisError("epsilon out of theorem range (need 0 < eps <= 1/2)")
 
@@ -662,32 +666,32 @@ def _walks(ctx: PairContext, modes: tuple) -> list:
 class _WalkMode:
     """One (power, k) mode of a potential walk: its term (see _walk_term),
     its four parts and its integer sums, fed each event's clamped ages by
-    _walk_pass at integer times T. Arrival and running slacks are in units
-    of coef, power completion slacks in units of 1/(L * s * (p - q))^k with
-    s = (2q - p) * m * (p - q)."""
+    _walk_pass at integer times T. Arrival, running and flow completion
+    records are in units of coef. Power completion records are in units of
+    1/(L * s * (p - q))^k with s = (2q - p) * m * (p - q): there coef is
+    per_term, 1/L^k is per_age, and the owed case's bound (owed/(m V))^k /
+    eps^(2k) is owed^k * per_owed."""
 
-    def __init__(self, ctx: PairContext, power: bool, k: int, full: bool):
-        m, eps, p, q = ctx.machines, ctx.epsilon, ctx.p, ctx.q
+    def __init__(self, ctx: PairContext, power: bool, k: int, full: bool, at):
+        m, p, q = ctx.machines, ctx.p, ctx.q
         self.ctx, self.power, self.k = ctx, power, k
-        self.at = _in_units(ctx.L)  # a record's time, built only for a record
         self.coef, self.term, self.rise = _walk_term(ctx, power, k)
-        # an arrival's bound is coef * cap, with cap = (2 * m * size)^k in
-        # units of 1/V, or coefficient * size^k
+        # an arrival's bound is cap = (2 * m * size)^k, size in units of 1/V:
+        # coef * cap is 2/eps * size, or (2/(eps(1-eps)))^k * size^k
         self.cap = {i: (2 * m * v) ** k for i, v in ctx.idx_alg.size.items()}
-        self.coefficient = _power_arrival_coefficient(eps, k) if power else 2 / eps
-        self.completion_unit = None  # flow completion records carry no slack
+        # a completion's jump is age^k * per_age - term * per_term
+        self.per_age, self.per_term, unit = m * (p - q), 1, self.coef
         if power:
-            # a completion's jump and owed-case bound in units of
-            # 1/(L * s * (p - q))^k: age^k * per_age - g * per_term and
-            # owed^k * per_owed
             s = (2 * q - p) * m * (p - q)
             self.per_age, self.per_term = (s * (p - q)) ** k, (q * (p - q)) ** k
             self.per_owed = (q * (2 * q - p)) ** k
-            self.completion_unit = Rational(1, (ctx.L * s * (p - q)) ** k)
+            unit = Rational(1, (ctx.L * s * (p - q)) ** k)
             # clamped ages move at m * (p - q) per time unit; the drained
             # case owed <= m * eps^2 * age reads owed * q <= drained * age
             self.drained = m * (p - q) ** 2
-        self.arrival, self.completion, self.running, self.objective = (_Part(full) for _ in range(4))
+        self.arrival, self.running, self.objective = (_Part(full, self.coef, at) for _ in range(3))
+        self.completion = _Part(full, unit, at)
+        self.drift_label = lambda T, B: "drift on [%s, %s]" % (at(T), at(B))
         # each jump and drift is coef times a sum of terms, except that a
         # completion jump is age^k minus coef times a term
         self.ages_total = 0  # sum of age^k at the fast completions, in time units
@@ -698,26 +702,17 @@ class _WalkMode:
     def complete(self, T: int, c: int, age: int, owed: int, g: int):
         """The fast schedule finishes job c at T, at this age, while the
         reference owes `owed` and c's clamped age is g."""
-        ctx, k, part = self.ctx, self.k, self.completion
-        g = self.term(g)
-        self.ages_total += age ** k
+        k = self.k
+        g, age_k = self.term(g), age ** k
+        self.ages_total += age_k
         self.completion_terms += g
-        slack = None
-        if self.power:
-            drained = owed * ctx.q <= self.drained * age
-            slack = g * self.per_term - age ** k * self.per_age + (0 if drained else owed ** k * self.per_owed)
-        if not part.keep(slack, slack is None or slack >= 0):
-            return
-        jump = Rational(age ** k, ctx.L ** k) - self.coef * g
-        t = self.at(T)
+        jump = age_k * self.per_age - g * self.per_term
         if not self.power:
-            rec = _rec_info(t, "completion job %d" % c, jump)
-        elif drained:
-            rec = _rec_le(t, "completion job %d (drained case)" % c, jump, ZERO)
+            self.completion.info(T, jump, "completion job %d", c)
+        elif owed * self.ctx.q <= self.drained * age:
+            self.completion.le(T, jump, 0, "completion job %d (drained case)", c)
         else:
-            owed_bound = Rational(owed, ctx.machines * ctx.V) ** k / ctx.epsilon ** (2 * k)
-            rec = _rec_le(t, "completion job %d (owed case)" % c, jump, owed_bound)
-        part.records.append(rec)
+            self.completion.le(T, jump, owed ** k * self.per_owed, "completion job %d (owed case)", c)
 
     def arrive(self, T: int, a: int, g: int, shifted: list):
         """Job a arrives at T with clamped age g; `shifted` holds (job, age
@@ -729,15 +724,11 @@ class _WalkMode:
         for i, before, after in shifted:
             shift = term(after) - term(before)
             if shift != 0:
-                if part.keep(-abs(shift), False):
-                    label = "arrival job %d shifts term of job %d" % (a, i)
-                    part.records.append(_rec_eq(self.at(T), label, self.coef * shift))
+                part.eq(T, shift, "arrival job %d shifts term of job %d", a, i)
                 self.jump_terms += shift
         g = term(g)
         self.jump_terms += g
-        if part.keep(self.cap[a] - g, self.cap[a] >= g):
-            bound = self.coefficient * Rational(self.ctx.idx_alg.size[a], self.ctx.V) ** self.k
-            part.records.append(_rec_le(self.at(T), "arrival job %d" % a, self.coef * g, bound))
+        part.le(T, g, self.cap[a], "arrival job %d", a)
 
     def drift(self, T: int, B: int, ga: list, gb: list):
         """The interval from T to B, over which the alive jobs' clamped ages
@@ -745,11 +736,7 @@ class _WalkMode:
         delta = sum(map(self.term, gb)) - sum(map(self.term, ga))
         slope = sum(map(self.rise, ga, gb))
         self.drift_terms += delta
-        if self.running.keep(-slope, slope <= 0):
-            coef, t, b = self.coef, self.at(T), self.at(B)
-            self.running.records.append(CheckRecord(
-                t, "drift on [%s, %s]" % (t, b), coef * delta, coef * (delta - slope), coef * -slope, slope <= 0
-            ))
+        self.running.le(T, delta, delta - slope, self.drift_label, T, B)
 
     def results(self, first: int, last: int) -> list:
         """The four parts' (count, worst slack, records) of a walk from the
@@ -764,17 +751,15 @@ class _WalkMode:
         if jump_total + drift_total != alg_objective:
             raise AnalysisError("internal: potential accounting mismatch (%s + %s != %s)"
                                 % (jump_total, drift_total, alg_objective))
-        for T, label in ((first, "potential before first event"), (last, "potential after final event")):
-            self.completion.add(_rec_eq(self.at(T), label, ZERO))
+        self.completion.eq(first, 0, "potential before first event")
+        self.completion.eq(last, 0, "potential after final event")
         if not self.power:
-            charge = ages - coef * self.completion_terms
-            self.completion.add(_rec_le(None, "aggregate completion charge", charge,
-                                        (1 + eps) / eps * ref_objective))
+            self.completion.exact("aggregate completion charge", ages - coef * self.completion_terms,
+                                  (1 + eps) / eps * ref_objective)
         factor = power_flow_factor(eps, k) if self.power else total_flow_factor(eps)
-        label = "final objective vs reference (factor %s)" % factor
-        self.objective.add(_rec_le(None, label, alg_objective, factor * ref_objective))
-        return [self.arrival.result(coef), self.completion.result(self.completion_unit),
-                self.running.result(coef), self.objective.result(None)]
+        self.objective.exact("final objective vs reference (factor %s)" % factor, alg_objective,
+                             factor * ref_objective)
+        return [part.result() for part in (self.arrival, self.completion, self.running, self.objective)]
 
 
 def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
@@ -805,7 +790,8 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
     volumes and clamped ages, and T's first arrival the ages before it. The
     state after each arrival is the next arrival's state before, and the
     state after the last event at T starts the next interval."""
-    walks = [_WalkMode(ctx, power, k, full) for power, k in modes]
+    at = _in_units(Rational(1, ctx.L))
+    walks = [_WalkMode(ctx, power, k, full, at) for power, k in modes]
     release = ctx.idx_alg.release
     bounds = _boundaries(ctx)
     alive_alg = alive_ref = frozenset()
@@ -864,15 +850,19 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
 def _charge_pass(ctx: PairContext, ks: tuple, full: bool) -> list:
     """check_completion_charge's integer pass at every k of `ks`: one result
     per k, its aggregate record followed by the window records, which do
-    not depend on k; window slacks in units of 1/(p * m * L). Beyond O(n)
-    it holds one job's contributors at a time and the records it keeps."""
+    not depend on k. Window records are decided and built in units of
+    1/(p * m * L); the aggregate's bound carries the reference objective, so
+    it is built from Fractions. Beyond O(n) it holds one job's contributors
+    at a time and the records it keeps."""
     m = ctx.machines
     release, size = ctx.idx_alg.release, ctx.idx_alg.size
     comp_alg, comp_ref = ctx.idx_alg.completion, ctx.idx_ref.completion
     remaining = ctx.idx_ref.remaining
-    unit = ctx.p * m * ctx.L
-    windows = _Part(full)
-    kept = []  # (i, a kept window record of i)
+    unit, at = Rational(1, ctx.p * m * ctx.L), _in_units(Rational(1, ctx.L))
+    windows = _Part(full, unit, at, in_aggregate=False)
+    # i -> i's kept window records: windows keeps them in a new list for each
+    # i, since the sweep takes i in reverse finish order and reports id order
+    kept = {}
     powers = [0] * len(ks)  # the sum of owed^k at each k
     held = set()  # finished by the job at hand in the fast schedule, not by T in the reference
     # later[j]: what j owes at the reference completions of the jobs charged
@@ -887,26 +877,24 @@ def _charge_pass(ctx: PairContext, ks: tuple, full: bool) -> list:
             # both sides of the window bound, times (1 + eps) * m * V = p * m * L;
             # earlier[j]: what i's contributors released before j owe
             earlier = _sums_before(rem, release.__getitem__)
+            windows.records = []
             for j in rem:
-                lhs = owed - earlier[j]
                 rhs = (comp_ref[j] - release[j]) * ctx.p * m - later[j]
-                if windows.keep(rhs - lhs, rhs >= lhs):
-                    kept.append((i, CheckRecord(
-                        ctx.srpt_trace.completions[i], "window bound pair (%d, %d)" % (i, j),
-                        Rational(lhs, unit), Rational(rhs, unit), Rational(rhs - lhs, unit), rhs >= lhs, False,
-                    )))
+                windows.le(T, owed - earlier[j], rhs, "window bound pair (%d, %d)", i, j)
                 later[j] += remaining(j, comp_ref[i])
+            if windows.records:
+                kept[i] = windows.records
             held.discard(i)
         held.update(j for j in ctx.idx_ref.finished_at.get(T, ()) if comp_alg[j] < T)
-    kept.sort(key=lambda pair: pair[0])  # stable: each i's pairs stay in id order
+    records = [rec for i in sorted(kept) for rec in kept[i]]  # each i's pairs in id order
     results = []
     for k, total in zip(ks, powers):
-        part = _Part(full)
-        part.add(_rec_le(None, "aggregate charge", Rational(total, (m * ctx.V) ** k),
-                         (1 + ctx.epsilon) ** k * ctx.idx_ref.power(k)))
+        part = _Part(full, unit, at)
+        part.exact("aggregate charge", Rational(total, (m * ctx.V) ** k),
+                   (1 + ctx.epsilon) ** k * ctx.idx_ref.power(k))
         part.tally(windows.n, windows.worst)
-        part.records += [rec for _, rec in kept]
-        results.append(part.result(Rational(1, unit)))
+        part.records += records
+        results.append(part.result())
     return results
 
 
@@ -984,9 +972,10 @@ def verify_domain(eps, ks, refs=REFERENCES) -> tuple:
     sorted ks the power and charge checks run at (none for eps > 1/2) and
     the notice that says why they do not. Raises AnalysisError on a k below
     1, an unknown reference, eps <= 0, or a k above 1 with eps > 1/2."""
-    ks = sorted(set(ks))
-    if not ks or not all(isinstance(k, int) and k >= 1 for k in ks):
-        raise AnalysisError("k values must be integers >= 1")
+    message = "k values must be integers >= 1"
+    ks = sorted({_power_k(k, message) for k in ks})
+    if not ks:
+        raise AnalysisError(message)
     for name in refs:
         if name not in REFERENCES:
             raise AnalysisError("unknown reference %r" % name)

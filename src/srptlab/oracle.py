@@ -123,6 +123,7 @@ from .core import (
     validate_instance,
 )
 from .rationals import Rational, ZERO
+from .workload import is_int
 
 
 class OracleError(ValueError):
@@ -281,7 +282,7 @@ def _search_actions(classes, m, k):
 
 def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     """Minimum k-th power flow over integral-slot schedules, with a witness trace."""
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise OracleError("k must be an integer >= 1")
     inst = validate_instance(instance)
     jobs = _integral_jobs(inst)

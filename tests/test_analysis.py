@@ -19,6 +19,7 @@ from hypothesis import assume, given, strategies as st
 
 from srptlab import (
     AnalysisError,
+    CheckRecord,
     ExecutionTrace,
     GenSpec,
     PotentialReport,
@@ -42,7 +43,7 @@ from srptlab import (
     srpt_priority,
     verify,
 )
-from srptlab.analysis import _check_grid, _rec_le
+from srptlab.analysis import _check_grid
 from srptlab import analysis
 from srptlab.core import flow_power
 from srptlab.rationals import rat
@@ -673,6 +674,35 @@ def probe_times(trace):
     return sorted(set(times + mids + [times[0] - 1, times[-1] + 1]))
 
 
+def is_equality_record(rec):
+    """Whether a record must have delta 0: the backlog identity, an arrival
+    shifting another job's term, and the potential at either end."""
+    return rec.label.startswith(("small-volume identity", "potential ")) or "shifts term" in rec.label
+
+
+@given(ctx=trace_pairs())
+def test_records_are_consistent(ctx):
+    # every record of every check the context allows, read in full, agrees
+    # with itself: a bounded record's slack is bound - delta and it passes
+    # when that is >= 0; an equality record has bound 0 and slack -|delta|;
+    # an informational record has neither and passes; only window records
+    # stay out of the aggregate
+    eps = ctx.epsilon
+    reports = [check_backlog_bound(ctx), *(check_flow_conditions(ctx).reports if eps > 0 else ())]
+    for k in (1, 2, 3) if 0 < eps <= analysis.MAX_POWER_EPS else ():
+        reports += [*check_power_flow_conditions(ctx, k=k).reports, check_completion_charge(ctx, k=k)]
+    for rep in reports:
+        for r in rep.records:
+            assert all(type(x) is Fraction for x in (r.delta, r.bound, r.slack) if x is not None)
+            if r.bound is None:
+                assert r.slack is None and r.passed, r
+            elif is_equality_record(r):
+                assert r.bound == 0 and r.slack == -abs(r.delta) and r.passed == (r.delta == 0), r
+            else:
+                assert r.slack == r.bound - r.delta and r.passed == (r.slack >= 0), r
+            assert r.in_aggregate == (not r.label.startswith("window bound")), r
+
+
 class TestStateDefinition:
     @given(ctx=trace_pairs(), data=st.data())
     def test_state_matches_definition(self, ctx, data):
@@ -962,6 +992,29 @@ class TestPowerConditions:
             if check_flow_conditions(ctx).all_pass:
                 assert check_power_flow_conditions(ctx, k=1).all_pass
 
+    def test_completion_cases_by_hand(self):
+        # m = 2, two unit jobs released at 0, SRPT at 3/2 against unit SRPT,
+        # k = 2, so eps = 1/2 and the term's scale is (1 - eps)^-2 = 4. Both
+        # fast jobs finish at 2/3, at age 2/3, while the reference has 1/3
+        # of each left. A job's clamped age is its age plus its gap over
+        # m * eps = 1, and at 2/3 the fast schedule holds nothing:
+        # - job 0 is charged only itself: owed 1/3 = m * eps^2 * age
+        #   = 2 * 1/4 * 2/3, the boundary, so the drained case. Its gap is
+        #   -1/3, its clamped age 1/3, its term 4 * (1/3)^2 = 4/9, and its
+        #   jump age^2 - term = 4/9 - 4/9 = 0, bounded by 0;
+        # - job 1 is charged both: owed 2/3 > 1/3, the owed case. Its gap
+        #   is -2/3, its clamped age 0 and its term 0, so its jump is
+        #   (2/3)^2 = 4/9, bounded by (owed/m)^2 / eps^4 = (1/9) * 16 = 16/9
+        inst = make_instance([(0, 0, 1), (1, 0, 1)], machines=2)
+        ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed("3/2")),
+                           simulate_srpt(inst, UNIT_SPEED))
+        records = records_by_label(check_power_flow_conditions(ctx, k=2).completion, "completion job")
+        t = rat("2/3")
+        assert records == [
+            CheckRecord(t, "completion job 0 (drained case)", 0, 0, 0, True),
+            CheckRecord(t, "completion job 1 (owed case)", rat("4/9"), rat("16/9"), rat("4/3"), True),
+        ]
+
     def test_eps_range_enforced(self, e1_instance):
         fast = simulate_srpt(e1_instance, SpeedConfig.from_epsilon(1))
         ref = simulate_srpt(e1_instance, UNIT_SPEED)
@@ -1214,6 +1267,17 @@ class TestContextValidation:
         with pytest.raises(AnalysisError, match="k must be an integer >= 1"):
             make_context(e1_fast_trace, e1_unit_trace, k=0)
 
+    @pytest.mark.parametrize("call", [
+        lambda fast, ref: make_context(fast, ref, k=True),
+        lambda fast, ref: objectives(fast, ks=(True,)),
+        lambda fast, ref: check_power_flow_conditions(make_context(fast, ref), k=True),
+        lambda fast, ref: check_completion_charge(make_context(fast, ref), k=True),
+    ], ids=["make_context", "objectives", "power-walk", "charge"])
+    def test_bool_k(self, e1_fast_trace, e1_unit_trace, call):
+        # True == 1, but a bool is not a power k (as workload.is_int has it)
+        with pytest.raises(AnalysisError, match="k must be an integer >= 1"):
+            call(e1_fast_trace, e1_unit_trace)
+
     def test_infeasible_trace_rejected(self, e1_fast_trace, e1_unit_trace):
         broken = ExecutionTrace(
             instance=e1_fast_trace.instance,
@@ -1247,7 +1311,7 @@ class TestReportExport:
         assert isinstance(doc["worst_slack"], str)
 
     def test_failing_report_carries_witnesses(self):
-        rec = _rec_le(rat(1), "too big", rat(2), rat(1))
+        rec = CheckRecord(rat(1), "too big", rat(2), rat(1), rat(-1), False)
         failing = PotentialReport("demo", 1, rec.slack, False, (rec,), (rec,))
         assert not failing.verdict
         doc = report_to_json(failing)
@@ -1401,8 +1465,8 @@ class TestVerify:
             verify(e1_fast_trace, refs=("unit-srpt", "lrpt"))
 
     # a bad k must not turn into skipped oracle rows or power rows with no report
-    @pytest.mark.parametrize("ks", [(), (0,), (1, 0), (1.5,)],
-                             ids=["none", "zero", "one-zero", "float"])
+    @pytest.mark.parametrize("ks", [(), (0,), (1, 0), (1.5,), (True,), (1, True)],
+                             ids=["none", "zero", "one-zero", "float", "bool", "one-bool"])
     @pytest.mark.parametrize("speed", ["3/2", "2"])
     def test_bad_ks(self, e1_instance, speed, ks):
         trace = simulate_srpt(e1_instance, SpeedConfig.from_speed(speed))

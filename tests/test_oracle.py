@@ -209,6 +209,12 @@ class TestBruteForce:
         with pytest.raises(OracleError, match="k must be an integer >= 1"):
             brute_force_opt(inst, k=0)
 
+    def test_bool_k(self):
+        # True == 1, but a bool is not a power k: no search runs
+        inst = make_instance([(0, 0, 1)], machines=1)
+        with pytest.raises(OracleError, match="k must be an integer >= 1"):
+            brute_force_opt(inst, k=True)
+
 
 def compositions(total):
     """Tuples of positive counts summing to `total`."""
