@@ -36,7 +36,7 @@ from .formats import (
     trace_to_json,
 )
 from .oracle import OracleError, brute_force_opt
-from .rationals import ONE, Rational, RationalParseError, decimal_str, rat
+from .rationals import ONE, Rational, RationalParseError, decimal_str, is_int_text, rat
 from .workload import FAMILIES, GenSpec, WorkloadError, generate, is_int, validate_spec
 
 # perfbench's tracer wraps these names here, though cli no longer calls them
@@ -84,12 +84,20 @@ def _speed_config(text: str) -> SpeedConfig:
     return SpeedConfig.from_speed(speed)
 
 
+def _int_arg(text: str) -> int:
+    """An integer option's value, read as instance files read integers
+    (rationals.is_int_text): "1_0", "+2", " 2" and non-ASCII digits are
+    refused, so argparse exits 2."""
+    if not is_int_text(text):
+        raise argparse.ArgumentTypeError("want an integer, got %r" % text)
+    return int(text)
+
+
 def _k_list(text: str):
     toks = [tok.strip() for tok in text.split(",") if tok.strip()]
-    try:
-        ks = sorted({int(tok) for tok in toks})
-    except ValueError:
+    if not all(is_int_text(tok) for tok in toks):
         raise CliError(EXIT_INPUT, "bad k list %r (want comma-separated integers)" % text)
+    ks = sorted({int(tok) for tok in toks})
     if not ks or ks[0] < 1:
         raise CliError(EXIT_INPUT, "k values must be integers >= 1")
     return ks
@@ -116,11 +124,9 @@ def _parse_span(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("want LO:HI, got %r" % text)
-    try:
-        lo, hi = int(parts[0]), int(parts[1])
-    except ValueError:
+    if not all(is_int_text(part) for part in parts):
         raise argparse.ArgumentTypeError("want integer LO:HI, got %r" % text)
-    return (lo, hi)
+    return (int(parts[0]), int(parts[1]))
 
 
 def _write_text(path: str | None, text: str):
@@ -459,10 +465,9 @@ CSV_COLUMNS = (
 def _worker_count(n_cells: int) -> int:
     env = os.environ.get("SRPTLAB_THREADS", "")
     if env:
-        try:
-            cap = int(env)
-        except ValueError:
+        if not is_int_text(env):
             raise CliError(EXIT_INPUT, "SRPTLAB_THREADS must be an integer, got %r" % env)
+        cap = int(env)
         if cap < 1:
             raise CliError(EXIT_INPUT, "SRPTLAB_THREADS must be >= 1")
     else:
@@ -567,11 +572,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate an instance file")
     p_gen.add_argument("--family", required=True, choices=FAMILIES)
-    p_gen.add_argument("--n", required=True, type=int)
-    p_gen.add_argument("--machines", type=int, default=1)
+    p_gen.add_argument("--n", required=True, type=_int_arg)
+    p_gen.add_argument("--machines", type=_int_arg, default=1)
     p_gen.add_argument("--size-range", type=_parse_span, default=(1, 4), metavar="LO:HI")
     p_gen.add_argument("--release-range", type=_parse_span, default=(0, 8), metavar="LO:HI")
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_int_arg, default=0)
     p_gen.add_argument("--out", help="output path, default stdout")
     p_gen.set_defaults(func=cmd_gen)
 

@@ -38,12 +38,6 @@ class Instance:
     def n(self) -> int:
         return len(self.jobs)
 
-    def job(self, jid: int) -> Job:
-        for j in self.jobs:
-            if j.id == jid:
-                return j
-        raise KeyError(jid)
-
 
 @dataclass(frozen=True)
 class SpeedConfig:

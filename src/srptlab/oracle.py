@@ -75,36 +75,73 @@ it tries, so every value is unchanged.
   1^2 + 2^2 + 2^2 = 9 in squared flow, and the two 1-unit jobs first pay
   1^2 + 1^2 + 3^2 = 11.
 
-The witness trace replays the search from the start. In each slot it tries
-every action over the alive jobs' true (remaining, release) classes, in
-_actions order, dominated ones included, and keeps the first one whose
-tagged payment plus the value of the state it leads to is least; a state
-the pruned search never reached is searched then. As the values are
-unchanged, the replay picks what a search without pruning would, also
-where a dominated action ties (at m >= 2 when both jobs finish in one
-slot). For k = 1 every candidate of a slot differs from its exact
-remaining flow by the same sum of releases, so this is the first exactly
-optimal action, and ties break as they would in a search keyed by
-releases. Within a class the lowest ids run first.
+The witness trace replays the search from the start. In each slot it runs
+the first action, over the alive jobs' true (remaining, release) classes
+in _actions order, whose tagged payment plus the value of the state it
+leads to is least: the action a search without pruning would pick. For
+k = 1 every candidate of a slot differs from its exact remaining flow by
+the same sum of releases, so this is the first exactly optimal action, and
+ties break as they would in a search keyed by releases. Within a class the
+lowest ids run first. value keeps, beside each state's value, the first
+least of the actions it tried there, and the replay reads that record
+instead of scoring the actions again wherever the two agree:
 
-At k = 1 and t at or after the last release, the replay takes its slot's
-action from a rule instead (_spt_tail_takes). Let N > m jobs be alive,
-ascending by remaining work, N = q m + r with 0 <= r < m. With W the works
-of the alive jobs, the least sum of completion times from t is
-N t + F(W), F(W) = sum_i w_i c_i with c_i = ceil((N - i + 1) / m) the
-weight SPT round robin gives position i (from 1): the number of jobs its
-machine finishes from it on. A job that has finished counts as work 0 at
-the front. Running a set S in the slot and then SPT costs
-N (t + 1) + F(W - 1_S), and F(W - 1_S) = F(W) - sum over S of c_i, with
-the jobs of S placed first among jobs of equal work (that placement is
-still in order after the slot). The m largest weights are the r weights
-q + 1 of positions 1..r and the weights q of positions r + 1..r + m, and
-they sum to N, so S is optimal exactly when it runs positions 1..r and
-m - r of positions r + 1..r + m, ties of equal work free. _actions lists
-take-vectors in ascending lexicographic order over ascending classes, so
-the first optimal one takes as little as it can from early classes: it
-runs positions 1..r and 2r + 1..r + m, and within one work its latest
-classes first. If N <= m every job runs.
+* m = 1, every k: a dominated action is strictly worse than the best,
+  never tied. In the exchange above, a runs now, in the first slot of the
+  union, and b's old slots leave it out, so the rem_b-th slot of the union
+  comes strictly before b's last old one: C'_b < C_b, with C the old
+  completions and C' the new. If C_a > C_b, a's completion stays and the
+  sum falls. Otherwise a now finishes at C_b, and C'_b <= C_a, since the
+  first rem_b slots of the union come no later than a's first rem_b old
+  ones; with f(x) = x^k and g the tags, old minus new is at least
+  [f(C_b - g_b) - f(C_a - g_b)] - [f(C_b - g_a) - f(C_a - g_a)] >= 0 by
+  convexity, as g_b <= g_a. It is strictly positive: if rem_b < rem_a,
+  a's old slots run past its rem_b-th, so C'_b < C_a; if rem_b = rem_a,
+  then g_b < g_a, k >= 2 (equal works share one class at k = 1), and x^k
+  is strictly convex. So the first least undominated action is the first
+  least of all, once _search_actions lists them in _actions order: the
+  last class first.
+* k = 1, every m: the search's classes merge the true classes of equal
+  work, whose tags are all 0, and a candidate of the replay depends only
+  on the merged take-vector (the successor state is the same). So the
+  first least true vector comes from the first least merged one, the
+  search's record. Of the true vectors that merge to one, the first in
+  _actions order (lexicographic over ascending classes, the oldest release
+  first within one work) takes as little as it can from early classes: it
+  deals each work's take to its latest releases first. Dealt that way,
+  merged vectors keep their order, as a larger take of a work is larger in
+  its first class that differs too. At m = 1 the record is the least work,
+  the only optimal take there. The replay keeps the alive jobs in
+  (remaining, -release, id) order, so it runs the first jobs of each work.
+* m >= 2, k >= 2: the record is not used. A dominated (younger-first)
+  action can tie the best, which the pruned search never tries: with
+  m = 2 and jobs (id, release, size) = (0, 0, 3), (1, 0, 3), (2, 1, 2),
+  running jobs 0 and 2 at t = 1, all three with 2 units left, pays
+  3^2 + 4^2 + 3^2 = 34 in squared flow, as running jobs 0 and 1 does, and
+  comes first in _actions order. So the replay tries every action there,
+  and a state the pruned search never reached is searched then.
+
+At k = 1 and t at or after the last release the search keeps no record,
+and the replay lays out the rest of the schedule by a rule (_spt_tail).
+Let N > m jobs be alive, ascending by remaining work, N = q m + r with
+0 <= r < m. With W the works of the alive jobs, the least sum of
+completion times from t is N t + F(W), F(W) = sum_i w_i c_i with
+c_i = ceil((N - i + 1) / m) the weight SPT round robin gives position i
+(from 1): the number of jobs its machine finishes from it on. A job that
+has finished counts as work 0 at the front. Running a set S in the slot
+and then SPT costs N (t + 1) + F(W - 1_S), and
+F(W - 1_S) = F(W) - sum over S of c_i, with the jobs of S placed first
+among jobs of equal work (that placement is still in order after the
+slot). The m largest weights are the r weights q + 1 of positions 1..r
+and the weights q of positions r + 1..r + m, and they sum to N, so S is
+optimal exactly when it runs positions 1..r and m - r of positions
+r + 1..r + m, ties of equal work free. The first optimal take-vector in
+_actions order takes as little as it can from early classes: it runs
+positions 1..r and 2r + 1..r + m, and within one work its latest classes
+first. If N <= m every job runs. With r = 0 or N < m the jobs that run
+are the first ones in (remaining, -release, id) order, and after the slot
+they have less work than any other, so the same jobs run until the first
+of them finishes; at m = 1 that is one job, run to its end.
 """
 
 from __future__ import annotations
@@ -220,31 +257,44 @@ def _fill(left, counts):
     return takes
 
 
-def _spt_tail_takes(classes, m):
-    """The first take-vector in _actions order that SPT dealt round robin
-    finds least for the slot at t, when no job is left to arrive after t.
-    `classes` are ((remaining, tag), count) ascending, a run of equal
-    remaining works listed oldest release first. Of the N jobs, ascending,
-    positions [0, r) and [2r, r + m) run, r = N mod m (all run if N <= m);
-    within one work the latest classes take first."""
-    counts = [cnt for _, cnt in classes]
-    n = sum(counts)
-    if n <= m:
-        return tuple(counts)
-    r = n % m
-    takes = []
-    lo = 0
-    for cnt in counts:
-        hi = lo + cnt
-        takes.append(max(0, min(hi, r) - lo) + max(0, min(hi, r + m) - max(lo, 2 * r)))
-        lo = hi
-    i = 0
-    for size in _work_runs(classes):
-        j = i + size
-        if size > 1:
-            takes[i:j] = _fill(sum(takes[i:j]), counts[i:j][::-1])[::-1]
-        i = j
-    return tuple(takes)
+def _spt_tail(t, jobs, m):
+    """SPT dealt round robin from t, laid out in runs, when no job is left
+    to arrive: `jobs`, a list it takes over, holds (remaining,
+    -release, id) ascending. Yields
+    (start, end, ids running, ids finishing at end) runs, ids ascending. At
+    m = 1 the first job runs until it finishes. Otherwise, of the N jobs,
+    positions [0, r) and [2r, r + m) run in each slot, r = N mod m (so all
+    run if N <= m), dealt within one work to its first jobs: the latest
+    releases, then the lowest ids."""
+    if m == 1:
+        for rem, _, jid in jobs:
+            yield t, t + rem, (jid,), (jid,)
+            t += rem
+        return
+    while jobs:
+        n = len(jobs)
+        r = n % m
+        top = min(n, r + m)
+        # with r = 0 or N < m the first `top` jobs run, and they stay first
+        # until the first of them finishes
+        d = jobs[0][0] if r == 0 or n < m else 1
+        ran, done = [], []
+        a = 0
+        while a < top:
+            b = a + 1
+            while b < n and jobs[b][0] == jobs[a][0]:
+                b += 1
+            # how many of positions [a, b), one work, the rule runs
+            for i in range(a, a + max(0, min(b, r) - a) + max(0, min(b, top) - max(a, 2 * r))):
+                rem, order, jid = jobs[i]
+                ran.append(jid)
+                if rem == d:
+                    done.append(jid)
+                jobs[i] = (rem - d, order, jid)
+            a = b
+        yield t, t + d, sorted(ran), done
+        jobs = sorted([job for job in jobs if job[0]])
+        t += d
 
 
 def _search_actions(classes, m, k):
@@ -253,13 +303,15 @@ def _search_actions(classes, m, k):
     one of _actions less the dominated ones (see the module docstring)."""
     if m == 1:
         # the classes no other class beats on both remaining and tag: in
-        # ascending order, those whose tag is below every earlier one's
+        # ascending order, those whose tag is below every earlier one's;
+        # listed in _actions order, the last class first
         out = []
         least = None
         for i, ((_, tg), _) in enumerate(classes):
             if least is None or tg < least:
                 least = tg
                 out.append((0,) * i + (1,) + (0,) * (len(classes) - 1 - i))
+        out.reverse()
         return out
     counts = tuple(cnt for _, cnt in classes)
     q = min(m, sum(counts))
@@ -297,14 +349,15 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
         return r if k >= 2 else 0
 
     releases = sorted({r for r, _, _ in jobs})
-    # release -> (size, release, id) of the jobs arriving then, ascending
+    # release -> ((size, tag), -release, id) of the jobs arriving then,
+    # ascending: the search's key of a job, then the replay's order within it
     jobs_at = {}
     for r, p, jid in jobs:
-        jobs_at.setdefault(r, []).append((p, r, jid))
+        jobs_at.setdefault(r, []).append(((p, tag(r)), -r, jid))
     arrivals_at = {}
     for r, arrived in jobs_at.items():
         arrived.sort()
-        arrivals_at[r] = tuple((p, tag(r)) for p, _, _ in arrived)
+        arrivals_at[r] = tuple(key for key, _, _ in arrived)
 
     def step(t, classes, takes):
         """Run takes[i] jobs of classes[i] = ((remaining, tag), count) in the
@@ -333,89 +386,95 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
                 best, chosen = cand, takes
         return best, chosen
 
-    memo = {}  # (t, ms) -> least objective still to pay
+    memo = {}  # (t, ms) -> (least objective still to pay, first action reaching it)
     last_release = releases[-1]
 
     def value(t, ms):
         if k == 1 and t >= last_release:
             return _spt_completions(t, [rem for rem, _ in ms], m)
         state = (t, ms)
-        best = memo.get(state)
-        if best is not None:
-            return best
+        hit = memo.get(state)
+        if hit is not None:
+            return hit[0]
         if not ms:
             i = bisect_right(releases, t)
-            best = 0 if i == len(releases) else value(releases[i], arrivals_at[releases[i]])
+            hit = (0 if i == len(releases) else value(releases[i], arrivals_at[releases[i]]), None)
         else:
             classes = [(key, len(list(grp))) for key, grp in groupby(ms)]
-            best = best_action(t, classes, _search_actions(classes, m, k))[0]
-        memo[state] = best
-        return best
+            hit = best_action(t, classes, _search_actions(classes, m, k))
+        memo[state] = hit
+        return hit[0]
 
     t = releases[0]
     opt = value(t, arrivals_at[t])
     if k == 1:
         opt -= sum(r for r, _, _ in jobs)
 
-    # replay the search over every action of a slot; `alive` holds
-    # (remaining, release, id) sorted, so each true class is a run of it and
-    # its lowest ids run first
+    # the replay's slots, folded into [start, end, assignment] runs on int
+    # times with idle stretches between them
+    runs = []
+    idle = (None,) * m
+
+    def emit(start, end, ids):
+        assignment = tuple(ids) + idle[len(ids):]
+        last = runs[-1] if runs else (0, 0, None)
+        if last[1] == start and last[2] == assignment:
+            last[1] = end
+            return
+        if start > last[1]:
+            runs.append([last[1], start, idle])
+        runs.append([start, end, assignment])
+
+    # replay the search; `alive` holds ((remaining, tag), -release, id)
+    # sorted, so each class of the search is a run of it, led by its latest
+    # releases and within one release by its lowest ids
     alive = jobs_at[t]
-    slots = []  # (t, tuple of chosen jids sorted)
     completions = [None] * inst.n
     while alive or t < last_release:
         if not alive:
             t = releases[bisect_right(releases, t)]
             alive = jobs_at[t]
             continue
-        classes = [
-            ((rem, tag(rel)), len(list(grp)))
-            for (rem, rel), grp in groupby(alive, key=lambda j: j[:2])
-        ]
         if k == 1 and t >= last_release:
-            takes = _spt_tail_takes(classes, m)
-        else:
+            for start, end, ids, done in _spt_tail(t, [(rem, order, jid) for (rem, _), order, jid in alive], m):
+                emit(start, end, ids)
+                for jid in done:
+                    completions[jid] = end
+            break
+        ms = tuple(key for key, _, _ in alive)
+        classes = [(key, len(list(grp))) for key, grp in groupby(ms)]
+        if m >= 2 and k >= 2:
+            # a dominated action can tie here: try every one
             counts = tuple(cnt for _, cnt in classes)
             _, takes = best_action(t, classes, _actions(counts, min(m, sum(counts))))
+        else:
+            takes = memo[t, ms][1]
         ran = []
         nxt = list(jobs_at.get(t + 1, ()))
         i = 0
-        for (_, cnt), take in zip(classes, takes):
-            for rem, rel, jid in alive[i : i + take]:
+        for ((rem, tg), cnt), take in zip(classes, takes):
+            for _, order, jid in alive[i : i + take]:
                 ran.append(jid)
                 if rem == 1:
-                    completions[jid] = Rational(t + 1)
+                    completions[jid] = t + 1
                 else:
-                    nxt.append((rem - 1, rel, jid))
+                    nxt.append(((rem - 1, tg), order, jid))
             nxt.extend(alive[i + take : i + cnt])
             i += cnt
-        slots.append((t, tuple(sorted(ran))))
+        emit(t, t + 1, sorted(ran))
         alive = sorted(nxt)
         t += 1
     # the search's closures refer to each other, so the memo would otherwise
     # live on until the cyclic garbage collector reaches them
     memo.clear()
-
-    # fold unit slots into [start, end, assignment] runs on int times,
-    # inserting idle stretches between them; each bound becomes a Rational once
-    runs = []
-    cursor = 0
-    for start, ids in slots:
-        if start > cursor:
-            runs.append([cursor, start, (None,) * m])
-        assignment = tuple(ids) + (None,) * (m - len(ids))
-        if runs and runs[-1][2] == assignment and runs[-1][1] == start:
-            runs[-1][1] = start + 1
-        else:
-            runs.append([start, start + 1, assignment])
-        cursor = start + 1
-    segments = [Segment(start=Rational(a), end=Rational(b), assignment=ids) for a, b, ids in runs]
-
+    # the runs tile [0, end], and a job's completion ends a run: one Rational
+    # per bound
+    at = {b: Rational(b) for b in [0] + [b for _, b, _ in runs]}
     trace = ExecutionTrace(
         instance=inst,
         speed=UNIT_SPEED,
-        segments=tuple(segments),
-        completions=tuple(completions),
+        segments=tuple(Segment(start=at[a], end=at[b], assignment=ids) for a, b, ids in runs),
+        completions=tuple(at[c] for c in completions),
     )
     objective = Rational(opt)
     recomputed = flow_power(trace, k)

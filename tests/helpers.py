@@ -19,11 +19,21 @@ constant).  Hence per-quantum re-evaluation picks the same jobs.
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, groupby
 
-from srptlab import ExecutionTrace, Instance, Segment, SpeedConfig, make_instance, simulate_srpt
+from srptlab import (
+    UNIT_SPEED,
+    ExecutionTrace,
+    Instance,
+    Segment,
+    SpeedConfig,
+    make_instance,
+    simulate_srpt,
+    validate_instance,
+)
 from srptlab.analysis import _StateEval
 from srptlab.core import flow_power
+from srptlab.oracle import _actions
 from srptlab.workload import XorShift64Star
 
 
@@ -94,13 +104,13 @@ def _least_total_completion(t, works, m):
     return best
 
 
-def slot_search_opt(instance, k):
-    """Least k-th power flow over the work-conserving unit-slot schedules of
-    an integer instance: a plain memoized search from each (time, alive
-    jobs' (remaining, release)) state over every choice of min(m, alive)
-    alive jobs for the slot, with no closed form and no pruning."""
-    m = instance.machines
-    jobs = sorted((int(j.release), int(j.size)) for j in instance.jobs)
+def slot_value(jobs, m, k):
+    """The least k-th power flow still to pay from each state (t, alive) of
+    the integer jobs `jobs`, (release, size) pairs, on m machines: `alive`
+    holds the (remaining, release) pairs, sorted, of the jobs alive at t,
+    arrivals at t included. A plain memoized search over every choice of
+    min(m, alive) alive jobs for each unit slot, with no closed form and no
+    pruning."""
     releases = sorted({r for r, _ in jobs})
 
     @cache
@@ -128,9 +138,78 @@ def slot_search_opt(instance, k):
                 best = cand
         return best
 
+    return value
+
+
+def slot_search_opt(instance, k):
+    """Least k-th power flow over the work-conserving unit-slot schedules of
+    an integer instance (slot_value from before the first release)."""
+    jobs = [(int(j.release), int(j.size)) for j in instance.jobs]
     if not jobs:
         return 0
-    return value(-1, ())
+    return slot_value(jobs, instance.machines, k)(-1, ())
+
+
+def reference_witness(instance, k):
+    """brute_force_opt's witness trace, replayed the plain way. From the
+    first release, each unit slot tries every take-vector of _actions over
+    the alive jobs' (remaining, release) classes, ascending, and keeps the
+    first one whose payment plus slot_value after the slot is least; a
+    class runs its lowest ids first. At k = 1 each candidate of a slot
+    differs from the one brute_force_opt's release-free search key gives
+    by the same sum of releases, so ties fall the same way. Unit slots
+    fold into segments of equal assignment, with idle stretches between."""
+    inst = validate_instance(instance)
+    m = inst.machines
+    jobs = [(int(j.release), int(j.size), j.id) for j in inst.jobs]
+    value = slot_value([(r, p) for r, p, _ in jobs], m, k)
+    completions = [None] * inst.n
+    slots = []
+    alive = []  # (remaining, release, id)
+    t = min((r for r, _, _ in jobs), default=0)
+    while alive or any(r >= t for r, _, _ in jobs):
+        alive = sorted(alive + [(p, r, jid) for r, p, jid in jobs if r == t])
+        if not alive:
+            t += 1
+            continue
+        classes = [(key, len(list(grp))) for key, grp in groupby(alive, key=lambda j: j[:2])]
+        counts = tuple(cnt for _, cnt in classes)
+        best = None
+        for takes in _actions(counts, min(m, len(alive))):
+            paid, rest = 0, [(p, r) for r, p, _ in jobs if r == t + 1]
+            for ((rem, r), cnt), take in zip(classes, takes):
+                rest += [(rem, r)] * (cnt - take)
+                if rem == 1:
+                    paid += take * (t + 1 - r) ** k
+                else:
+                    rest += [(rem - 1, r)] * take
+            cand = paid + value(t + 1, tuple(sorted(rest)))
+            if best is None or cand < best:
+                best, chosen = cand, takes
+        ran, nxt, i = [], [], 0
+        for cnt, take in zip(counts, chosen):
+            for rem, r, jid in alive[i:i + take]:
+                ran.append(jid)
+                if rem == 1:
+                    completions[jid] = Fraction(t + 1)
+                else:
+                    nxt.append((rem - 1, r, jid))
+            nxt += alive[i + take:i + cnt]
+            i += cnt
+        slots.append((t, tuple(sorted(ran)) + (None,) * (m - len(ran))))
+        alive = nxt
+        t += 1
+    segments = []
+    for start, assignment in slots:
+        last = segments[-1] if segments else None
+        if last is not None and last.end == start and last.assignment == assignment:
+            segments[-1] = Segment(last.start, Fraction(start + 1), assignment)
+            continue
+        if start > (last.end if last else 0):
+            segments.append(Segment(last.end if last else Fraction(0), Fraction(start), (None,) * m))
+        segments.append(Segment(Fraction(start), Fraction(start + 1), assignment))
+    return ExecutionTrace(instance=inst, speed=UNIT_SPEED, segments=tuple(segments),
+                          completions=tuple(completions))
 
 
 def random_integer_instance(seed, max_jobs=6, max_machines=3, max_size=5, max_release=8):
@@ -160,9 +239,17 @@ def event_times(trace):
     return sorted({j.release for j in trace.instance.jobs} | set(trace.completions))
 
 
+def job_of(instance, jid):
+    """The job of `instance` whose id is `jid`."""
+    for job in instance.jobs:
+        if job.id == jid:
+            return job
+    raise KeyError(jid)
+
+
 def rebuild_remaining(trace, jid, t):
     """Remaining work of one job at time t, recomputed from raw segments."""
-    job = trace.instance.job(jid)
+    job = job_of(trace.instance, jid)
     rem = job.size
     for seg in trace.segments:
         if seg.start >= t:
@@ -268,7 +355,7 @@ def potentials_by_definition(ctx, t, ks):
     eps = ctx.epsilon
     totals = [Fraction(0)] * len(ks)
     for i, g in ages.items():
-        age = t - ctx.instance.job(i).release
+        age = t - job_of(ctx.instance, i).release
         for pos, k in enumerate(ks):
             if k is None:
                 totals[pos] += g - age
@@ -284,7 +371,7 @@ def clamped_ages_by_definition(ctx, t, alive_alg, alive_ref):
     st = reference_state(ctx, t, alive_alg, alive_ref)
     m, eps = ctx.machines, ctx.epsilon
     return {
-        i: t - ctx.instance.job(i).release
+        i: t - job_of(ctx.instance, i).release
         + (st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]) / (ctx.V * m * eps)
         for i in alive_alg
     }

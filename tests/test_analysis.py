@@ -53,6 +53,7 @@ from helpers import (
     alive_by_definition,
     clamped_ages_by_definition,
     event_times,
+    job_of,
     potential_by_definition,
     potentials_by_definition,
     random_integer_instance,
@@ -307,10 +308,10 @@ class TestPowerPotential:
                 clamped = False
                 ages = Fraction(0)
                 for jid in alive_alg:
-                    job = inst.job(jid)
+                    job = job_of(inst, jid)
                     ahead = sum(rebuild_remaining(fast, j, t) for j in alive_alg if rank[j] <= rank[jid])
                     small = sum(rebuild_remaining(ref, j, t) for j in alive_ref
-                                if rank[j] <= rank[jid] and inst.job(j).size <= job.size)
+                                if rank[j] <= rank[jid] and job_of(inst, j).size <= job.size)
                     inner = (ahead + m * rebuild_remaining(fast, jid, t) - small) / (m * eps)
                     g = (t - job.release) + inner
                     clamped = clamped or g < 0

@@ -695,6 +695,51 @@ class TestGen:
         assert exc.value.code == 2
 
 
+# integer texts that int() takes and an instance file does not
+BAD_INTS = ["1_0", "+2", " 2", "\uff12"]  # the last is a full-width 2
+
+
+class TestIntegerArguments:
+    """Every integer the CLI reads goes through rationals.is_int_text, as
+    instance files do, and a bad one exits 2."""
+
+    @pytest.mark.parametrize("bad", [b for b in BAD_INTS if b.strip() == b])
+    def test_k(self, bad, e1_path, capsys):
+        rc = main(["verify", "--instance", e1_path, "--speed", "3/2", "--k", "1," + bad,
+                   "--refs", "unit-srpt"])
+        assert rc == 2
+        assert "bad k list" in capsys.readouterr().err
+
+    def test_k_list_spacing(self):
+        # spaces around the commas of a list separate, as in --refs; they
+        # are not part of a value
+        assert cli._k_list(" 2, 1,2 ") == [1, 2]
+        with pytest.raises(cli.CliError):
+            cli._k_list("1_0,+2")
+
+    @pytest.mark.parametrize("bad", BAD_INTS)
+    @pytest.mark.parametrize("option", ["--n", "--machines", "--seed", "--size-range", "--release-range"])
+    def test_gen_options(self, option, bad, capsys):
+        value = "1:" + bad if option.endswith("range") else bad
+        args = ["gen", "--family", "uniform", "--n", "3", option, value]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", BAD_INTS)
+    def test_thread_env(self, bad, tmp_path, monkeypatch, capsys):
+        man = manifest_file(tmp_path, SMALL_MANIFEST)
+        monkeypatch.setenv("SRPTLAB_THREADS", bad)
+        assert main(["sweep", "--manifest", man]) == 2
+        assert "SRPTLAB_THREADS must be an integer" in capsys.readouterr().err
+
+    def test_good_texts_still_read(self, capsys):
+        assert main(["gen", "--family", "uniform", "--n", "3", "--machines", "2",
+                     "--size-range", "1:4", "--release-range", "0:8", "--seed", "-1"]) == 0
+        assert capsys.readouterr().out.startswith("m 2\n")
+
+
 class TestTopLevel:
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -45,7 +45,7 @@ from srptlab.rationals import (
 )
 from srptlab.workload import XorShift64Star
 
-from helpers import CORRUPTION_KINDS, corrupt_trace, random_integer_instance
+from helpers import CORRUPTION_KINDS, corrupt_trace, job_of, random_integer_instance
 
 DATA = Path(__file__).parent / "data"
 
@@ -122,7 +122,7 @@ class TestInstanceValidation:
         inst = make_instance([(1, 2, 1), (0, 0, 3)], machines=1)
         assert [j.id for j in inst.jobs] == [0, 1]
         assert inst.n == 2
-        assert inst.job(1).size == 1
+        assert job_of(inst, 1).size == 1
 
     def test_non_positive_size(self):
         with pytest.raises(InstanceError, match="non-positive size for job 0"):
@@ -574,7 +574,7 @@ class TestFlowSummary:
         summary = objectives(tr)
         assert summary.kth_power_flow[1] == summary.total_flow
         for jid, flow in enumerate(summary.flows):
-            job = inst.job(jid)
+            job = job_of(inst, jid)
             assert flow >= job.size / tr.speed.speed
 
 
@@ -590,7 +590,7 @@ class TestTextFormat:
     def test_comments_and_blanks(self):
         text = "# header\n\nm 1\n# inline note\njob 0 0 3/2\n"
         inst = parse_instance(text)
-        assert inst.job(0).size == rat("3/2")
+        assert job_of(inst, 0).size == rat("3/2")
 
     def test_machine_floor(self):
         # instance-level failures surface as parse errors with the same text

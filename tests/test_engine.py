@@ -25,7 +25,7 @@ from srptlab.formats import dump_json, trace_to_json
 from srptlab.rationals import rat
 from srptlab.workload import FAMILIES, GenSpec, XorShift64Star, generate
 
-from helpers import random_integer_instance, rebuild_remaining, slot_srpt_completions
+from helpers import job_of, random_integer_instance, rebuild_remaining, slot_srpt_completions
 
 
 def lifo_tie_priority(remaining, size, release, jid):
@@ -189,8 +189,8 @@ class TestInvariants:
                 alive,
                 key=lambda j: srpt_priority(
                     rebuild_remaining(tr, j, mid),
-                    inst.job(j).size,
-                    inst.job(j).release,
+                    job_of(inst, j).size,
+                    job_of(inst, j).release,
                     j,
                 ),
             )

@@ -3,10 +3,12 @@
 import ast
 import inspect
 import json
-from itertools import combinations_with_replacement, product
+from functools import cache
+from itertools import combinations_with_replacement, groupby, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srptlab import (
     OracleError,
@@ -21,7 +23,7 @@ from srptlab import (
     validate_trace,
 )
 from srptlab import oracle
-from srptlab.oracle import _actions, _search_actions, _spt_completions, _spt_tail_takes
+from srptlab.oracle import _actions, _search_actions, _spt_completions, _spt_tail
 from srptlab.rationals import rat
 from srptlab.workload import GenSpec, generate
 
@@ -29,8 +31,10 @@ from helpers import (
     least_total_completion,
     random_integer_instance,
     rebuild_remaining,
+    reference_witness,
     single_machine_relaxation_lb,
     slot_search_opt,
+    slot_value,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -332,7 +336,9 @@ class TestDominance:
         # job 1 (released at 1) 1 unit and job 2 (released at 1) 2 units;
         # job 2 is dominated by both. Job 1 then job 0 then job 2 pays
         # 1^2 + 4^2 + 5^2 = 42, job 0 first 3^2 + 3^2 + 5^2 = 43. The
-        # witness is the one a search over every take-vector gives
+        # undominated classes are tried in _actions order, the last class
+        # first, so the first least of them is the first least of every
+        # take-vector, and the witness is the one a full search gives
         inst = make_instance([(0, 0, 3), (1, 1, 1), (2, 1, 2)], machines=1)
         res = brute_force_opt(inst, k=2)
         assert res.objective == 42
@@ -342,8 +348,9 @@ class TestDominance:
         at_1 = [((1, 1), 1), ((2, 0), 1), ((2, 1), 1)]
         at_2 = [((2, 0), 1), ((2, 1), 1)]
         seen = dict((tuple(classes), actions) for classes, actions in tried)
-        assert seen[tuple(at_1)] == [(1, 0, 0), (0, 1, 0)]
+        assert seen[tuple(at_1)] == [(0, 1, 0), (1, 0, 0)]
         assert seen[tuple(at_2)] == [(1, 0)]
+        assert res.trace == reference_witness(inst, 2)
         # no tried take-vector runs a class that another class dominates
         for classes, actions in tried:
             for takes in actions:
@@ -351,6 +358,23 @@ class TestDominance:
                 (rem, tag), _ = classes[i]
                 assert not any((r, g) != (rem, tag) and r <= rem and g <= tag
                                for (r, g), _ in classes)
+            order = _actions(tuple(cnt for _, cnt in classes), 1)
+            assert actions == sorted(actions, key=order.index)
+
+    def test_dominated_tie_followed_at_two_machines(self):
+        # m = 2, k = 2. At t = 1 all three jobs have 2 units left; jobs 0
+        # and 1 were released at 0, job 2 at 1. Running jobs 0 and 1, the
+        # only action the search tries, finishes them at 3 and job 2 at 5:
+        # 9 + 9 + 16 = 34. Running jobs 0 and 2 ties: then jobs 0 and 1,
+        # then jobs 1 and 2, finishing at 3, 4, 4: 9 + 16 + 9 = 34. _actions
+        # lists (1, 1) first, so the witness takes it, as only a replay
+        # trying every take-vector can
+        inst = make_instance([(0, 0, 3), (1, 0, 3), (2, 1, 2)], machines=2)
+        res = brute_force_opt(inst, k=2)
+        assert res.objective == 34
+        assert res.trace.completions == (3, 4, 4)
+        assert res.trace == reference_witness(inst, 2)
+        assert list(_search_actions([((2, 0), 2), ((2, 1), 1)], 2, 2)) == [(2, 0)]
 
     def test_k1_single_machine_tries_the_least_work(self, tried):
         brute_force_opt(make_instance([(0, 0, 3), (1, 1, 1), (2, 1, 2), (3, 2, 1)], machines=1), k=1)
@@ -372,6 +396,30 @@ class TestDominance:
                 ok = all(takes[i + 1] == 0 or takes[i] == counts[i]
                          for i in range(len(classes) - 1) if runs[i][0] == runs[i + 1][0])
                 assert (takes in tried) == ok, (m, takes)
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    def test_dominated_action_is_strictly_worse_at_one_machine(self, k):
+        # every state of at most 5 alive jobs at t = 3, works 1-4, tags 0-2
+        # (0 alone at k = 1, as the search keys them), none still to arrive:
+        # running a dominated class costs strictly more than the best action,
+        # so the first least of the undominated ones is the first least of all
+        value = slot_value([], 1, k)
+        tags = (0, 1, 2) if k >= 2 else (0,)
+        checked = 0
+        for n in range(1, 6):
+            for alive in combinations_with_replacement(product(range(1, 5), tags), n):
+                cands = {}
+                for rem, tag in set(alive):
+                    rest = list(alive)
+                    rest.remove((rem, tag))
+                    paid = (4 - tag) ** k if rem == 1 else 0
+                    cands[rem, tag] = paid + value(4, tuple(sorted(rest + ([(rem - 1, tag)] if rem > 1 else []))))
+                best = min(cands.values())
+                for (rem, tag), cand in cands.items():
+                    if any((r, g) != (rem, tag) and r <= rem and g <= tag for r, g in cands):
+                        assert cand > best, (alive, rem, tag)
+                        checked += 1
+        assert checked == {1: 155, 2: 12997, 3: 12997}[k]
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     @pytest.mark.parametrize("k", (1, 2, 3))
@@ -419,43 +467,138 @@ def first_least_tail_takes(classes, m, t=0):
     return chosen
 
 
+def tail_jobs(classes):
+    """The jobs of a class configuration as _spt_tail takes them,
+    (remaining, -release, id) ascending: the classes of one work are
+    released at 0, 1, ... in their listed order, and ids go up in it."""
+    jobs, jid = [], 0
+    for (work, _), grp in groupby(classes, key=lambda c: c[0]):
+        for release, (_, cnt) in enumerate(grp):
+            for _ in range(cnt):
+                jobs.append((work, -release, jid))
+                jid += 1
+    return sorted(jobs)
+
+
+@cache
+def cached_first_least(classes, m):
+    return first_least_tail_takes(list(classes), m)
+
+
+def first_least_tail_slots(jobs, m):
+    """The ids each slot runs when every slot takes first_least_tail_takes
+    over the alive (remaining, release) classes, ascending, each class
+    running its lowest ids, from the (remaining, -release, id) `jobs`."""
+    alive = sorted((rem, -order, jid) for rem, order, jid in jobs)
+    slots = []
+    while alive:
+        classes = [(key, len(list(grp))) for key, grp in groupby(alive, key=lambda j: j[:2])]
+        takes = cached_first_least(tuple(((rem, 0), cnt) for (rem, _), cnt in classes), m)
+        ran, nxt, i = [], [], 0
+        for (_, cnt), take in zip(classes, takes):
+            ran += [jid for _, _, jid in alive[i:i + take]]
+            nxt += [(rem - 1, r, jid) for rem, r, jid in alive[i:i + take] if rem > 1]
+            nxt += alive[i + take:i + cnt]
+            i += cnt
+        slots.append(sorted(ran))
+        alive = sorted(nxt)
+    return slots
+
+
 class TestTailRule:
-    """The k = 1 replay takes each slot at or after the last release from
-    _spt_tail_takes instead of trying every take-vector."""
+    """The k = 1 replay lays out every slot at or after the last release
+    with _spt_tail, which must run in each slot what trying every
+    take-vector there would."""
 
     def test_hand_computed(self):
-        # works 1, 2, 2, 3, 4 on m = 2: N = 5, r = 1, so the smallest runs,
-        # and one of positions 2-3 (works 2, 2): the later class of work 2
-        classes = [((1, 0), 1), ((2, 0), 1), ((2, 0), 1), ((3, 0), 1), ((4, 0), 1)]
-        assert _spt_tail_takes(classes, 2) == (1, 0, 1, 0, 0)
-        # N = 4, r = 0: the two smallest, work 1 and a work 2 of the later class
-        assert _spt_tail_takes(classes[:4], 2) == (1, 0, 1, 0)
+        # works 1, 2, 2, 3, 4 (ids 0-4; job 2 released after job 1) on
+        # m = 2: N = 5, r = 1, so the smallest runs, and one of positions
+        # 2-3 (works 2, 2): the later release, job 2
+        jobs = [(1, 0, 0), (2, -1, 2), (2, 0, 1), (3, 0, 3), (4, 0, 4)]
+        assert next(_spt_tail(7, list(jobs), 2)) == (7, 8, [0, 2], [0])
+        # N = 4, r = 0: the two smallest
+        assert next(_spt_tail(7, jobs[:4], 2)) == (7, 8, [0, 2], [0])
         # N = 5, m = 3, r = 2: positions 1-2 (works 1, 2) and position 5 (work 4)
-        assert _spt_tail_takes(classes, 3) == (1, 0, 1, 0, 1)
-        # N <= m: every job runs
-        assert _spt_tail_takes(classes[:2], 3) == (1, 1)
+        assert next(_spt_tail(7, list(jobs), 3)) == (7, 8, [0, 2, 4], [0])
+        # N <= m: every job runs, until the first of them finishes
+        assert next(_spt_tail(7, jobs[:2], 3)) == (7, 8, [0, 2], [0])
+        assert next(_spt_tail(7, jobs[1:3], 3)) == (7, 9, [1, 2], [2, 1])
+        # N = 4, r = 0 on m = 2 (works 2, 2, 3, 4): jobs 2 and 1 until both finish
+        assert next(_spt_tail(7, jobs[1:], 2)) == (7, 9, [1, 2], [2, 1])
+        # m = 1: each job runs whole, smallest first
+        assert list(_spt_tail(7, jobs[:3], 1)) == [(7, 8, (0,), (0,)), (8, 10, (2,), (2,)),
+                                                     (10, 12, (1,), (1,))]
 
     @pytest.mark.parametrize("m", (1, 2, 3))
     def test_matches_enumeration(self, m):
         # every configuration of at most 8 jobs, works 1-4, up to 3 classes
-        # (releases) of one work
+        # (releases) of one work, slot by slot to the end
         checked = 0
         for total in range(1, 9):
             for classes in class_configurations(total):
-                assert _spt_tail_takes(classes, m) == first_least_tail_takes(classes, m), classes
+                jobs = tail_jobs(classes)
+                slots, finished = [], {}
+                for start, end, ids, done in _spt_tail(0, list(jobs), m):
+                    slots += [sorted(ids)] * (end - start)
+                    finished.update(dict.fromkeys(done, end))
+                expected = first_least_tail_slots(jobs, m)
+                assert slots == expected, classes
+                assert finished == {jid: 1 + max(t for t, ids in enumerate(expected) if jid in ids)
+                                    for _, _, jid in jobs}
                 checked += 1
         assert checked == 7425
 
-    def test_replay_asks_the_rule_each_tail_slot(self, monkeypatch):
-        # at k = 1 every slot at or after the last release comes from the
-        # rule: here every job arrives at 0, so no slot tries take-vectors
+    def test_replay_lays_out_the_tail_once(self, monkeypatch):
+        # at k = 1 the replay hands the alive jobs at the last release to
+        # one _spt_tail call and takes every later slot from it
         calls = []
-        monkeypatch.setattr(oracle, "_spt_tail_takes",
-                            lambda classes, m: calls.append(classes) or _spt_tail_takes(classes, m))
+
+        def recorded(t, jobs, m):
+            calls.append((t, list(jobs)))
+            return _spt_tail(t, jobs, m)
+
+        monkeypatch.setattr(oracle, "_spt_tail", recorded)
         inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 0, 2), (3, 0, 2)], machines=2)
         res = brute_force_opt(inst, k=1)
         assert res.objective == 11
-        assert len(calls) == int(max(res.trace.completions))
+        assert calls == [(0, [(1, 0, 1), (2, 0, 2), (2, 0, 3), (3, 0, 0)])]
+        assert res.trace == reference_witness(inst, 1)
+        # a job arriving at 2: the slots before it come from the search
+        calls.clear()
+        inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 2, 2)], machines=1)
+        res = brute_force_opt(inst, k=1)
+        assert calls == [(2, [(2, -2, 2), (2, 0, 0)])]
+        assert res.trace == reference_witness(inst, 1)
+
+
+@st.composite
+def small_instances(draw):
+    """Integral instances of 1-8 jobs on 1-3 machines, sizes 1-3: releases
+    0-4, so that alive jobs often tie on remaining work, or all at 0, so
+    that the k = 1 replay is all tail."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    all_at_0 = draw(st.booleans())
+    triples = [(i, 0 if all_at_0 else draw(st.integers(0, 4)), draw(st.integers(1, 3))) for i in range(n)]
+    return make_instance(triples, machines=m)
+
+
+class TestReferenceWitness:
+    """brute_force_opt's witness is the one a replay trying every
+    take-vector in each slot gives (tests/helpers.py:reference_witness)."""
+
+    @pytest.mark.parametrize("k", (1, 2, 3))
+    @settings(max_examples=150)
+    @given(inst=small_instances())
+    def test_matches_reference(self, k, inst):
+        assert trace_to_json(brute_force_opt(inst, k).trace) == trace_to_json(reference_witness(inst, k))
+
+    @pytest.mark.parametrize("stem", GOLDEN_ORACLE)
+    def test_golden_ties(self, stem):
+        triples, machines = GOLDEN_ORACLE[stem]
+        inst = make_instance(triples, machines=machines)
+        for k in (1, 2, 3):
+            assert brute_force_opt(inst, k).trace == reference_witness(inst, k)
 
 
 class TestNoLastingCache:
