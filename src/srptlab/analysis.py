@@ -20,7 +20,14 @@ remaining volume is linear in t while its schedule keeps the same running
 set. The engine's schedules change that set only at events, but an oracle
 witness (brute_force_opt) may also change it at an integer time strictly
 between two events, where its remaining volumes bend; the grid below does
-not hold those times (see check_backlog_bound and _walk_pass).
+not hold those times (see check_backlog_bound and _walk_pass). The backlog
+check's grid is the event times and the midpoint between each two. A
+midpoint whose interval holds no bend, between two event times whose
+records all pass, is decided by them: each gap is linear there and an
+arrival at the later end only raises it, so the midpoint's gap is at most
+the larger of the two ends', and the identity holds there since volumes
+only fall. The summary pass counts that midpoint's records as passing and
+evaluates every other one.
 
 Integer time base (shared with the engine and validate_trace through
 core._unit and core._scaled). A fast trace and its references are indexed on
@@ -217,8 +224,16 @@ class PairContext:
         ahead_ref_small = {}
         for i in alive_alg if ids is None else ids:
             r, p = rank[i], size[i]
-            ahead_alg[i] = sum(v for rj, v in alg if rj <= r)
-            ahead_ref_small[i] = sum(v for rj, pj, v in ref if rj <= r and pj <= p)
+            total = 0
+            for rj, v in alg:
+                if rj <= r:
+                    total += v
+            ahead_alg[i] = total
+            total = 0
+            for rj, pj, v in ref:
+                if rj <= r and pj <= p:
+                    total += v
+            ahead_ref_small[i] = total
         return _StateEval(rem_alg, ahead_alg, ahead_ref_small)
 
 
@@ -522,53 +537,99 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     backlog ahead of i is 0: i's gap is at most 0, its slack at least
     machines * size(i), and the identity holds with slack 0. The check
     counts those two records at each grid time without building them, so a
-    grid time costs one state of the fast alive jobs, not of all n."""
+    grid time costs one state of the fast alive jobs, not of all n, and a
+    grid time where the fast schedule holds no job costs no state.
+
+    A midpoint M of consecutive boundaries a < b is decided by a and b
+    alone when every record at a and at b passes and neither trace starts
+    or ends a service interval strictly inside (a, b); the check then
+    counts M's records as passing, with least slack 0, without a state.
+    A job finished by a passes as above. Take i alive in the fast schedule
+    on (a, b). With no bend inside, every remaining volume is linear on
+    [a, b], so gap_i(M) is the mean of gap_i(a) and the gap over the same
+    alive sets at b. At b a completion adds 0 to that gap, and an
+    arrival raises it or leaves it, so gap_i(M) <= max(gap_i(a), gap_i(b)).
+    If i finishes at b, every job the fast schedule finishes no later than
+    i is done by then, so its gap over those sets is <= 0. The identity
+    needs only that volumes never rise: if it holds at a, it holds at M,
+    with slack 0. Every other midpoint is evaluated, among them those where
+    an oracle witness switches jobs, and its records come before b's.
+    Read in full, the records of every grid time are built."""
     [report] = _reports(("backlog-bound",), _backlog_pass, ctx)
     return report
 
 
 def _backlog_pass(ctx: PairContext, full: bool) -> list:
-    """check_backlog_bound's integer pass; slacks in units of 1/V. In full it
-    builds both records of every released job; otherwise it looks only at
-    the jobs alive in the fast schedule, since no other record can fail."""
+    """check_backlog_bound's integer pass over the boundaries and the
+    midpoints between them; slacks in units of 1/V. In full it builds both
+    records of every released job at every grid time; otherwise it looks
+    only at the jobs alive in the fast schedule, since no other record can
+    fail, and evaluates a midpoint only when its two boundaries do not
+    decide it (see check_backlog_bound)."""
     size = ctx.idx_alg.size
     rank = ctx.finish_rank
     bound = {i: ctx.machines * p for i, p in size.items()}
-    released = []  # ids released by T, ascending
-    alive_alg = alive_ref = frozenset()
     part = _Part(full, Rational(1, ctx.V), _in_units(Rational(1, ctx.L)))
-    for T in _check_grid(ctx):
-        if T in ctx.idx_alg.released_at:
-            released.extend(ctx.idx_alg.released_at[T])
-            released.sort()
-        alive_alg = ctx.idx_alg.advance(alive_alg, T)
-        alive_ref = ctx.idx_ref.advance(alive_ref, T)
+
+    def grid_time(T, released, alive_alg, alive_ref) -> bool:
+        """The records at T of the released jobs (ascending ids) over these
+        alive sets; whether all of them pass."""
+        kept = len(part.records)
         ids = released
         if not full:  # a finished job's two records pass, the least slack 0
             part.tally(2 * (len(released) - len(alive_alg)), 0)
+            if not alive_alg:
+                return True
             ids = sorted(alive_alg)
         st = ctx.state(T, alive_alg, alive_ref, ids=ids)
+        alg = [(rank[j], v) for j, v in st.rem_alg.items()]
         for i in ids:
             part.le(T, st.ahead_alg[i] - st.ahead_ref_small[i], bound[i], "backlog gap job %d", i)
             r, p = rank[i], size[i]
-            small = sum(v for j, v in st.rem_alg.items() if rank[j] <= r and v <= p)
+            small = 0
+            for rj, v in alg:
+                if rj <= r and v <= p:
+                    small += v
             part.eq(T, small - st.ahead_alg[i], "small-volume identity job %d", i)
+        return len(part.records) == kept
+
+    bounds = _boundaries(ctx)
+    # service-interval starts and ends of both traces that are no boundary:
+    # the times inside (a, b) where a remaining volume bends
+    bends = set()
+    for idx in (ctx.idx_alg, ctx.idx_ref):
+        for times in (*idx.starts.values(), *idx.ends.values()):
+            bends.update(times)
+    bends = sorted(bends.difference(bounds))
+    released = []  # ids released by b, ascending
+    alive_alg = alive_ref = frozenset()
+    a = passed_a = None
+    for b in bounds:
+        inside = (released, alive_alg, alive_ref)  # who is released and alive on (a, b)
+        if b in ctx.idx_alg.released_at:
+            released = sorted(released + ctx.idx_alg.released_at[b])
+        alive_alg = ctx.idx_alg.advance(alive_alg, b)
+        alive_ref = ctx.idx_ref.advance(alive_ref, b)
+        start = len(part.records)
+        passed_b = grid_time(b, released, alive_alg, alive_ref)
+        if a is not None:
+            if not full and passed_a and passed_b and bisect_left(bends, a) == bisect_left(bends, b):
+                part.tally(2 * len(inside[0]), 0)
+            else:  # the midpoint's records go before b's
+                mid = len(part.records)
+                grid_time((a + b) // 2, *inside)
+                part.records[start:] = part.records[mid:] + part.records[start:mid]
+        a, passed_a = b, passed_b
     return [part.result()]
 
 
 def _boundaries(ctx: PairContext):
-    """0 and every arrival and completion time of both traces, in time units."""
+    """0 and every arrival and completion time of both traces, in time units
+    (each even, so the midpoint between two of them is an integer)."""
     times = {0}
     for idx in (ctx.idx_alg, ctx.idx_ref):
         times.update(idx.released_at, idx.finished_at)
     return sorted(times)
-
-
-def _check_grid(ctx: PairContext):
-    """The boundaries and the midpoints between them, in time units (every
-    boundary is even, so every midpoint is an integer)."""
-    bounds = _boundaries(ctx)
-    return sorted(bounds + [(a + b) // 2 for a, b in zip(bounds, bounds[1:])])
 
 
 # --------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from srptlab import (
     srpt_priority,
     verify,
 )
-from srptlab.analysis import _check_grid
 from srptlab import analysis
 from srptlab.core import flow_power
 from srptlab.rationals import rat
@@ -348,10 +347,30 @@ def walk_potentials(ctx, modes):
     return phis
 
 
+def check_grid(ctx):
+    """The backlog check's grid in units of 1/ctx.L: the boundaries and the
+    midpoint between each two consecutive ones."""
+    bounds = analysis._boundaries(ctx)
+    return sorted(bounds + [(a + b) // 2 for a, b in zip(bounds, bounds[1:])])
+
+
 def grid_times(ctx):
-    """The context's check grid as times (the grid is kept in units of
-    1/ctx.L)."""
-    return [Fraction(T, ctx.L) for T in _check_grid(ctx)]
+    """The context's check grid as times."""
+    return [Fraction(T, ctx.L) for T in check_grid(ctx)]
+
+
+def assert_backlog_summary_matches_full(ctx):
+    """The backlog report's summary (from the pass that evaluates only
+    what can fail) against the records the full pass builds at every grid
+    time."""
+    report = check_backlog_bound(ctx)
+    records = tuple(report.records)
+    assert [r.time * ctx.L for r in records[::2]] == [
+        T for T in check_grid(ctx) for j in ctx.instance.jobs if j.release * ctx.L <= T]
+    assert report.n_events == len(records)
+    assert report.worst_slack == min(r.slack for r in records)
+    assert report.verdict == all(r.passed for r in records)
+    assert report.failures == tuple(r for r in records if not r.passed)
 
 
 POTENTIAL_POLICIES = {
@@ -742,31 +761,31 @@ class TestStateDefinition:
 
     @given(ctx=trace_pairs())
     def test_backlog_summary_matches_full_records(self, ctx):
-        # the summary pass looks only at the fast schedule's alive jobs and
-        # counts each finished one's two records without building them; the
-        # full pass builds every record
-        report = check_backlog_bound(ctx)
-        records = tuple(report.records)
-        assert report.n_events == len(records)
-        assert report.worst_slack == min(r.slack for r in records)
-        assert report.verdict == all(r.passed for r in records)
-        assert report.failures == tuple(r for r in records if not r.passed)
+        # the summary pass looks only at the fast schedule's alive jobs,
+        # counts each finished one's two records without building them and
+        # decides a linear interval's midpoint from its two ends; the full
+        # pass builds every record
+        assert_backlog_summary_matches_full(ctx)
 
     def test_backlog_summary_asks_only_for_alive_jobs(self, monkeypatch):
-        # uniform, n = 200, m = 2, sizes 1-8, releases 0-400: the summary
-        # pass asks state for the fast schedule's alive jobs at each grid
-        # time and for no other job, yet counts two records per released
-        # job, as many as the full pass builds
+        # uniform, n = 200, m = 2, sizes 1-8, releases 0-400: every record
+        # passes and neither schedule bends between events, so the summary
+        # pass asks state at each boundary where the fast schedule holds a
+        # job, for those jobs and no other, and at no midpoint; yet it
+        # counts two records per released job at every grid time, as many
+        # as the full pass builds
         inst = generate(GenSpec("uniform", 200, 2, (1, 8), (0, 400), 1))
         ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed("3/2")),
                            simulate_srpt(inst, UNIT_SPEED))
         asked = []
         state = ctx.state
-        monkeypatch.setattr(ctx, "state", lambda *args, ids: asked.append(len(ids)) or state(*args, ids=ids))
+        monkeypatch.setattr(ctx, "state", lambda T, *args, ids: asked.append((T, ids)) or state(T, *args, ids=ids))
         report = check_backlog_bound(ctx)
-        grid = grid_times(ctx)
-        assert asked == [len(alive_by_definition(ctx.srpt_trace, t)) for t in grid]
-        released = sum(j.release <= t for t in grid for j in inst.jobs)
+        assert report.verdict
+        alive = {T: sorted(alive_by_definition(ctx.srpt_trace, Fraction(T, ctx.L)))
+                 for T in analysis._boundaries(ctx)}
+        assert asked == [(T, ids) for T, ids in alive.items() if ids]
+        released = sum(j.release <= t for t in grid_times(ctx) for j in inst.jobs)
         assert report.n_events == 2 * released
         assert len(tuple(report.records)) == 2 * released
 
@@ -784,7 +803,7 @@ class TestStateDefinition:
         # and a time with no event leaves the set as it was
         for trace, idx in ((ctx.srpt_trace, ctx.idx_alg), (ctx.ref_trace, ctx.idx_ref)):
             alive = frozenset()
-            for T in _check_grid(ctx):
+            for T in check_grid(ctx):
                 before, alive = alive, idx.advance(alive, T)
                 assert alive == alive_by_definition(trace, Fraction(T, ctx.L)), T
                 if T not in idx.released_at and T not in idx.finished_at:
@@ -908,6 +927,40 @@ class TestOracleSwitches:
                 for job in ctx.instance.jobs:
                     if job.release <= t:
                         assert ctx.machines * job.size - (alg[job.id] - ref[job.id]) >= worst, (t, job.id)
+
+    def test_backlog_summary_matches_full_records(self, oracle_switch_contexts):
+        for ctx, _, _ in oracle_switch_contexts:
+            assert_backlog_summary_matches_full(ctx)
+
+    def test_backlog_evaluates_only_undecided_midpoints(self, oracle_switch_contexts, monkeypatch):
+        # where the fast schedule holds a job on (a, b) and every record at
+        # a and b passes, the summary pass asks state at the midpoint when
+        # the witness changes its running set inside (a, b), and not when
+        # no segment of either schedule starts or ends there
+        counts = {"bent": 0, "linear": 0}
+        for ctx, _, _ in oracle_switch_contexts:
+            asked = []
+            state = ctx.state
+            monkeypatch.setattr(ctx, "state", lambda T, *args, ids: asked.append(T) or state(T, *args, ids=ids))
+            report = check_backlog_bound(ctx)
+            failing = {r.time for r in report.failures}
+            segments = (*ctx.srpt_trace.segments, *ctx.ref_trace.segments)
+            bounds = [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)]
+            for a, b in zip(bounds, bounds[1:]):
+                if a in failing or b in failing or not alive_by_definition(ctx.srpt_trace, a):
+                    continue
+                running = [frozenset(seg.assignment) - {None} for seg in ctx.ref_trace.segments
+                           if a <= seg.start < b or seg.start < a < seg.end]
+                mid = (a + b) / 2 * ctx.L
+                if any(x != y for x, y in zip(running, running[1:])):
+                    assert mid in asked, (a, b)
+                    counts["bent"] += 1
+                elif not any(a < t < b for seg in segments for t in (seg.start, seg.end)):
+                    assert mid not in asked, (a, b)
+                    counts["linear"] += 1
+        # of the 109 contexts' intervals with a fast job on them and no
+        # failing record at either end
+        assert counts == {"bent": 118, "linear": 793}
 
     def test_walk_never_rises_inside_passing_interval(self, oracle_switch_contexts):
         checked = 0

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -20,6 +21,7 @@ from srptlab.engine import longest_remaining_priority, simulate_policy, simulate
 from helpers import corrupted
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 E1_TEXT = "m 2\njob 0 0 3\njob 1 0 1\njob 2 1 1\n"
 
@@ -771,6 +773,24 @@ class TestTopLevel:
         assert "unit-srpt" in outputs[2].out and not outputs[2].err
         assert "required: --instance" in outputs[3].err
         assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--family", "uniform", "--n", "6", "--machines", "2", "--seed", "11"],
+        ["gen", "--family", "uniform", "--n", "1_0"],
+    ])
+    def test_python_m_srptlab_runs_main(self, args, capsys):
+        # `python -m srptlab` from a source checkout: the exit code and the
+        # bytes of both streams are those of cli.main in this process (a
+        # parse error exits 2 through SystemExit)
+        try:
+            code = main(args)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "srptlab", *args], capture_output=True, env=env, check=False,
+                             timeout=60)
+        assert (run.returncode, run.stdout, run.stderr) == (code, captured.out.encode(), captured.err.encode())
 
 
 if __name__ == "__main__":
