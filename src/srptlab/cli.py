@@ -340,6 +340,12 @@ def _load_manifest(path: str) -> dict:
     if not _positive_ints(machines):
         raise CliError(EXIT_INPUT, "manifest: machines must be a non-empty list of integers >= 1")
     out["machines"] = list(dict.fromkeys(machines))
+    # the family ignores both, so a second seed or machine count would only
+    # repeat its rows and its oracle searches
+    if len(out["seeds"]) > 1 or len(out["machines"]) > 1:
+        if any(fam["family"] == "starvation-stream" for fam in fams):
+            raise CliError(EXIT_INPUT, "manifest: family starvation-stream ignores the seed "
+                           "and the machine count, so it takes one seed and one machine count")
 
     mode = doc.get("bound", "theorem")
     if mode not in ("theorem", "one-competitive"):

@@ -38,6 +38,11 @@ class Instance:
     def n(self) -> int:
         return len(self.jobs)
 
+    def __getstate__(self):
+        # a pickle carries the fields only, not validate_instance's mark, so
+        # an unpickled instance is checked again
+        return {"jobs": self.jobs, "machines": self.machines}
+
 
 @dataclass(frozen=True)
 class SpeedConfig:
@@ -115,8 +120,14 @@ def build_jobs(triples) -> tuple:
 def validate_instance(instance: Instance) -> Instance:
     """Check instance invariants and return the canonically sorted copy.
 
-    Jobs are ordered by (release, id); ids must be exactly 0..n-1.
+    Jobs are ordered by (release, id); ids must be exactly 0..n-1. The copy
+    carries a private mark, and an instance that carries it is returned as
+    it is: a frozen instance cannot change after it is checked. Equality
+    ignores the mark, and neither dataclasses.replace nor a pickle carries
+    it, so every instance built another way is checked in full.
     """
+    if instance.__dict__.get("_validated"):
+        return instance
     if not isinstance(instance.machines, int) or instance.machines < 1:
         raise InstanceError("machines must be >= 1")
     L = _unit(j.release for j in instance.jobs)
@@ -133,7 +144,9 @@ def validate_instance(instance: Instance) -> Instance:
             raise InstanceError("negative release for job %d" % j.id)
     if seen and (min(seen) != 0 or max(seen) != len(seen) - 1):
         raise InstanceError("job ids must be dense 0..n-1")
-    return Instance(jobs=tuple(jobs), machines=instance.machines)
+    out = Instance(jobs=tuple(jobs), machines=instance.machines)
+    object.__setattr__(out, "_validated", True)
+    return out
 
 
 def make_instance(triples, machines: int) -> Instance:

@@ -147,7 +147,6 @@ of them finishes; at m = 1 that is one job, run to its end.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 
@@ -156,7 +155,6 @@ from .core import (
     Instance,
     Segment,
     UNIT_SPEED,
-    flow_power,
     validate_instance,
 )
 from .rationals import Rational, ZERO
@@ -173,10 +171,31 @@ MAX_TOTAL_WORK = 40
 MAX_MACHINES = 3
 
 
-@dataclass(frozen=True)
 class OracleResult:
-    objective: Rational
-    trace: ExecutionTrace
+    """The search's least objective and its witness schedule. The replay
+    leaves the witness as integer runs and completions; the trace of
+    Rationals and Segments is built from them when `trace` is first read,
+    and kept."""
+
+    def __init__(self, objective: Rational, instance: Instance, runs, completions):
+        self.objective = objective
+        self._witness = (instance, runs, completions)
+        self._trace = None
+
+    @property
+    def trace(self) -> ExecutionTrace:
+        if self._trace is None:
+            instance, runs, completions = self._witness
+            # the runs tile [0, end], and a job's completion ends a run: one
+            # Rational per bound
+            at = {b: Rational(b) for b in [0] + [b for _, b, _ in runs]}
+            self._trace = ExecutionTrace(
+                instance=instance,
+                speed=UNIT_SPEED,
+                segments=tuple(Segment(start=at[a], end=at[b], assignment=ids) for a, b, ids in runs),
+                completions=tuple(at[c] for c in completions),
+            )
+        return self._trace
 
 
 def _integral_jobs(instance: Instance):
@@ -333,7 +352,13 @@ def _search_actions(classes, m, k):
 
 
 def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
-    """Minimum k-th power flow over integral-slot schedules, with a witness trace."""
+    """Minimum k-th power flow over integral-slot schedules, with a witness.
+
+    Every call searches, then replays the search to lay out the witness
+    schedule in integers, and checks that the replay's completions pay the
+    search value: the sum of (C_j - r_j)^k over the jobs must equal it, or
+    OracleError("internal: ...") is raised. The witness trace is built only
+    when the result's `trace` is first read."""
     if not is_int(k) or k < 1:
         raise OracleError("k must be an integer >= 1")
     inst = validate_instance(instance)
@@ -342,8 +367,7 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     m = inst.machines
 
     if not jobs:
-        trace = ExecutionTrace(instance=inst, speed=UNIT_SPEED, segments=(), completions=())
-        return OracleResult(objective=ZERO, trace=trace)
+        return OracleResult(ZERO, inst, [], [])
 
     def tag(r):
         return r if k >= 2 else 0
@@ -467,18 +491,8 @@ def brute_force_opt(instance: Instance, k: int = 1) -> OracleResult:
     # the search's closures refer to each other, so the memo would otherwise
     # live on until the cyclic garbage collector reaches them
     memo.clear()
-    # the runs tile [0, end], and a job's completion ends a run: one Rational
-    # per bound
-    at = {b: Rational(b) for b in [0] + [b for _, b, _ in runs]}
-    trace = ExecutionTrace(
-        instance=inst,
-        speed=UNIT_SPEED,
-        segments=tuple(Segment(start=at[a], end=at[b], assignment=ids) for a, b, ids in runs),
-        completions=tuple(at[c] for c in completions),
-    )
-    objective = Rational(opt)
-    recomputed = flow_power(trace, k)
-    if recomputed != objective:  # pragma: no cover - accounting bug trap
-        raise OracleError("internal: trace objective %s != search value %s"
-                          % (recomputed, objective))
-    return OracleResult(objective=objective, trace=trace)
+    # the accounting trap: the replay's completions must pay the search value
+    paid = sum((completions[jid] - r) ** k for r, _, jid in jobs)
+    if paid != opt:
+        raise OracleError("internal: trace objective %s != search value %s" % (paid, opt))
+    return OracleResult(Rational(opt), inst, runs, completions)

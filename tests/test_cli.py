@@ -12,11 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from srptlab import analysis, cli
+from srptlab import analysis, cli, oracle
 from srptlab.analysis import REFERENCES, verify
 from srptlab.cli import main
 from srptlab.core import validate_trace
 from srptlab.engine import longest_remaining_priority, simulate_policy, simulate_srpt
+from srptlab.oracle import brute_force_opt
+from srptlab.workload import GenSpec, generate
 
 from helpers import corrupted
 
@@ -584,6 +586,36 @@ class TestSweepGolden:
         assert out.read_text().splitlines() == [(DATA / "sweep_grid.csv").read_text().splitlines()[0]]
         skips = [l for l in (DATA / "sweep_grid.stderr").read_text().splitlines() if "uniform" in l]
         assert capsys.readouterr().err.splitlines()[:-1] == skips
+
+    @pytest.mark.parametrize("axes", [{"seeds": 2}, {"seeds": [3, 4]}, {"machines": [1, 2]}],
+                             ids=["seed-count", "seed-list", "machines"])
+    def test_starvation_stream_takes_one_seed_and_machine_count(self, tmp_path, capsys, axes):
+        # the family ignores the seed and the machine count, so a second
+        # value of either would only write duplicate rows
+        stream = {"family": "starvation-stream", "n": 4, "size_range": [1, 1], "release_range": [0, 0]}
+        doc = {"families": [GOLDEN_SWEEP["families"][0], stream], "seeds": [3], "machines": [2],
+               "eps": ["1/2"], "k": [1, 2]}
+        out = tmp_path / "rows.csv"
+        assert main(["sweep", "--manifest", manifest_file(tmp_path, dict(doc, **axes)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: manifest: family starvation-stream ")
+        assert not out.exists()
+        assert main(["sweep", "--manifest", manifest_file(tmp_path, doc), "--out", str(out)]) == 0
+        rows = [r.split(",")[:5] for r in out.read_text().splitlines()[1:]]
+        assert rows == [["bursty", "3", "2", "1/2", "1"], ["bursty", "3", "2", "1/2", "2"],
+                        ["starvation-stream", "3", "1", "1/2", "1"],
+                        ["starvation-stream", "3", "1", "1/2", "2"]]
+
+    def test_cell_builds_no_witness(self, monkeypatch):
+        # a cell reads only the oracle's objective, so no witness segment is built
+        built = []
+        segment = oracle.Segment
+        monkeypatch.setattr(oracle, "Segment", lambda *a, **kw: built.append(None) or segment(*a, **kw))
+        rows, notices = cli._sweep_cell((GOLDEN_SWEEP["families"][0], 1, 2, ["1/4", "1/2"], [1, 2], "theorem"))
+        assert len(rows) == 4 and notices == []
+        assert built == []
+        brute_force_opt(generate(GenSpec("bursty", 5, 2, (1, 3), (0, 4), 1)), k=1).trace
+        assert built
 
 
 class TestDigitLimit:

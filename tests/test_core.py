@@ -1,6 +1,7 @@
 """Domain types, exact parsing/rendering, and trace feasibility audits."""
 
 import json
+import pickle
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from srptlab import (
     validate_instance,
     validate_trace,
 )
-from srptlab.core import flow_power
+from srptlab.core import build_jobs, flow_power
 from srptlab.rationals import (
     Rational,
     RationalParseError,
@@ -155,6 +156,36 @@ class TestInstanceValidation:
     def test_empty_instance_ok(self):
         inst = make_instance([], machines=2)
         assert inst.n == 0
+
+    def test_validated_instance_is_not_copied(self):
+        inst = make_instance([(1, 2, 1), (0, 0, 3), (2, 1, 2)], machines=2)
+        assert validate_instance(inst) is inst
+        assert simulate_srpt(inst, SpeedConfig.from_speed("3/2")).instance is inst
+        assert brute_force_opt(inst, k=2).trace.instance is inst
+
+    def test_raw_instance_is_checked_and_sorted(self):
+        raw = Instance(jobs=build_jobs([(1, 2, 1), (0, 0, 3)]), machines=1)
+        inst = validate_instance(raw)
+        assert inst is not raw and [j.id for j in inst.jobs] == [0, 1]
+        assert validate_instance(inst) is inst
+
+    @pytest.mark.parametrize(
+        "job, message",
+        [(Job(0, Rational(5), Rational(1)), "duplicate id 0"),
+         (Job(2, Rational(5), Rational(0)), "non-positive size for job 2"),
+         (Job(2, Rational(-1), Rational(1)), "negative release for job 2")],
+        ids=["duplicate-id", "zero-size", "negative-release"],
+    )
+    def test_derived_instances_are_checked_in_full(self, job, message):
+        # equality ignores the validation mark; replace and pickle drop it
+        inst = make_instance([(1, 2, 1), (0, 0, 3)], machines=1)
+        with pytest.raises(InstanceError, match="^%s$" % message):
+            validate_instance(replace(inst, jobs=inst.jobs + (job,)))
+        copy = pickle.loads(pickle.dumps(inst))
+        assert copy == inst and validate_instance(copy) is not copy
+        object.__setattr__(copy, "jobs", inst.jobs + (job,))
+        with pytest.raises(InstanceError, match="^%s$" % message):
+            validate_instance(copy)
 
     @given(
         st.lists(st.tuples(st.sampled_from(FEW_TIMES), positive_rationals), max_size=8),

@@ -219,6 +219,31 @@ class TestBruteForce:
         with pytest.raises(OracleError, match="k must be an integer >= 1"):
             brute_force_opt(inst, k=True)
 
+    def test_accounting_trap_catches_a_late_replay(self, monkeypatch):
+        # the replay's last run ends one slot late: its jobs' completions no
+        # longer pay the search value, and the call says so
+        def late(t, jobs, m):
+            runs = list(_spt_tail(t, jobs, m))
+            start, end, ids, done = runs[-1]
+            return runs[:-1] + [(start, end + 1, ids, done)]
+
+        monkeypatch.setattr(oracle, "_spt_tail", late)
+        inst = make_instance([(0, 0, 3), (1, 0, 1), (2, 0, 2), (3, 0, 2)], machines=2)
+        with pytest.raises(OracleError, match=r"^internal: trace objective 13 != search value 11$"):
+            brute_force_opt(inst, k=1)
+
+    def test_witness_is_built_on_first_read(self, monkeypatch):
+        built = []
+        segment = oracle.Segment
+        monkeypatch.setattr(oracle, "Segment", lambda *a, **kw: built.append(None) or segment(*a, **kw))
+        inst = make_instance([(0, 0, 2), (1, 1, 1), (2, 1, 3)], machines=2)
+        res = brute_force_opt(inst, k=2)
+        assert res.objective == 17 and built == []
+        trace = res.trace
+        assert len(built) == len(trace.segments) > 0
+        assert res.trace is trace and len(built) == len(trace.segments)
+        assert trace.instance is inst
+
 
 def compositions(total):
     """Tuples of positive counts summing to `total`."""
