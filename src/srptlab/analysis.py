@@ -15,15 +15,13 @@ checks mirror an amortized analysis:
 Conventions: at an event time, completions are applied before arrivals, ties
 in job-id order; a job is alive at t when release <= t < completion, so
 evaluation at event times is post-event.
-Between two consecutive event times the alive sets are constant, and each
-remaining volume is linear in t while its schedule keeps the same running
-set. The engine's schedules change that set only at events, but an oracle
-witness (brute_force_opt) may also change it at an integer time strictly
-between two events, where its remaining volumes bend; the grid below does
-not hold those times (see check_backlog_bound and _walk_pass). The backlog
-check's grid is the event times and the midpoint between each two. A
-midpoint whose interval holds no bend, between two event times whose
-records all pass, is decided by them: each gap is linear there and an
+The checks ask at the times of one grid (_boundaries): 0, every release,
+and every time either schedule starts or stops serving a job, completions
+among them. Between two consecutive grid times the alive sets are
+constant and each job is served throughout or not at all, so every
+remaining volume is linear there. The backlog check also asks at the
+midpoint between each two grid times. A midpoint between two grid times
+whose records all pass is decided by them: each gap is linear there and an
 arrival at the later end only raises it, so the midpoint's gap is at most
 the larger of the two ends', and the identity holds there since volumes
 only fall. The summary pass counts that midpoint's records as passing and
@@ -34,7 +32,7 @@ core._unit and core._scaled). A fast trace and its references are indexed on
 one base (_indexes), and a context pairs two such indexes: time in units of
 1/L and volume in units of 1/V. L is twice the lcm of the denominators of
 every release, size, segment bound and completion in those traces, so
-every event time and every midpoint between two of them is an integer
+every grid time and every midpoint between two of them is an integer
 T = t * L. With the fast speed p/q in lowest terms, V = q * L: a job's
 remaining volume inside a service interval is line - p * T in the fast
 schedule and line - q * T in the reference, with line an integer, so every
@@ -66,8 +64,7 @@ from typing import NamedTuple
 from . import engine, oracle
 from .core import (UNIT_SPEED, ExecutionTrace, FlowSummary, _scaled, _trace_values, _unit,
                    flow_power, validate_trace)
-from .rationals import Rational, ZERO, kth_root_str
-from .workload import is_int
+from .rationals import Rational, ZERO, is_int, kth_root_str
 
 # the power checks and the k >= 2 guarantees need 0 < eps <= MAX_POWER_EPS
 MAX_POWER_EPS = Rational(1, 2)
@@ -244,7 +241,7 @@ def _require_feasible(name: str, trace: ExecutionTrace):
 
 
 def _power_k(k, message="k must be an integer >= 1") -> int:
-    """k, if it is an int >= 1 and not a bool (as workload.is_int has it:
+    """k, if it is an int >= 1 and not a bool (as rationals.is_int has it:
     True must not pass as 1); raises AnalysisError(message) otherwise."""
     if not is_int(k) or k < 1:
         raise AnalysisError(message)
@@ -504,33 +501,24 @@ def report_to_json(report: PotentialReport, params: dict | None = None) -> dict:
 # backlog bound (holds against every feasible unit-speed reference)
 
 def check_backlog_bound(ctx: PairContext) -> PotentialReport:
-    """At every merged event time and every midpoint between two of them,
-    for each job i with release(i) <= t: the fast backlog ahead of i (on
-    alive jobs the fast schedule finishes no later than i) minus the
-    reference's backlog on the no-larger of those jobs never exceeds
-    machines * size(i); and the fast backlog ahead of i equals its own
-    restriction to jobs with remaining volume <= size(i).
+    """At every grid time (see _boundaries) and every midpoint between two
+    consecutive ones, for each job i with release(i) <= t: the fast backlog
+    ahead of i (on alive jobs the fast schedule finishes no later than i)
+    minus the reference's backlog on the no-larger of those jobs never
+    exceeds machines * size(i); and the fast backlog ahead of i equals its
+    own restriction to jobs with remaining volume <= size(i).
 
-    The records at event times cover every t against a reference that
-    changes its running set only at events, as the engine's schedules do.
-    Take consecutive event times a < b. On [a, b) the alive sets are
-    constant and every remaining volume is linear, so each gap is linear
-    there. At b a completion is continuous, since its remaining volume
-    reaches 0, and an arrival a' adds size(a') to the fast backlog and the
-    same or nothing to the reference term, so it only raises gap(b). A
-    gap's maximum on [a, b] is therefore at a or b. The identity fails only
-    while some job ahead of i has more than size(i) left, and remaining
-    volumes only fall on [a, b), so it fails at a whenever it fails inside.
-    So the midpoint records add no failure of their own, though n_events
-    and the witness lists count them.
-
-    Open (soundness ledger): an oracle witness can change its running set
-    at an integer time inside (a, b). The reference term is then only
-    piecewise linear, with a bend the grid does not hold, and no argument
-    yet shows that a gap's maximum is never there. The identity argument
-    still holds, as it uses only that volumes fall. A seeded test
-    evaluates the gaps at every such time (TestOracleSwitches in
-    tests/test_analysis.py) and has found no worse slack than the grid's.
+    The records at grid times cover every t. Take consecutive grid times
+    a < b. On [a, b) the alive sets are constant and every remaining volume
+    is linear, so each gap is linear there. At b a completion is
+    continuous, since its remaining volume reaches 0, and an arrival a'
+    adds size(a') to the fast backlog and the same or nothing to the
+    reference term, so it only raises gap(b). A gap's maximum on [a, b] is
+    therefore at a or b. The identity fails only while some job ahead of i
+    has more than size(i) left, and remaining volumes only fall on [a, b),
+    so it fails at a whenever it fails inside. So the midpoint records add
+    no failure of their own, though n_events and the witness lists count
+    them.
 
     Only a job the fast schedule still holds can fail. Once it has finished
     i, it has finished every job it finishes no later than i, so the fast
@@ -540,21 +528,19 @@ def check_backlog_bound(ctx: PairContext) -> PotentialReport:
     grid time costs one state of the fast alive jobs, not of all n, and a
     grid time where the fast schedule holds no job costs no state.
 
-    A midpoint M of consecutive boundaries a < b is decided by a and b
-    alone when every record at a and at b passes and neither trace starts
-    or ends a service interval strictly inside (a, b); the check then
-    counts M's records as passing, with least slack 0, without a state.
-    A job finished by a passes as above. Take i alive in the fast schedule
-    on (a, b). With no bend inside, every remaining volume is linear on
-    [a, b], so gap_i(M) is the mean of gap_i(a) and the gap over the same
-    alive sets at b. At b a completion adds 0 to that gap, and an
-    arrival raises it or leaves it, so gap_i(M) <= max(gap_i(a), gap_i(b)).
-    If i finishes at b, every job the fast schedule finishes no later than
-    i is done by then, so its gap over those sets is <= 0. The identity
-    needs only that volumes never rise: if it holds at a, it holds at M,
-    with slack 0. Every other midpoint is evaluated, among them those where
-    an oracle witness switches jobs, and its records come before b's.
-    Read in full, the records of every grid time are built."""
+    A midpoint M of consecutive grid times a < b is decided by a and b
+    alone when every record at a and at b passes; the check then counts
+    M's records as passing, with least slack 0, without a state. A job
+    finished by a passes as above. Take i alive in the fast schedule on
+    (a, b). Every remaining volume is linear on [a, b], so gap_i(M) is the
+    mean of gap_i(a) and the gap over the same alive sets at b. At b a
+    completion adds 0 to that gap, and an arrival raises it or leaves it,
+    so gap_i(M) <= max(gap_i(a), gap_i(b)). If i finishes at b, every job
+    the fast schedule finishes no later than i is done by then, so its gap
+    over those sets is <= 0. The identity needs only that volumes never
+    rise: if it holds at a, it holds at M, with slack 0. Every other
+    midpoint is evaluated, and its records come before b's. Read in full,
+    the records of every grid time are built."""
     [report] = _reports(("backlog-bound",), _backlog_pass, ctx)
     return report
 
@@ -593,18 +579,10 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
             part.eq(T, small - st.ahead_alg[i], "small-volume identity job %d", i)
         return len(part.records) == kept
 
-    bounds = _boundaries(ctx)
-    # service-interval starts and ends of both traces that are no boundary:
-    # the times inside (a, b) where a remaining volume bends
-    bends = set()
-    for idx in (ctx.idx_alg, ctx.idx_ref):
-        for times in (*idx.starts.values(), *idx.ends.values()):
-            bends.update(times)
-    bends = sorted(bends.difference(bounds))
     released = []  # ids released by b, ascending
     alive_alg = alive_ref = frozenset()
     a = passed_a = None
-    for b in bounds:
+    for b in _boundaries(ctx):
         inside = (released, alive_alg, alive_ref)  # who is released and alive on (a, b)
         if b in ctx.idx_alg.released_at:
             released = sorted(released + ctx.idx_alg.released_at[b])
@@ -613,7 +591,7 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
         start = len(part.records)
         passed_b = grid_time(b, released, alive_alg, alive_ref)
         if a is not None:
-            if not full and passed_a and passed_b and bisect_left(bends, a) == bisect_left(bends, b):
+            if not full and passed_a and passed_b:
                 part.tally(2 * len(inside[0]), 0)
             else:  # the midpoint's records go before b's
                 mid = len(part.records)
@@ -624,11 +602,15 @@ def _backlog_pass(ctx: PairContext, full: bool) -> list:
 
 
 def _boundaries(ctx: PairContext):
-    """0 and every arrival and completion time of both traces, in time units
-    (each even, so the midpoint between two of them is an integer)."""
+    """The check grid, in time units: 0, every release, and every start and
+    end of a service interval of either trace, which puts every completion
+    on it (a feasible trace's last service of a job ends at its
+    completion). Between two consecutive grid times no job arrives or
+    finishes and each job is served throughout or not at all. Each time is
+    even, so the midpoint between two of them is an integer."""
     times = {0}
     for idx in (ctx.idx_alg, ctx.idx_ref):
-        times.update(idx.released_at, idx.finished_at)
+        times.update(idx.released_at, *idx.starts.values(), *idx.ends.values())
     return sorted(times)
 
 
@@ -668,7 +650,7 @@ def _clamped_age(ctx, st, T, i):
     at zero drives the power potential, in units of 1/(L * m * (p - q)). The
     gap is the fast volume ahead of i, plus m times i's own remaining volume,
     minus the reference's small-job volume ahead of i. Linear in T between
-    events while the reference keeps its running set (see _walk_pass)."""
+    two consecutive grid times (see _boundaries)."""
     m = ctx.machines
     gap = st.ahead_alg[i] + m * st.rem_alg[i] - st.ahead_ref_small[i]
     return (T - ctx.idx_alg.release[i]) * m * (ctx.p - ctx.q) + gap
@@ -830,19 +812,10 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
     there are 0 by definition and cannot fail.
 
     Objective plus potential is a sum over alive jobs of a convex term of
-    the job's clamped age. Between events each clamped age is linear when
-    the reference keeps its running set there, as the engine's schedules
-    do, so the sum is convex and never rises on [t, b] exactly when its
-    left derivative at b is at most 0. Sums of terms and rises stay
-    integers until a record needs them.
-
-    Open (soundness ledger): an oracle witness can change its running set
-    at an integer time inside (t, b), where the clamped ages bend, so the
-    sum need not be convex there and a passing running record does not by
-    itself rule out a rise inside. No argument covers those times yet; a
-    seeded test evaluates objective plus potential at each of them
-    (TestOracleSwitches in tests/test_analysis.py) and has found no rise
-    inside an interval whose running record passed.
+    the job's clamped age. Between two consecutive grid times each clamped
+    age is linear, so the sum is convex and never rises on [t, b] exactly
+    when its left derivative at b is at most 0. Sums of terms and rises
+    stay integers until a record needs them.
 
     The walk holds only the state it is at, and works out each alive job's
     clamped age once per state for all the modes. The state at the end T of
@@ -858,7 +831,7 @@ def _walk_pass(ctx: PairContext, modes: tuple, full: bool) -> list:
     alive_alg = alive_ref = frozenset()
     ages = {}  # job in alive_alg -> its clamped age in the current state
     for pos, T in enumerate(bounds):
-        if pos:  # the interval from the previous event to T ends
+        if pos:  # the interval from the previous grid time to T ends
             st = ctx.state(T, alive_alg, alive_ref) if alive_alg else None
             now = {i: _clamped_age(ctx, st, T, i) for i in alive_alg}
             ga, gb = [ages[i] for i in alive_alg], [now[i] for i in alive_alg]
@@ -897,7 +870,7 @@ def check_completion_charge(ctx: PairContext, k: int | None = None) -> Potential
     Only a held job, one the fast schedule has finished and the reference
     has not, can owe: a job finished no later than i is released by then,
     so it is alive in the reference exactly while the reference holds it.
-    The pass sweeps the event times backward, keeping the held set, and
+    The pass sweeps the grid times backward, keeping the held set, and
     takes the fast completions in reverse finish order. Pair (i, j)'s bound
     subtracts what j owes at the reference completions of the jobs charged
     to j that the fast schedule finishes after i: in that order all of them

@@ -17,7 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import cache
 
 from .analysis import (
-    MAX_POWER_EPS,
     REFERENCES,
     AnalysisError,
     objectives,
@@ -36,8 +35,8 @@ from .formats import (
     trace_to_json,
 )
 from .oracle import OracleError, brute_force_opt
-from .rationals import ONE, Rational, RationalParseError, decimal_str, is_int_text, rat
-from .workload import FAMILIES, GenSpec, WorkloadError, generate, is_int, validate_spec
+from .rationals import ONE, Rational, RationalParseError, decimal_str, is_int, is_int_text, rat
+from .workload import FAMILIES, GenSpec, WorkloadError, generate, validate_spec
 
 # perfbench's tracer wraps these names here, though cli no longer calls them
 from .analysis import check_backlog_bound, check_completion_charge, make_context  # noqa: F401
@@ -373,13 +372,10 @@ def _load_manifest(path: str) -> dict:
                 val = rat(str(text))
             except RationalParseError as exc:
                 raise CliError(EXIT_INPUT, "manifest: bad eps %r: %s" % (text, exc))
-            if val <= 0:
-                raise CliError(EXIT_DOMAIN, "epsilon out of theorem range: eps %s <= 0" % val)
-            if val > MAX_POWER_EPS and any(k > 1 for k in ks):
-                raise CliError(
-                    EXIT_DOMAIN,
-                    "epsilon out of theorem range (k > 1 needs eps <= 1/2, got %s)" % val,
-                )
+            try:
+                verify_domain(val, ks, ())
+            except AnalysisError as exc:
+                raise CliError(EXIT_DOMAIN, "manifest: eps %s: %s" % (val, exc))
             parsed.append(str(val))
         out["eps"] = list(dict.fromkeys(parsed))  # str(val) is canonical: 2/4 is 1/2
     out["k"] = ks

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .rationals import Rational, ZERO, rat
+from .rationals import Rational, ZERO, is_int, rat
 
 
 class InstanceError(ValueError):
@@ -128,8 +128,13 @@ def validate_instance(instance: Instance) -> Instance:
     """
     if instance.__dict__.get("_validated"):
         return instance
-    if not isinstance(instance.machines, int) or instance.machines < 1:
+    if not is_int(instance.machines):
+        raise InstanceError("machines must be an integer, got %r" % (instance.machines,))
+    if instance.machines < 1:
         raise InstanceError("machines must be >= 1")
+    for j in instance.jobs:
+        if not is_int(j.id):
+            raise InstanceError("job id must be an integer, got %r" % (j.id,))
     L = _unit(j.release for j in instance.jobs)
     jobs = sorted(instance.jobs, key=lambda j: (_scaled(j.release, L), j.id))
     seen = set()

@@ -29,8 +29,7 @@ from .core import (
     TraceError,
     validate_instance,
 )
-from .rationals import RationalParseError, is_int_text, rat
-from .workload import is_int
+from .rationals import RationalParseError, is_int, is_int_text, rat
 
 
 class ParseError(ValueError):

@@ -157,8 +157,7 @@ from .core import (
     UNIT_SPEED,
     validate_instance,
 )
-from .rationals import Rational, ZERO
-from .workload import is_int
+from .rationals import Rational, ZERO, is_int
 
 
 class OracleError(ValueError):

@@ -22,6 +22,11 @@ class RationalParseError(ValueError):
     pass
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool: JSON's true must not pass as 1."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_int_text(s: str) -> bool:
     """Whether s is an `<int>`: ASCII digits after an optional '-'. int()
     alone would also take "1_0", "+3", surrounding spaces and non-ASCII

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Instance, make_instance
+from .rationals import is_int
 
 MASK64 = (1 << 64) - 1
 # below() draws from one 64-bit output, so a range holds at most this many values
@@ -86,11 +87,6 @@ class GenSpec:
     size_range: tuple  # (lo, hi) integer sizes, lo >= 1
     release_range: tuple  # (lo, hi) integer releases, lo >= 0
     seed: int
-
-
-def is_int(x) -> bool:
-    """An int that is not a bool: JSON's true must not pass as 1."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _int_span(span, lo: int) -> bool:

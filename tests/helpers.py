@@ -239,6 +239,14 @@ def event_times(trace):
     return sorted({j.release for j in trace.instance.jobs} | set(trace.completions))
 
 
+def running_switches(trace):
+    """The times strictly inside the trace's span at which its running set
+    changes, from its raw segments."""
+    running = [frozenset(seg.assignment) - {None} for seg in trace.segments]
+    return {seg.start for seg, before, after in zip(trace.segments[1:], running, running[1:])
+            if before != after}
+
+
 def job_of(instance, jid):
     """The job of `instance` whose id is `jid`."""
     for job in instance.jobs:

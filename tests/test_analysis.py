@@ -58,6 +58,7 @@ from helpers import (
     random_integer_instance,
     rebuild_remaining,
     reference_state,
+    running_switches,
     window_bounds_by_definition,
 )
 
@@ -352,6 +353,16 @@ def check_grid(ctx):
     midpoint between each two consecutive ones."""
     bounds = analysis._boundaries(ctx)
     return sorted(bounds + [(a + b) // 2 for a, b in zip(bounds, bounds[1:])])
+
+
+def boundaries_by_definition(ctx):
+    """0, every release and completion of both traces, and every time
+    either trace's running set changes, in units of 1/ctx.L: the grid
+    times the checks must derive."""
+    times = {0}
+    for trace in (ctx.srpt_trace, ctx.ref_trace):
+        times.update(event_times(trace), running_switches(trace))
+    return sorted(t * ctx.L for t in times)
 
 
 def grid_times(ctx):
@@ -750,8 +761,8 @@ class TestStateDefinition:
 
     @given(ctx=trace_pairs())
     def test_backlog_midpoints_fail_only_with_an_event(self, ctx):
-        # check_backlog_bound's event-time records cover every t, so a label
-        # that fails at a midpoint fails at an event time next to it too
+        # check_backlog_bound's grid-time records cover every t, so a label
+        # that fails at a midpoint fails at a grid time next to it too
         bounds = analysis._boundaries(ctx)
         failing = {(r.time * ctx.L, r.label) for r in check_backlog_bound(ctx).failures}
         for T, label in failing:
@@ -769,11 +780,10 @@ class TestStateDefinition:
 
     def test_backlog_summary_asks_only_for_alive_jobs(self, monkeypatch):
         # uniform, n = 200, m = 2, sizes 1-8, releases 0-400: every record
-        # passes and neither schedule bends between events, so the summary
-        # pass asks state at each boundary where the fast schedule holds a
-        # job, for those jobs and no other, and at no midpoint; yet it
-        # counts two records per released job at every grid time, as many
-        # as the full pass builds
+        # passes, so the summary pass asks state at each grid time where the
+        # fast schedule holds a job, for those jobs and no other, and at no
+        # midpoint; yet it counts two records per released job at every
+        # grid time, as many as the full pass builds
         inst = generate(GenSpec("uniform", 200, 2, (1, 8), (0, 400), 1))
         ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed("3/2")),
                            simulate_srpt(inst, UNIT_SPEED))
@@ -791,10 +801,18 @@ class TestStateDefinition:
 
     @given(ctx=trace_pairs())
     def test_boundaries_match_definition(self, ctx):
-        # 0 and every release and completion of both traces, in units of
-        # 1/ctx.L: the only event times the checks derive
-        times = {0, *event_times(ctx.srpt_trace), *event_times(ctx.ref_trace)}
-        assert analysis._boundaries(ctx) == sorted(t * ctx.L for t in times)
+        assert analysis._boundaries(ctx) == boundaries_by_definition(ctx)
+
+    def test_boundaries_hold_a_restart_after_idle_time(self):
+        # a reference that idles on [1, 2) restarts its job at 2, which is
+        # neither a release, a completion nor the end of any service
+        inst = make_instance([(0, 0, 2)], machines=1)
+        ref = ExecutionTrace(instance=inst, speed=UNIT_SPEED, completions=(Fraction(3),), segments=(
+            Segment(Fraction(0), Fraction(1), (0,)), Segment(Fraction(1), Fraction(2), (None,)),
+            Segment(Fraction(2), Fraction(3), (0,))))
+        ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed("3/2")), ref)
+        assert [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)] == [0, 1, Fraction(4, 3), 2, 3]
+        assert analysis._boundaries(ctx) == boundaries_by_definition(ctx)
 
     @given(ctx=trace_pairs())
     def test_advanced_alive_sets_match_definition(self, ctx):
@@ -811,7 +829,7 @@ class TestStateDefinition:
 
     @given(ctx=trace_pairs())
     def test_charge_contributors_match_definition(self, ctx):
-        # the charge pass sweeps the event times backward, keeping the jobs
+        # the charge pass sweeps the grid times backward, keeping the jobs
         # the fast schedule has finished and the reference has not, and takes
         # the fast completions in reverse finish order; its window pairs are
         # each job's contributors by definition, in job-id order: the
@@ -884,10 +902,10 @@ class TestWalkDifferential:
 @pytest.fixture(scope="module")
 def oracle_switch_contexts():
     """(ctx, k, times) for each context whose oracle reference changes its
-    running set at `times`, strictly between two consecutive boundaries
-    (neither a release nor a completion of either schedule): SRPT at 3/2
-    and at 11/10 against the oracle witness at k = 1 and 2, over three
-    families, m = 1-3, n = 5-7, sizes 1-4, releases 0-6 and seeds 0-29."""
+    running set at `times`, strictly between two of its own events (neither
+    a release nor a completion of the witness): SRPT at 3/2 and at 11/10
+    against the oracle witness at k = 1 and 2, over three families, m = 1-3,
+    n = 5-7, sizes 1-4, releases 0-6 and seeds 0-29."""
     out = []
     for family in ("uniform", "bursty", "heavy-tail-discrete"):
         for m in (1, 2, 3):
@@ -896,73 +914,66 @@ def oracle_switch_contexts():
                     inst = generate(GenSpec(family, n, m, (1, 4), (0, 6), seed))
                     for k in (1, 2):
                         witness = brute_force_opt(inst, k=k).trace
-                        switches = {seg.start for seg in witness.segments[1:]} - set(event_times(witness))
-                        if not switches:
-                            continue
-                        for speed in ("3/2", "11/10"):
+                        switches = sorted(running_switches(witness) - set(event_times(witness)))
+                        for speed in ("3/2", "11/10") if switches else ():
                             ctx = make_context(simulate_srpt(inst, SpeedConfig.from_speed(speed)), witness)
-                            bounds = {Fraction(T, ctx.L) for T in analysis._boundaries(ctx)}
-                            if switches - bounds:
-                                out.append((ctx, k, sorted(switches - bounds)))
+                            out.append((ctx, k, switches))
     return out
 
 
 class TestOracleSwitches:
-    """An oracle witness can change its running set between two events,
-    where its remaining volumes bend and the check grid has no point. Both
-    checks whose coverage argument assumes volumes linear between events
-    are evaluated by definition at every such time."""
+    """An oracle witness can change its running set between two of its own
+    events. The check grid holds every such time, so the checks' coverage
+    arguments, which need every volume linear between grid times, hold
+    against it; the checks are also evaluated by definition there."""
 
     def test_sample(self, oracle_switch_contexts):
-        # 63 of the 1,620 witnesses switch between their own events, and in
-        # 109 of their 126 contexts some such time is no fast event either
-        assert len(oracle_switch_contexts) == 109
+        # 63 of the 1,620 witnesses switch between their own events, each
+        # against two fast schedules
+        assert len(oracle_switch_contexts) == 126
+
+    def test_every_switch_is_a_grid_time(self, oracle_switch_contexts):
+        for ctx, _, _ in oracle_switch_contexts:
+            grid = set(analysis._boundaries(ctx))
+            for trace in (ctx.srpt_trace, ctx.ref_trace):
+                assert {t * ctx.L for t in running_switches(trace)} <= grid
 
     def test_backlog_gap_no_worse_than_grid(self, oracle_switch_contexts):
+        # the gap records at each switch time are the gaps by definition,
+        # and none is below the report's worst gap slack
         for ctx, _, switches in oracle_switch_contexts:
-            report = check_backlog_bound(ctx)
-            worst = min(r.slack for r in report.records if r.label.startswith("backlog gap"))
+            records = records_by_label(check_backlog_bound(ctx), "backlog gap")
+            worst = min(r.slack for r in records)
             for t in switches:
                 alg, ref = backlogs(ctx, t)
-                for job in ctx.instance.jobs:
-                    if job.release <= t:
-                        assert ctx.machines * job.size - (alg[job.id] - ref[job.id]) >= worst, (t, job.id)
+                slacks = {"backlog gap job %d" % job.id: ctx.machines * job.size - (alg[job.id] - ref[job.id])
+                          for job in ctx.instance.jobs if job.release <= t}
+                assert {r.label: r.slack for r in records if r.time == t} == slacks, t
+                assert min(slacks.values()) >= worst
 
     def test_backlog_summary_matches_full_records(self, oracle_switch_contexts):
         for ctx, _, _ in oracle_switch_contexts:
             assert_backlog_summary_matches_full(ctx)
 
     def test_backlog_evaluates_only_undecided_midpoints(self, oracle_switch_contexts, monkeypatch):
-        # where the fast schedule holds a job on (a, b) and every record at
-        # a and b passes, the summary pass asks state at the midpoint when
-        # the witness changes its running set inside (a, b), and not when
-        # no segment of either schedule starts or ends there
-        counts = {"bent": 0, "linear": 0}
+        # where the fast schedule holds a job on (a, b), the summary pass
+        # asks state at the midpoint exactly when a record at a or at b
+        # fails: every other midpoint is decided by its two ends
         for ctx, _, _ in oracle_switch_contexts:
             asked = []
             state = ctx.state
             monkeypatch.setattr(ctx, "state", lambda T, *args, ids: asked.append(T) or state(T, *args, ids=ids))
             report = check_backlog_bound(ctx)
-            failing = {r.time for r in report.failures}
-            segments = (*ctx.srpt_trace.segments, *ctx.ref_trace.segments)
-            bounds = [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)]
+            failing = {r.time * ctx.L for r in report.failures}
+            bounds = analysis._boundaries(ctx)
             for a, b in zip(bounds, bounds[1:]):
-                if a in failing or b in failing or not alive_by_definition(ctx.srpt_trace, a):
-                    continue
-                running = [frozenset(seg.assignment) - {None} for seg in ctx.ref_trace.segments
-                           if a <= seg.start < b or seg.start < a < seg.end]
-                mid = (a + b) / 2 * ctx.L
-                if any(x != y for x, y in zip(running, running[1:])):
-                    assert mid in asked, (a, b)
-                    counts["bent"] += 1
-                elif not any(a < t < b for seg in segments for t in (seg.start, seg.end)):
-                    assert mid not in asked, (a, b)
-                    counts["linear"] += 1
-        # of the 109 contexts' intervals with a fast job on them and no
-        # failing record at either end
-        assert counts == {"bent": 118, "linear": 793}
+                if alive_by_definition(ctx.srpt_trace, Fraction(a, ctx.L)):
+                    assert ((a + b) // 2 in asked) == (a in failing or b in failing), (a, b)
 
     def test_walk_never_rises_inside_passing_interval(self, oracle_switch_contexts):
+        # on each grid interval next to a switch whose running record
+        # passes, objective plus potential by definition does not rise from
+        # a to the midpoint to b
         checked = 0
         for ctx, k, switches in oracle_switch_contexts:
             bounds = [Fraction(T, ctx.L) for T in analysis._boundaries(ctx)]
@@ -971,19 +982,35 @@ class TestOracleSwitches:
             for term, reports in walks:
                 passed = {r.time: r.passed for r in reports.running.records}
                 for a, b in zip(bounds, bounds[1:]):
-                    inside = [t for t in switches if a < t < b]
-                    if not inside or not passed[a]:
+                    if not (a in switches or b in switches) or not passed[a]:
                         continue
-                    # objective plus potential over the jobs alive on [a, b),
-                    # up to its positive coefficient; at b before b's events
+                    # over the jobs alive on [a, b), up to its positive
+                    # coefficient; at b before b's events
                     alive = (alive_by_definition(ctx.srpt_trace, a), alive_by_definition(ctx.ref_trace, a))
                     values = [sum(map(term, clamped_ages_by_definition(ctx, t, *alive).values()))
-                              for t in [a, *inside, b]]
+                              for t in (a, (a + b) / 2, b)]
                     assert values == sorted(values, reverse=True), (a, b)
                     checked += 1
-        # flow and power walk intervals with a switch inside and a passing
-        # running record
-        assert checked == 236
+        assert checked
+
+    def test_rise_inside_a_switch_interval_fails(self):
+        # LRPT at 5/4 against the k = 3 witness (uniform, n = 6, m = 2,
+        # seed 2), which switches at 3, between the fast events 2 and 17/5.
+        # On [3, 17/5] the sum of max(g, 0)^3 over the clamped ages g falls
+        # to a least value near 3.39 and then rises, so the running record
+        # there fails. Read from 2, as though the ages were linear through
+        # the switch, the same record passed
+        inst = generate(GenSpec("uniform", 6, 2, (1, 4), (0, 6), 2))
+        fast = simulate_policy(inst, SpeedConfig.from_speed("5/4"), longest_remaining_priority)
+        witness = brute_force_opt(inst, k=3).trace
+        assert 3 in running_switches(witness) - set(event_times(witness))
+        ctx = make_context(fast, witness)
+        reports = check_power_flow_conditions(ctx, k=3)
+        assert [r.label for r in reports.running.failures] == ["drift on [3, 17/5]"]
+        alive = (alive_by_definition(fast, 3), alive_by_definition(witness, 3))
+        low, end = (sum(max(g, 0) ** 3 for g in clamped_ages_by_definition(ctx, t, *alive).values())
+                    for t in (Fraction(339, 100), Fraction(17, 5)))
+        assert low < end
 
 
 class TestPowerConditions:
@@ -1328,7 +1355,7 @@ class TestContextValidation:
         lambda fast, ref: check_completion_charge(make_context(fast, ref), k=True),
     ], ids=["make_context", "objectives", "power-walk", "charge"])
     def test_bool_k(self, e1_fast_trace, e1_unit_trace, call):
-        # True == 1, but a bool is not a power k (as workload.is_int has it)
+        # True == 1, but a bool is not a power k (as rationals.is_int has it)
         with pytest.raises(AnalysisError, match="k must be an integer >= 1"):
             call(e1_fast_trace, e1_unit_trace)
 

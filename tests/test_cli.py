@@ -17,6 +17,7 @@ from srptlab.analysis import REFERENCES, verify
 from srptlab.cli import main
 from srptlab.core import validate_trace
 from srptlab.engine import longest_remaining_priority, simulate_policy, simulate_srpt
+from srptlab.formats import dump_json
 from srptlab.oracle import brute_force_opt
 from srptlab.workload import GenSpec, generate
 
@@ -498,6 +499,66 @@ class TestSweep:
         assert not out.exists()
 
 
+def exit_code(argv):
+    """main's exit code, also where argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+FAMILY = {"family": "uniform", "n": 3, "size_range": [1, 2], "release_range": [0, 2]}
+MANIFEST = {"families": [FAMILY], "eps": ["1/2"]}
+VERIFY_E1 = ["verify", "--instance", "{e1}", "--speed", "3/2"]
+
+
+# (argv, the text of each input file named in argv, SRPTLAB_THREADS, exit
+# code, the start of the error line); {e1} is E1_TEXT's file, {tmp} the
+# test's directory
+EXIT_PATHS = {
+    "verify-k-0": (VERIFY_E1 + ["--k", "0"], {}, None, 2, "error: k values must be integers >= 1"),
+    "verify-k-minus-1": (VERIFY_E1 + ["--k", "-1"], {}, None, 2, "error: k values must be integers >= 1"),
+    "refs-bogus": (VERIFY_E1 + ["--refs", "bogus"], {}, None, 2, "error: unknown reference 'bogus'"),
+    "refs-empty": (VERIFY_E1 + ["--refs", ","], {}, None, 2, "error: empty reference list"),
+    "refs-empty-item": (VERIFY_E1 + ["--refs", "oracle,,fifo"], {}, None, 0, ""),
+    "gen-span-3-parts": (["gen", "--family", "uniform", "--n", "3", "--size-range", "1:2:3"], {}, None, 2,
+                         "usage: srptlab gen"),
+    "simulate-out-missing-dir": (["simulate", "--instance", "{e1}", "--out", "{tmp}/missing/trace.json"], {},
+                                 None, 2, "error: cannot write"),
+    "threads-0": (["sweep", "--manifest", "{tmp}/m.json"], {"m.json": json.dumps(MANIFEST)}, "0", 2,
+                  "error: SRPTLAB_THREADS must be >= 1"),
+    "instance-m-two-values": (["simulate", "--instance", "{tmp}/i.txt"], {"i.txt": "m 1 2\n"}, None, 2,
+                              "error: bad instance: line 1"),
+    "instance-job-two-values": (["simulate", "--instance", "{tmp}/i.txt"], {"i.txt": "m 1\njob 0 1\n"}, None,
+                                2, "error: bad instance: line 2"),
+}
+for name, text, code, message in [
+    ("not-json", "{", 2, "error: bad manifest JSON"),
+    ("json-list", "[]", 2, "error: manifest must be a JSON object"),
+    ("families-3", json.dumps(dict(MANIFEST, families=3)), 2, "error: manifest: families must be a list"),
+    ("seeds-minus-1", json.dumps(dict(MANIFEST, seeds=-1)), 2, "error: manifest: seeds count must be >= 0"),
+    ("bound-x", json.dumps(dict(MANIFEST, bound="x")), 2, "error: manifest: bound must be"),
+    ("one-competitive-k-2", json.dumps({"families": [FAMILY], "bound": "one-competitive", "k": [2]}), 2,
+     "error: manifest: one-competitive mode checks k = 1 only"),
+    ("no-eps", json.dumps({"families": [FAMILY]}), 2, "error: manifest: eps must be a non-empty list"),
+    ("eps-x", json.dumps(dict(MANIFEST, eps=["x"])), 2, "error: manifest: bad eps 'x'"),
+    ("eps-0", json.dumps(dict(MANIFEST, eps=["0"])), 3,
+     "error: manifest: eps 0: epsilon out of theorem range: verification needs speed > 1"),
+]:
+    EXIT_PATHS["manifest-" + name] = (["sweep", "--manifest", "{tmp}/m.json"], {"m.json": text}, "1", code, message)
+
+
+@pytest.mark.parametrize("argv, files, threads, code, message", EXIT_PATHS.values(), ids=EXIT_PATHS.keys())
+def test_exit_paths(argv, files, threads, code, message, e1_path, tmp_path, monkeypatch, capsys):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    if threads is not None:
+        monkeypatch.setenv("SRPTLAB_THREADS", threads)
+    argv = [arg.format(e1=e1_path, tmp=tmp_path) for arg in argv]
+    assert exit_code(argv) == code
+    assert capsys.readouterr().err.startswith(message)
+
+
 # a 3-eps grid with k 1,2; uniform n = 12 is over the oracle's job limit, so
 # every one of its (eps, k) pairs leaves a skip notice on stderr
 GOLDEN_SWEEP = {
@@ -537,6 +598,21 @@ class TestSweepGolden:
         assert main(["sweep", "--manifest", man, "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "sweep_grid.csv").read_bytes()
         assert capsys.readouterr().err == (DATA / "sweep_grid.stderr").read_text()
+
+    def test_json_matches_the_csv(self, tmp_path, monkeypatch, capsys):
+        # the same rows as the CSV golden, in order, and the summary line's
+        # max ratio and verdict, written as dump_json writes the document
+        monkeypatch.setenv("SRPTLAB_THREADS", "1")
+        man = manifest_file(tmp_path, GOLDEN_SWEEP)
+        out = tmp_path / "sweep.json"
+        assert main(["sweep", "--manifest", man, "--format", "json", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        with open(DATA / "sweep_grid.csv", newline="") as fh:
+            assert doc["rows"] == list(csv.DictReader(fh))
+        summary = capsys.readouterr().err.splitlines()[-1]
+        verdict = "yes" if doc["all_within_bound"] else "NO"
+        assert summary.endswith(", max ratio %s, all within bound: %s" % (doc["max_ratio"], verdict))
+        assert out.read_text() == dump_json(doc)
 
     def test_one_oracle_search_per_instance_and_k(self, tmp_path, oracle_calls, capsys):
         doc = dict(GOLDEN_SWEEP, families=GOLDEN_SWEEP["families"][:1], machines=[1])

@@ -153,6 +153,15 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError, match="machines must be >= 1"):
             make_instance([(0, 0, 1)], machines=0)
 
+    def test_bools_are_not_integers(self):
+        # a bool machine count or job id would reach a trace document as
+        # JSON true, which trace_from_json refuses
+        with pytest.raises(InstanceError, match="^machines must be an integer, got True$"):
+            make_instance([(0, 0, 1)], machines=True)
+        jobs = (Job(False, Rational(0), Rational(1)), Job(True, Rational(0), Rational(1)))
+        with pytest.raises(InstanceError, match="^job id must be an integer, got False$"):
+            validate_instance(Instance(jobs=jobs, machines=1))
+
     def test_empty_instance_ok(self):
         inst = make_instance([], machines=2)
         assert inst.n == 0

@@ -1,8 +1,8 @@
-"""Every module of the package reads every name it imports, and some module
-of the package reads every private name a module defines: scans with the
-standard library's ast, so no linter need be installed. The import scan
-skips __init__.py, which imports to re-export, and lines marked
-`# noqa: F401`."""
+"""Every module of the package reads every name it imports, some module of
+the package reads every private name a module defines, and only cli imports
+workload: scans with the standard library's ast, so no linter need be
+installed. The import scans skip __init__.py, which imports to re-export,
+and the unused-import scan skips lines marked `# noqa: F401`."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,33 @@ def test_scan_finds_dead_private_names():
 
 def test_no_dead_private_names():
     assert dead_private_names({p.name: p.read_text() for p in SRC.glob("*.py")}) == []
+
+
+def package_imports(text):
+    """The package modules that the module source `text` imports, by name:
+    each import is read as the dotted names it binds, `from .x import y` as
+    srptlab.x.y, and the part after `srptlab.` names the module."""
+    out = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("srptlab" if node.level else "", node.module)))
+            names = [module + "." + a.name for a in node.names]
+        else:
+            continue
+        out.update(name.split(".")[1] for name in names if name.startswith("srptlab."))
+    return out
+
+
+def test_scan_finds_package_imports():
+    text = ("import os\nfrom .core import x\nfrom . import engine, oracle\n"
+            "from srptlab.formats import y\nimport srptlab.cli\nfrom srptlab import rationals\n")
+    assert package_imports(text) == {"core", "engine", "oracle", "formats", "cli", "rationals"}
+
+
+def test_only_cli_imports_workload():
+    # workload imports core, so no module that core depends on may import
+    # it; the integer check they share lives in rationals
+    importers = [m for m in MODULES if "workload" in package_imports((SRC / m).read_text())]
+    assert importers == ["cli.py"]
